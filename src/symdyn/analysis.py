@@ -121,7 +121,8 @@ def _meets_pi2(oracle, w):
     def some_total_at_least(l):
         if oracle.default_halts:
             return True    # all unlisted indices are total with bound 1
-        return any(oracle.is_total(e) for e in oracle._by_machine if e >= l)
+        return any(oracle.is_total(e)
+                   for e in oracle.listed_machines() if e >= l)
 
     return _meets_single_block(w, oracle.is_total, some_total_at_least)
 
@@ -350,7 +351,7 @@ def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
     if L == 0:
         return TildeMuEstimate(u, Fraction(1), Fraction(1), truncation)
 
-    listed = list(oracle._by_machine)
+    listed = oracle.listed_machines()
     l_big = max(listed, default=0) + 1           # unlisted machine index
     finite_his = [e.k_hi for e in oracle.entries
                   if e.kind is QueryKind.SOME_IN and e.k_hi is not INF]

@@ -15,8 +15,20 @@ breakpoints at the quarter points: the middle piece maps half of the
 gap onto the whole target interval I', so at least a fixed proportion
 of every gap escapes into C under one application of f.
 
-All arithmetic uses ``fractions.Fraction``; every comparison made by
-``locate`` and ``escape_fraction`` is exact.
+Every value is an exact rational; ``Fraction`` appears only at the
+public API.  The hot paths work on integers instead.  The scheme keeps an
+integer copy of its level layout -- each level's child length and
+child-to-child stride times a common denominator D, the lcm of the level
+denominators, built lazily only as deep as a call reaches.  ``locate``
+unpacks y = p/q once into floor(y*D) and a flag for y*D not being an
+integer, then descends with one floor division per level.  Because every
+layout value is an integer over D, floor(y*D) picks the same child as y
+itself, and "y strictly inside the gap" (y*D > N for the integer N = gap
+start times D) holds exactly when ceil(y*D) > N, so every comparison is
+still exact.  A ``GapMap`` evaluates each of its three affine pieces as
+one integer expression (u*p + v*q) / (w*q), and ``escape_fraction``
+carries that (numerator, denominator) pair, unreduced, from one step to
+the next.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
@@ -64,6 +77,7 @@ class CantorScheme:
             raise ValueError("need c_0 = 1 and limit in (0, 1)")
         self._memo: dict = {"": (ZERO, ONE)}
         self._layout: dict = {}
+        self._grid: tuple = (1, ())
 
     def level_measure(self, n: int) -> Fraction:
         """Total length of the level-n intervals: sum_{|w|=n} |I_w|."""
@@ -128,6 +142,40 @@ class CantorScheme:
             gap = (1 - b) * length / (self.k - 1)
             cached = self._layout[n] = (child, child + gap)
         return cached
+
+    def _integer_layout(self, n: int):
+        """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n.
+
+        D is the lcm of the layout denominators of the levels built so
+        far, so every entry is an integer.  The copy grows lazily; growing
+        it rescales the older levels to the new D and replaces the pair
+        whole, so a reader holding an older pair still has a consistent one.
+        """
+        den, levels = self._grid
+        if n < len(levels):
+            return den, levels
+        levels = list(levels)
+        while len(levels) <= n:
+            child, stride = self.level_layout(len(levels))
+            new = math.lcm(den, child.denominator, stride.denominator)
+            if new != den:
+                m = new // den
+                levels = [(s * m, c * m) for s, c in levels]
+                den = new
+            levels.append((stride.numerator * (den // stride.denominator),
+                           child.numerator * (den // child.denominator)))
+        self._grid = (den, tuple(levels))
+        return self._grid
+
+    def _word_at(self, n: int, index: int) -> str:
+        """The level-n word whose base-k digits (first letter most
+        significant) spell ``index``."""
+        syms = self.alphabet.symbols
+        out = [""] * n
+        for i in range(n - 1, -1, -1):
+            index, j = divmod(index, self.k)
+            out[i] = syms[j]
+        return "".join(out)
 
     def words(self, depth: int) -> Iterator[str]:
         """All words of length <= depth, in breadth-first order."""
@@ -198,6 +246,41 @@ class InLevelInterval:
 Location = Union[InGap, InLevelInterval]
 
 
+def _descend(scheme: CantorScheme, p: int, q: int, depth: int):
+    """Integer core of ``locate`` for y = p/q in [0, 1] (q > 0).
+
+    Returns (n, index, j, a, b, D).  When j is None, y lies in the
+    level-``depth`` interval of the word ``scheme._word_at(depth, index)``;
+    otherwise y lies strictly inside the j-th gap (a/D, b/D) of the level-n
+    word ``scheme._word_at(n, index)``.
+
+    The walk keeps t = floor(y*D) - lo*D for the current interval
+    [lo, hi].  Since lo*D and the layout entries are integers, the child
+    index floor((y - lo) / stride) equals t // stride, and y lies right
+    of child j (strictly inside the gap after it) exactly when
+    t + [y*D is not an integer] > child * D.
+    """
+    den, levels = scheme._grid
+    yd, rem = divmod(p * den, q)
+    t, frac = yd, rem != 0
+    k, index = scheme.k, 0
+    for n in range(depth):
+        if n == len(levels):
+            lo = yd - t
+            new, levels = scheme._integer_layout(n)
+            lo *= new // den
+            den = new
+            yd, rem = divmod(p * den, q)
+            t, frac = yd - lo, rem != 0
+        stride, child = levels[n]
+        j, t = divmod(t, stride)
+        if t + frac > child:  # strictly inside the gap right of child j
+            start = yd - t
+            return n, index, j, start + child, start + stride, den
+        index = index * k + j
+    return depth, index, None, 0, 0, den
+
+
 def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
     """Exact position of y relative to the level-``depth`` intervals.
 
@@ -208,22 +291,18 @@ def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
     y = Fraction(y)
     if not ZERO <= y <= ONE:
         raise ValueError("point outside [0, 1]")
-    w, lo = "", ZERO
-    for n in range(depth):
-        child, stride = scheme.level_layout(n)
-        j = min(int((y - lo) / stride), scheme.k - 1)
-        start = lo + j * stride
-        if y > start + child:  # strictly inside the gap right of child j
-            return InGap(GapLocation(w, j, start + child, start + stride))
-        w += scheme.alphabet.symbols[j]
-        lo = start
-    return InLevelInterval(w)
+    n, index, j, a, b, den = _descend(scheme, y.numerator, y.denominator,
+                                      depth)
+    w = scheme._word_at(n, index)
+    if j is None:
+        return InLevelInterval(w)
+    return InGap(GapLocation(w, j, Fraction(a, den), Fraction(b, den)))
 
 
 def _word_depth_for(scheme: CantorScheme, precision: int) -> int:
     """Least d with k^{-d} <= 2^{-precision} (so |I_w| < 2^{-precision})."""
     d = 0
-    while Fraction(scheme.k) ** -d > Fraction(1, 2 ** precision):
+    while scheme.k ** d < 2 ** precision:
         d += 1
     return d
 
@@ -319,16 +398,37 @@ class GapMap:
     def q3(self) -> Fraction:
         return self.a + 3 * (self.b - self.a) / 4
 
+    @cached_property
+    def _integer_form(self):
+        """(g, breakpoints, pieces): the breakpoints a, q1, q3, b times g,
+        as integers, and for each piece (u, v, w) with f(y) = (u*y + v)/w."""
+        q1, q3 = self.q1, self.q3
+        pieces = []
+        for x0, x1, v0, v1 in ((self.a, q1, self.fa, self.target_lo),
+                               (q1, q3, self.target_lo, self.target_hi),
+                               (q3, self.b, self.target_hi, self.fb)):
+            slope = (v1 - v0) / (x1 - x0)
+            icpt = v0 - slope * x0
+            w = math.lcm(slope.denominator, icpt.denominator)
+            pieces.append((slope.numerator * (w // slope.denominator),
+                           icpt.numerator * (w // icpt.denominator), w))
+        xs = (self.a, q1, q3, self.b)
+        g = math.lcm(*(x.denominator for x in xs))
+        return g, tuple(x.numerator * (g // x.denominator) for x in xs), pieces
+
+    def _image(self, p: int, q: int):
+        """f(p/q) as an unnormalized (numerator, denominator) pair."""
+        g, (a, q1, q3, b), pieces = self._integer_form
+        lo, rem = divmod(p * g, q)
+        hi = lo + (rem != 0)  # floor and ceiling of y*g
+        if not (a <= lo and hi <= b):
+            raise ValueError("point outside this gap")
+        u, v, w = pieces[0 if hi <= q1 else 1 if hi <= q3 else 2]
+        return u * p + v * q, w * q
+
     def __call__(self, y: Fraction) -> Fraction:
         y = Fraction(y)
-        if not self.a <= y <= self.b:
-            raise ValueError("point outside this gap")
-        q1, q3 = self.q1, self.q3
-        if y <= q1:
-            return self.fa + (y - self.a) / (q1 - self.a) * (self.target_lo - self.fa)
-        if y <= q3:
-            return self.target_lo + (y - q1) / (q3 - q1) * (self.target_hi - self.target_lo)
-        return self.target_hi + (y - q3) / (self.b - q3) * (self.fb - self.target_hi)
+        return Fraction(*self._image(y.numerator, y.denominator))
 
 
 def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
@@ -410,20 +510,20 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     cache: dict = {}
     escaped = 0
     for _ in range(samples):
-        y = Fraction(int(rng.integers(0, den)), den)
-        status = None
-        for _ in range(iterations + 1):
-            loc = locate(scheme, y, depth)
-            if isinstance(loc, InLevelInterval):
-                status = "absorbed"
+        p, q = int(rng.integers(0, den)), den
+        for step in range(iterations + 1):
+            n, index, j = _descend(scheme, p, q, depth)[:3]
+            if j is None:
+                break                      # absorbed
+            if step == iterations:
+                escaped += 1
                 break
-            status = "outside"
-            key = (loc.gap.parent, loc.gap.index)
+            key = (n, index, j)
             gm = cache.get(key)
             if gm is None:
-                gm = cache[key] = gap_map(scheme, sys, loc.gap)
-            y = gm(y)
-        escaped += status == "outside"
+                gap = locate(scheme, Fraction(p, q), depth).gap
+                gm = cache[key] = gap_map(scheme, sys, gap)
+            p, q = gm._image(p, q)
     frac = Fraction(escaped, samples)
     p = float(frac)
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)

@@ -185,11 +185,14 @@ class OracleTable:
     entries: tuple = ()
     default_halts: bool = False    # unlisted machines: halt at time 1 vs never
     work_cap: int = DEFAULT_WORK_CAP
-    _by_machine: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_machine: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a fresh index per instance, so dataclasses.replace never shares it
+        by_machine: dict = {}
         for ent in self.entries:
-            self._by_machine.setdefault(ent.e, []).append(ent)
+            by_machine.setdefault(ent.e, []).append(ent)
+        object.__setattr__(self, "_by_machine", by_machine)
 
     # -- construction ------------------------------------------------------
 
@@ -206,6 +209,11 @@ class OracleTable:
 
     def _entries_for(self, e):
         return self._by_machine.get(e, ())
+
+    def listed_machines(self):
+        """Indices of the machines with at least one entry, in order of
+        their first entry."""
+        return list(self._by_machine)
 
     def _answer_programmed(self, e: int, q: HaltQuery) -> Answer:
         ents = self._entries_for(e)

@@ -162,8 +162,12 @@ def _sigma2_step_prefix(oracle: OracleTable, w: str, n: int) -> str:
 def step_prefix(sys: SystemSpec, w, n: int):
     """First ``n`` symbols of the image of any configuration extending ``w``.
 
-    Raises FrontierUnresolved when ``w`` is too short to determine them;
-    words of length >= ``sys.lookahead(n)`` always suffice.
+    Raises FrontierUnresolved when ``w`` is too short to determine them.
+    For the shift, pi1 and sigma2, words of length >= ``sys.lookahead(n)``
+    always suffice.  For pi2 and the product systems they need not: an S
+    near the end of the word can read past it (pi2 with n = 1 raises on
+    ``'000S'``, "first S reads one symbol past the supplied word"), so
+    callers must be ready for FrontierUnresolved at any length.
     """
     if sys.is_product or sys.id is SystemId.PI2:
         from . import pi2

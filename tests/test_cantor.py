@@ -4,9 +4,10 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from symdyn.cantor import (CantorScheme, InGap, InLevelInterval,
+from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
                            cantor_measure, escape_fraction, export_intervals,
                            f_eval, gap_map, interval_of_word, locate,
                            phi_point)
@@ -22,6 +23,57 @@ NEVER = OracleTable.programmed_table([])
 @pytest.fixture(scope="module")
 def scheme():
     return CantorScheme()
+
+
+# -- slow Fraction references for the integer paths --------------------------
+
+def reference_locate(scheme, y, depth):
+    """locate as a Fraction walk down ``scheme.level_layout``."""
+    y = F(y)
+    if not 0 <= y <= 1:
+        raise ValueError("point outside [0, 1]")
+    w, lo = "", F(0)
+    for n in range(depth):
+        child, stride = scheme.level_layout(n)
+        j = min(int((y - lo) / stride), scheme.k - 1)
+        start = lo + j * stride
+        if y > start + child:  # strictly inside the gap right of child j
+            return InGap(GapLocation(w, j, start + child, start + stride))
+        w += scheme.alphabet.symbols[j]
+        lo = start
+    return InLevelInterval(w)
+
+
+def reference_gap_eval(gm, y):
+    """The three-piece gap map evaluated in Fraction arithmetic."""
+    y = F(y)
+    if not gm.a <= y <= gm.b:
+        raise ValueError("point outside this gap")
+    q1, q3 = gm.q1, gm.q3
+    if y <= q1:
+        return gm.fa + (y - gm.a) / (q1 - gm.a) * (gm.target_lo - gm.fa)
+    if y <= q3:
+        return gm.target_lo + (y - q1) / (q3 - q1) * (gm.target_hi - gm.target_lo)
+    return gm.target_hi + (y - q3) / (gm.b - q3) * (gm.fb - gm.target_hi)
+
+
+def reference_escaped(scheme, sys, iterations, samples, master_seed, depth):
+    """The escape loop on Fractions: count samples whose first
+    ``iterations`` + 1 iterates all lie strictly inside gaps."""
+    rng = np.random.default_rng(master_seed)
+    den = 2 ** 53
+    escaped = 0
+    for _ in range(samples):
+        y = F(int(rng.integers(0, den)), den)
+        for step in range(iterations + 1):
+            loc = reference_locate(scheme, y, depth)
+            if isinstance(loc, InLevelInterval):
+                break
+            if step == iterations:
+                escaped += 1
+                break
+            y = reference_gap_eval(gap_map(scheme, sys, loc.gap), y)
+    return escaped
 
 
 # -- interval recurrence ----------------------------------------------------
@@ -130,6 +182,64 @@ def test_locate_agrees_with_intervals(scheme):
             assert lo <= y <= hi and len(loc.word) == 6
         else:
             assert loc.gap.a < y < loc.gap.b
+
+
+def _landmarks(scheme, depth):
+    """Interval endpoints, gap endpoints, gap midpoints and quarter points
+    of every word up to ``depth``."""
+    for w in scheme.words(depth):
+        yield from scheme.interval_of_word(w)
+        for j in range(scheme.k - 1):
+            g = scheme.gap(w, j)
+            for i in range(5):
+                yield g.a + i * (g.b - g.a) / 4
+
+
+@pytest.mark.parametrize("alphabet", ["binary", "ternary"])
+def test_locate_matches_fraction_reference(alphabet):
+    s = CantorScheme() if alphabet == "binary" else CantorScheme(ALPHA_01S)
+    rng = random.Random(2)
+    points = list(_landmarks(s, 5 if alphabet == "binary" else 3))
+    for q in (2 ** 10, 2 ** 31, 2 ** 53, 3 ** 12, 7 * 11 * 13):
+        points += [F(rng.randrange(q + 1), q) for _ in range(40)]
+    points += [F(rng.randrange(q + 1), q)
+               for q in (rng.randrange(1, 10 ** 12) for _ in range(60))]
+    points += [F(0), F(1)]
+    for depth in range(21):
+        # a fresh scheme per depth also exercises the lazily grown layout
+        fresh = CantorScheme(s.alphabet)
+        for y in points:
+            assert locate(fresh, y, depth) == reference_locate(s, y, depth), \
+                (y, depth)
+
+
+def test_locate_rejects_outside_points(scheme):
+    for y in (F(-1, 2 ** 53), F(1) + F(1, 3 ** 12), 2):
+        with pytest.raises(ValueError):
+            locate(scheme, y, 4)
+
+
+def test_gap_map_matches_three_piece_formula(scheme, worked):
+    rng = random.Random(5)
+    for sys in (shift_system(), pi1_system(worked)):
+        for w in scheme.words(5):
+            gm = gap_map(scheme, sys, scheme.gap(w, 0))
+            ys = [gm.a + i * (gm.b - gm.a) / 8 for i in range(9)]
+            ys += [gm.a + (gm.b - gm.a) * F(rng.randrange(10 ** 9 + 1), 10 ** 9)
+                   for _ in range(6)]
+            for y in ys:
+                assert gm(y) == reference_gap_eval(gm, y)
+            for y in (gm.a - F(1, 2 ** 60), gm.b + F(1, 3 ** 30)):
+                with pytest.raises(ValueError):
+                    gm(y)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_escape_matches_reference_loop(scheme, worked, seed):
+    sys = pi1_system(worked)
+    for n in (0, 1, 3):
+        got = escape_fraction(CantorScheme(), sys, n, 300, seed, depth=12)
+        assert got.escaped == reference_escaped(scheme, sys, n, 300, seed, 12)
 
 
 # -- the embedding phi ------------------------------------------------------

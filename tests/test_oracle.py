@@ -145,3 +145,19 @@ def test_work_cap():
     orc = OracleTable.enumerated(work_cap=1000)
     with pytest.raises(WorkCapExceeded):
         orc.answer(5, HaltQuery(QueryKind.ALL_BELOW, budget=100, k=20))
+
+
+def test_replace_builds_a_fresh_index():
+    from dataclasses import replace
+    orc = OracleTable.programmed_table([
+        Entry(e=1, kind=QueryKind.EMPTY, time=8),
+        Entry(e=3, kind=QueryKind.EMPTY, time=4),
+    ])
+    fewer = replace(orc, entries=orc.entries[:1])
+    assert fewer.empty_halt_time(1) == 8
+    assert fewer.empty_halt_time(3) is None
+    assert fewer.listed_machines() == [1]
+    # the original's index is untouched: no duplicate entry for M1
+    assert orc.listed_machines() == [1, 3]
+    assert orc._entries_for(1) == [orc.entries[0]]
+    assert orc.empty_halt_time(3) == 4
