@@ -13,15 +13,14 @@ Run:  python3 demos/04_interval_escape.py
 from fractions import Fraction
 
 from symdyn import (CantorScheme, binary_config, escape_fraction, f_eval,
-                    worked_example_oracle, interval_of_word, locate, phi_point,
-                    pi1_system)
+                    worked_example_oracle, locate, phi_point, pi1_system)
 
 sch = CantorScheme()
 sys = pi1_system(worked_example_oracle())
 
 print("interval tree:")
 for w in ("", "0", "1", "01", "0110"):
-    lo, hi = interval_of_word(sch, w)
+    lo, hi = sch.interval_of_word(w)
     print(f"  I_{w or 'eps':6s} = [{lo}, {hi}]   length {hi - lo}")
 print()
 

@@ -35,9 +35,8 @@ from .analysis import (EmpiricalMeasure, MeetsVerdict, OmegaProfile,
                        realm_visit_check, tilde_mu, tilde_mu_table,
                        u_st_member)
 from .cantor import (CantorScheme, EscapeResult, GapLocation, GapMap, InGap,
-                     InLevelInterval, PointEnclosure, cantor_measure,
-                     escape_fraction, export_intervals, f_eval, gap_map,
-                     interval_of_word, locate, phi_point)
+                     InLevelInterval, PointEnclosure, escape_fraction,
+                     export_intervals, f_eval, gap_map, locate, phi_point)
 from .verify import (VerificationReport, bernoulli_product, crossing_member,
                      worked_example_oracle, parity_oracle, totality_oracle,
                      two_zone_configuration, verify_suite)

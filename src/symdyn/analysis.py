@@ -14,16 +14,16 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .oracle import Answer, HaltQuery, OracleTable, QueryKind, INF
+from .oracle import OracleTable, QueryKind, INF
 from .space import Configuration, Cylinder, parse_blocks
-from .systems import EraseKind, SystemId, SystemSpec, orbit_windows
+from .systems import (ERASE_KIND, EraseKind, SystemId, SystemSpec,
+                      block_fate, left_gap, orbit_windows)
 
 YES, NO, UNKNOWN = "yes", "no", "unknown_within_budget"
 
@@ -37,40 +37,25 @@ class MeetsVerdict:
         return self.value == YES
 
 
-def _run_halts_empty(oracle: OracleTable, l: int, budget: Optional[int]):
-    """True/False/None (undecided) for 'M_l halts on the empty input'."""
-    if oracle.programmed:
-        return oracle.empty_halt_time(l) is not None
-    if budget is None:
-        raise ValueError("enumerated oracles need a budget")
-    ans = oracle.answer(l, HaltQuery(QueryKind.EMPTY, budget))
-    return True if ans is Answer.YES else None
-
-
-def _meets_pi1(oracle, w, budget):
-    dec = parse_blocks(w)
-    for j1, l in dec.blocks("1"):
-        fate = _run_halts_empty(oracle, l, budget)
-        if fate is True:
-            return MeetsVerdict(NO, witness=f"block 01^{l} 0 at {j1}: M_{l} halts")
-        if fate is None:
+def _meets_erasure(kind: EraseKind, oracle, w, budget):
+    """No block of ``w`` may be erased in the limit; extending by 1s keeps
+    every later block open."""
+    fate = block_fate(oracle, kind, budget)
+    for j1, l in parse_blocks(w).blocks("1"):
+        gap = left_gap(w, j1)
+        erased = fate(l, gap)
+        if erased is None:
             return MeetsVerdict(UNKNOWN, witness=f"block 01^{l} 0 at {j1}")
-    return MeetsVerdict(YES, witness=w + "1^inf")
-
-
-def _meets_sigma2(oracle, w, budget):
-    if not oracle.programmed:
-        raise ValueError("the finite-domain predicates need a programmed table")
-    dec = parse_blocks(w)
-    for j1, l in dec.blocks("1"):
-        if not oracle.has_finite_domain(l):
-            return MeetsVerdict(NO, witness=f"block 01^{l} 0 at {j1}: "
-                                            f"M_{l} has infinite domain")
-        j0 = w.rfind("1", 0, j1)
-        if j0 >= 0 and oracle.halts_on_size_above(l, j1 - j0):
-            return MeetsVerdict(
-                NO, witness=f"factor 10^{j1 - j0}1^{l}0 at {j0}: "
-                            f"M_{l} halts on a larger input")
+        if not erased:
+            continue
+        if kind is EraseKind.PHI:
+            why = f"block 01^{l} 0 at {j1}: M_{l} halts"
+        elif fate(l, None):
+            why = f"block 01^{l} 0 at {j1}: M_{l} has infinite domain"
+        else:
+            why = (f"factor 10^{gap}1^{l}0 at {j1 - gap}: "
+                   f"M_{l} halts on a larger input")
+        return MeetsVerdict(NO, witness=why)
     return MeetsVerdict(YES, witness=w + "1^inf")
 
 
@@ -137,10 +122,8 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
     if c.position != 0:
         raise ValueError("membership predicates are defined at position 0")
     w = c.word
-    if system_id is SystemId.PI1:
-        return _meets_pi1(oracle, w, budget)
-    if system_id is SystemId.SIGMA2:
-        return _meets_sigma2(oracle, w, budget)
+    if system_id in ERASE_KIND:
+        return _meets_erasure(ERASE_KIND[system_id], oracle, w, budget)
     if system_id is SystemId.PI2 or system_id is SystemId.WILD_T_PRIME:
         return _meets_pi2(oracle, w)
     if system_id is SystemId.WILD_T_SECOND:
@@ -319,15 +302,6 @@ class TildeMuEstimate:
         return (self.lower + self.upper) / 2
 
 
-def _phi_fate(oracle: OracleTable, l: int, gap: int, kind: EraseKind) -> bool:
-    """True when a block of length l with preceding 1-distance ``gap``
-    is erased in the limit."""
-    if kind is EraseKind.PHI:
-        return oracle.empty_halt_time(l) is not None
-    return (not oracle.has_finite_domain(l)
-            or oracle.halts_on_size_above(l, gap))
-
-
 def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
              kind: EraseKind = EraseKind.PHI) -> TildeMuEstimate:
     """Exact rational enclosure of the limit measure of [u] under Bernoulli(p).
@@ -359,10 +333,11 @@ def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
     T = max(truncation, l_big, k_big)
     BIG = None
     need_gap = kind is EraseKind.PHI_PRIME
+    rule = block_fate(oracle, kind)
 
     def fate(l_tot, gap) -> bool:
-        return _phi_fate(oracle, l_big if l_tot is BIG else l_tot,
-                         k_big if gap is BIG else gap, kind)
+        return rule(l_big if l_tot is BIG else l_tot,
+                    k_big if gap is BIG else gap)
 
     # left contexts ... 1 0^{z+1} 1^a | window, with closed-form tail terms
     if need_gap:

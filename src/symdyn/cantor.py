@@ -187,14 +187,6 @@ class CantorScheme:
                 return
 
 
-def interval_of_word(scheme: CantorScheme, w: str):
-    return scheme.interval_of_word(w)
-
-
-def cantor_measure(scheme: CantorScheme, w: str) -> Fraction:
-    return scheme.cantor_measure(w)
-
-
 @dataclass(frozen=True)
 class PointEnclosure:
     """Exact rational bounds on a real number."""

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -16,8 +17,8 @@ from fractions import Fraction
 from . import analysis, cantor, systems, verify
 from .oracle import OracleTable, table_from_json
 from .pi2 import ProductConfiguration
-from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, Configuration,
-                    Constant, Cylinder, Periodic, Sampler, Scheduled)
+from .space import (ALPHA_AB, Alphabet, Configuration, Constant, Cylinder,
+                    Periodic, Sampler, Scheduled)
 from .systems import EraseKind, SystemId, SystemSpec
 
 
@@ -92,15 +93,16 @@ def build_system(args) -> SystemSpec:
     return SystemSpec(sid, load_oracle(args.oracle))
 
 
-def build_config(sys_spec: SystemSpec, args, seed: int):
+def build_config(sys_spec: SystemSpec, init: str, init2, seed: int):
+    """The initial configuration from its descriptor(s); ``init2`` is the
+    second layer of a product system."""
+    if sys_spec.is_product and init2 is None:
+        raise UsageError("product systems need --init2 for the second layer")
+    x = parse_descriptor(init, sys_spec.alphabet, seed)
     if sys_spec.is_product:
-        if args.init2 is None:
-            raise UsageError("product systems need --init2 for the second layer")
-        return ProductConfiguration(
-            parse_descriptor(args.init, ALPHA_01S, seed),
-            parse_descriptor(args.init2, ALPHA_AB, seed + 1))
-    alpha = ALPHA_01S if sys_spec.id is SystemId.PI2 else ALPHA_01
-    return parse_descriptor(args.init, alpha, seed)
+        return ProductConfiguration(x, parse_descriptor(init2, ALPHA_AB,
+                                                        seed + 1))
+    return x
 
 
 @contextmanager
@@ -129,7 +131,7 @@ def parse_fraction(text: str) -> Fraction:
 
 def cmd_orbit(args) -> int:
     sys_spec = build_system(args)
-    x = build_config(sys_spec, args, args.seed)
+    x = build_config(sys_spec, args.init, args.init2, args.seed)
     rows = systems.orbit_windows(sys_spec, x, args.start,
                                  args.start + args.steps + 1, args.window)
     with out_stream(args.out) as fh:
@@ -147,7 +149,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_omega(args) -> int:
     sys_spec = build_system(args)
-    x = build_config(sys_spec, args, args.seed)
+    x = build_config(sys_spec, args.init, args.init2, args.seed)
     prof = analysis.omega_profile(sys_spec, x, args.burn_in, args.horizon,
                                   args.depth)
     with out_stream(args.out) as fh:
@@ -164,7 +166,7 @@ def cmd_omega(args) -> int:
 
 def cmd_measure(args) -> int:
     sys_spec = build_system(args)
-    x = build_config(sys_spec, args, args.seed)
+    x = build_config(sys_spec, args.init, args.init2, args.seed)
     m = analysis.empirical_measure(sys_spec, x, args.steps, args.depth,
                                    start=args.start)
     with out_stream(args.out) as fh:
@@ -225,7 +227,7 @@ def cmd_tilde_mu(args) -> int:
 
 def cmd_realm(args) -> int:
     sys_spec = build_system(args)
-    seeds = [build_config(sys_spec, _Replace(args, init=d), args.seed + 17 * i)
+    seeds = [build_config(sys_spec, d, args.init2, args.seed + 17 * i)
              for i, d in enumerate(args.init)]
     target = Cylinder(args.target, args.position)
     witness = analysis.realm_visit_check(sys_spec, seeds, target,
@@ -238,18 +240,6 @@ def cmd_realm(args) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     return 0
-
-
-class _Replace:
-    """argparse namespace view with one field overridden."""
-
-    def __init__(self, base, **over):
-        self._base, self._over = base, over
-
-    def __getattr__(self, name):
-        if name in self._over:
-            return self._over[name]
-        return getattr(self._base, name)
 
 
 def cmd_interval_eval(args) -> int:
@@ -418,9 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as ex:

@@ -183,16 +183,25 @@ class Entry:
 class OracleTable:
     programmed: bool
     entries: tuple = ()
-    default_halts: bool = False    # unlisted machines: halt at time 1 vs never
+    # unlisted machines halt at time 1 vs never; a listed machine answers
+    # from its entries alone, in every query kind and table predicate
+    default_halts: bool = False
     work_cap: int = DEFAULT_WORK_CAP
     _by_machine: dict = field(init=False, repr=False, compare=False)
+    _empty_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a fresh index per instance, so dataclasses.replace never shares it
+        # fresh indexes per instance, so dataclasses.replace never shares them
         by_machine: dict = {}
+        empty_time: dict = {}      # listed machine -> least EMPTY time or None
         for ent in self.entries:
             by_machine.setdefault(ent.e, []).append(ent)
+            t = empty_time.get(ent.e)
+            if ent.kind is QueryKind.EMPTY and ent.time is not None:
+                t = ent.time if t is None else min(t, ent.time)
+            empty_time[ent.e] = t
         object.__setattr__(self, "_by_machine", by_machine)
+        object.__setattr__(self, "_empty_time", empty_time)
 
     # -- construction ------------------------------------------------------
 
@@ -215,43 +224,41 @@ class OracleTable:
         their first entry."""
         return list(self._by_machine)
 
-    def _answer_programmed(self, e: int, q: HaltQuery) -> Answer:
+    def _unlisted_time(self) -> Optional[int]:
+        return 1 if self.default_halts else None
+
+    def _least_empty_time(self, e: int) -> Optional[int]:
+        return self._empty_time.get(e, self._unlisted_time())
+
+    def _least_all_below_time(self, e: int, k) -> Optional[int]:
         ents = self._entries_for(e)
         if not ents:
-            if self.default_halts:
-                # halt-at-1 default covers every query kind
-                return Answer.YES if q.budget >= 1 else Answer.NO_WITHIN_BUDGET
-            return Answer.NEVER
-        relevant = [x for x in ents if x.kind is q.kind]
+            return self._unlisted_time()
+        return min((x.time for x in ents
+                    if x.kind is QueryKind.ALL_BELOW and x.time is not None
+                    and (x.k is INF or (k is not INF and x.k >= k))),
+                   default=None)
+
+    def _answer_programmed(self, e: int, q: HaltQuery) -> Answer:
+        ents = self._entries_for(e)
         if q.kind is QueryKind.EMPTY:
-            for ent in relevant:
-                if ent.time is not None:
-                    return Answer.YES if ent.time <= q.budget else Answer.NO_WITHIN_BUDGET
+            best = self._least_empty_time(e)
+        elif q.kind is QueryKind.ALL_BELOW:
+            best = self._least_all_below_time(e, q.k)
+        elif not ents:
+            best = self._unlisted_time()
+        else:
+            # SOME_IN: an entry answers the query when its size range is
+            # contained in the queried range.
+            best = min((x.time for x in ents
+                        if x.kind is QueryKind.SOME_IN and x.time is not None
+                        and x.k is not INF and (q.k is None or x.k >= q.k)
+                        and (q.k_hi is INF
+                             or (x.k_hi is not INF and x.k_hi <= q.k_hi))),
+                       default=None)
+        if best is None:
             return Answer.NEVER
-        if q.kind is QueryKind.ALL_BELOW:
-            best = None
-            for ent in relevant:
-                if ent.time is None:
-                    continue
-                if ent.k is INF or (q.k is not INF and ent.k >= q.k):
-                    best = ent.time if best is None else min(best, ent.time)
-            if best is not None:
-                return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
-            return Answer.NEVER
-        # SOME_IN: an entry answers the query when its size range is contained
-        # in the queried range.
-        best = None
-        for ent in relevant:
-            if ent.time is None or ent.k is INF:
-                continue
-            lo_ok = q.k is None or ent.k >= q.k
-            hi_ok = q.k_hi is INF or (ent.k_hi is not INF and ent.k_hi is not None
-                                      and ent.k_hi <= q.k_hi)
-            if lo_ok and hi_ok:
-                best = ent.time if best is None else min(best, ent.time)
-        if best is not None:
-            return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
-        return Answer.NEVER
+        return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
 
     # -- enumerated answering ---------------------------------------------
 
@@ -299,27 +306,17 @@ class OracleTable:
 
         Programmed backend only; the enumerated backend cannot certify
         non-halting, use :meth:`answer` with an explicit budget instead.
+        ``answer`` on an EMPTY query reads the same time.
         """
         if not self.programmed:
             raise ValueError("empty_halt_time requires a programmed table")
-        ents = [x for x in self._entries_for(e) if x.kind is QueryKind.EMPTY]
-        times = [x.time for x in ents if x.time is not None]
-        if times:
-            return min(times)
-        if not ents and self.default_halts:
-            return 1
-        return None
+        return self._least_empty_time(e)
 
     def all_below_time(self, e: int, k) -> Optional[int]:
         """Least asserted time within which all inputs of size < k halt."""
         if not self.programmed:
             raise ValueError("programmed table required")
-        if not self._entries_for(e):
-            return 1 if self.default_halts else None
-        times = [x.time for x in self._entries_for(e)
-                 if x.kind is QueryKind.ALL_BELOW and x.time is not None
-                 and (x.k is INF or (k is not INF and x.k >= k))]
-        return min(times) if times else None
+        return self._least_all_below_time(e, k)
 
     def is_total(self, e: int) -> bool:
         """Table predicate for membership in the totality index set."""

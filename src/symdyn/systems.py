@@ -3,11 +3,14 @@
 Each map is exposed two ways: ``step_prefix`` applies the literal
 per-position rule to a finite word (exact, used for small inputs and as
 the reference implementation), and ``orbit`` runs a long simulation with
-frontier bookkeeping.  For the block-erasure maps the long-orbit engine
-exploits that a block's erasure condition only gets harder as it shifts
-toward the origin, so each block is erased at the first step it exists or
-never; the engine is cross-checked against the per-position rule in the
-test suite.
+frontier bookkeeping.  For the block-erasure maps one rule,
+:func:`erases_now`, decides whether a step erases a block, and serves both
+the per-position map and the long-orbit engine; the engine exploits that a
+block's erasure condition only gets harder as it shifts toward the origin,
+so each block is erased at the first step it exists or never, and it is
+cross-checked against the per-position map in the test suite.  The limit
+rule, :func:`block_fate`, serves the erasure maps in the limit, the
+attractor predicates and the limit measure in :mod:`symdyn.analysis`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .oracle import Answer, HaltQuery, OracleTable, QueryKind, INF
+from .oracle import Answer, HaltQuery, OracleTable, QueryKind
 from .space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration, parse_blocks)
 
 
@@ -95,29 +98,89 @@ def wild_t_second_system(oracle: OracleTable) -> SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Oracle helpers used by the maps (position-indexed budgets)
+# The block-erasure rule (phi / phi')
 # ---------------------------------------------------------------------------
 
-def halts_empty_within(oracle: OracleTable, e: int, budget: int) -> bool:
-    return oracle.answer(e, HaltQuery(QueryKind.EMPTY, budget)) is Answer.YES
+class EraseKind(Enum):
+    PHI = "phi"
+    PHI_PRIME = "phi_prime"
 
 
-def halts_some_size_in(oracle: OracleTable, e: int, lo: int, hi: int,
-                       budget: int) -> bool:
-    if hi < lo:
-        return False
-    q = HaltQuery(QueryKind.SOME_IN, budget, k=lo, k_hi=hi)
-    return oracle.answer(e, q) is Answer.YES
+# the erasure map each block-erasure system applies
+ERASE_KIND = {SystemId.PI1: EraseKind.PHI, SystemId.SIGMA2: EraseKind.PHI_PRIME}
+
+
+def erases_now(oracle: OracleTable, kind: EraseKind):
+    """The per-step rule, as ``erased(l, j1, gap) -> bool``.
+
+    One application of the map erases the closed block 0 1^l 0 whose
+    leading 0 sits at ``j1``; ``gap`` is ``j1`` minus the position of the
+    nearest 1 to its left, or None when there is none.  phi erases when
+    l <= j1 and M_l halts on the empty input within j1 steps; phi' when a
+    1 precedes the block, l < j1 and M_l halts within j1 steps on some
+    input of size in [gap, j1].
+    """
+    if kind is EraseKind.PHI_PRIME:
+        def erased(l, j1, gap):
+            return (gap is not None and l < j1
+                    and oracle.answer(l, HaltQuery(QueryKind.SOME_IN, j1, k=gap,
+                                                   k_hi=j1)) is Answer.YES)
+    elif oracle.programmed:
+        halt_time = {}   # l -> least empty-input halting time, asked once
+
+        def erased(l, j1, gap):
+            if l > j1:
+                return False
+            if l not in halt_time:
+                halt_time[l] = oracle.empty_halt_time(l)
+            t = halt_time[l]
+            return t is not None and t <= j1
+    else:
+        def erased(l, j1, gap):
+            return (l <= j1 and oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1))
+                    is Answer.YES)
+    return erased
+
+
+def block_fate(oracle: OracleTable, kind: EraseKind,
+               budget: Optional[int] = None):
+    """The limit rule, as ``fate(l, gap) -> True / False / None``.
+
+    True when the block 0 1^l 0 (``gap`` as in :func:`erases_now`) is
+    erased in the limit, False when it survives, None when an enumerated
+    oracle gives no YES within ``budget``.  Raises ValueError at once when
+    the table cannot decide: phi' needs a programmed table, phi on an
+    enumerated one needs a budget.
+    """
+    if kind is EraseKind.PHI_PRIME:
+        if not oracle.programmed:
+            raise ValueError("the finite-domain predicates need a programmed "
+                             "table")
+        return lambda l, gap: (not oracle.has_finite_domain(l)
+                               or (gap is not None
+                                   and oracle.halts_on_size_above(l, gap)))
+    if oracle.programmed:
+        return lambda l, gap: oracle.empty_halt_time(l) is not None
+    if budget is None:
+        raise ValueError("enumerated oracles need a budget")
+    return lambda l, gap: (oracle.answer(l, HaltQuery(QueryKind.EMPTY, budget))
+                           is Answer.YES) or None
+
+
+def left_gap(w: str, j1: int) -> Optional[int]:
+    """``j1`` minus the position of the nearest 1 left of it in ``w``."""
+    j0 = w.rfind("1", 0, j1)
+    return j1 - j0 if j0 >= 0 else None
 
 
 # ---------------------------------------------------------------------------
 # Per-position step rules
 # ---------------------------------------------------------------------------
 
-def _check_pi1_frontier(w: str, n: int):
+def _erasure_step_prefix(erased, w: str, n: int) -> str:
+    if len(w) < n + 1:
+        raise FrontierUnresolved("need one symbol past the window")
     dec = parse_blocks(w)
-    if not dec.runs:
-        return dec
     last = dec.runs[-1]
     if (last.symbol == "1" and not last.bounded_right
             and last.bound_left is not None):
@@ -126,34 +189,10 @@ def _check_pi1_frontier(w: str, n: int):
         # an erasable candidate (l <= j1, j2 <= 2i, i < n) remains possible
         if j1 <= n - 1 and len(w) <= 2 * (n - 1) and len(w) <= 2 * j1 + 1:
             raise FrontierUnresolved(f"1-run open at {last.start}")
-    return dec
-
-
-def _pi1_step_prefix(oracle: OracleTable, w: str, n: int) -> str:
-    if len(w) < n + 1:
-        raise FrontierUnresolved("need one symbol past the window")
-    dec = _check_pi1_frontier(w, n)
     out = list(w[1:n + 1])
     for j1, l in dec.blocks("1"):
-        j2 = j1 + l + 1
-        if l <= j1 and halts_empty_within(oracle, l, j1):
-            for i in range(max(j1, (j2 + 1) // 2), min(j2, n)):
-                out[i] = "0"
-    return "".join(out)
-
-
-def _sigma2_step_prefix(oracle: OracleTable, w: str, n: int) -> str:
-    if len(w) < n + 1:
-        raise FrontierUnresolved("need one symbol past the window")
-    dec = _check_pi1_frontier(w, n)  # same trailing-run geometry
-    out = list(w[1:n + 1])
-    for j1, l in dec.blocks("1"):
-        j2 = j1 + l + 1
-        j0 = w.rfind("1", 0, j1)
-        if j0 < 0 or l >= j1:
-            continue
-        k = j1 - j0
-        if halts_some_size_in(oracle, l, k, j1, j1):
+        if erased(l, j1, left_gap(w, j1)):
+            j2 = j1 + l + 1
             for i in range(max(j1, (j2 + 1) // 2), min(j2, n)):
                 out[i] = "0"
     return "".join(out)
@@ -176,21 +215,15 @@ def step_prefix(sys: SystemSpec, w, n: int):
         if len(w) < n + 1:
             raise FrontierUnresolved("need one symbol past the window")
         return w[1:n + 1]
-    if sys.id is SystemId.PI1:
-        return _pi1_step_prefix(sys.oracle, w, n)
-    if sys.id is SystemId.SIGMA2:
-        return _sigma2_step_prefix(sys.oracle, w, n)
+    if sys.id in ERASE_KIND:
+        return _erasure_step_prefix(erases_now(sys.oracle, ERASE_KIND[sys.id]),
+                                    w, n)
     raise ValueError(sys.id)
 
 
 # ---------------------------------------------------------------------------
-# Erasure maps (phi / phi')
+# The erasure maps in the limit
 # ---------------------------------------------------------------------------
-
-class EraseKind(Enum):
-    PHI = "phi"
-    PHI_PRIME = "phi_prime"
-
 
 KEPT, ERASED, UNRESOLVED = "kept", "erased", "unresolved"
 
@@ -199,39 +232,19 @@ def erase_map_prefix(kind: EraseKind, oracle: OracleTable, w: str,
                      budget: Optional[int] = None):
     """Apply the block-erasure map to ``w``; returns (word, statuses).
 
-    Interior 1s of bounded blocks are erased or kept per the oracle
-    verdict; runs whose closing symbol lies past the end of ``w`` are
-    unresolved, as are NoWithinBudget verdicts from enumerated backends.
+    Interior 1s of bounded blocks are erased or kept per the limit rule
+    :func:`block_fate`; runs whose closing symbol lies past the end of
+    ``w`` are unresolved, as are NoWithinBudget verdicts from enumerated
+    backends.
     """
+    fate = block_fate(oracle, kind, budget)
     statuses = [KEPT] * len(w)
     out = list(w)
-    dec = parse_blocks(w)
-    for run in dec.runs:
-        if run.symbol != "1":
+    for run in parse_blocks(w).runs:
+        if run.symbol != "1" or run.bound_left is None:
             continue
-        if not run.bounded:
-            if run.bound_left is not None and not run.bounded_right:
-                for i in range(run.start, run.start + run.length):
-                    statuses[i] = UNRESOLVED
-            continue
-        l = run.length
-        j1 = run.bound_left
-        if kind is EraseKind.PHI:
-            if oracle.programmed:
-                verdict = oracle.empty_halt_time(l) is not None
-            else:
-                if budget is None:
-                    raise ValueError("enumerated backend needs a budget")
-                ans = oracle.answer(l, HaltQuery(QueryKind.EMPTY, budget))
-                verdict = True if ans is Answer.YES else None
-        else:
-            j0 = w.rfind("1", 0, j1)
-            verdict = not oracle.has_finite_domain(l)
-            if not verdict and j0 >= 0:
-                verdict = oracle.halts_on_size_above(l, j1 - j0)
-            if not verdict and j0 < 0:
-                # the preceding 0-gap can be arbitrarily long in an extension
-                verdict = False
+        verdict = (fate(run.length, left_gap(w, run.bound_left))
+                   if run.bounded_right else None)
         for i in range(run.start, run.start + run.length):
             if verdict is None:
                 statuses[i] = UNRESOLVED
@@ -289,54 +302,38 @@ def _one_runs(w: str):
     return starts, ends
 
 
-def _pi1_visibles(x: Configuration, oracle: OracleTable, extent: int):
+def _erasure_visibles(x: Configuration, erased, extent: int):
+    """The 1-runs of the whole orbit, each with the steps it lives for.
+
+    A block's erasure condition only gets harder as it shifts toward the
+    origin (j1 and the budget shrink, the gap never does), so each block
+    is erased at the first step it exists or never.
+    """
     w = _materialize_closed(x, extent)
     starts, ends = _one_runs(w)
     vis: List[_Visible] = []
-    queue: List[Tuple[int, int, int]] = []  # (abs leading-0 pos, length, birth)
-    for a, b in zip(starts, ends):
-        if a == 0 or b == len(w):
-            vis.append(_Visible(a, b - a, 0, None))
-        else:
-            queue.append((a - 1, b - a, 0))
-    halt_time = {}
-    while queue:
-        p, l, s = queue.pop()
-        if l not in halt_time:
-            halt_time[l] = oracle.empty_halt_time(l) if oracle.programmed \
-                else None
-        j1 = p - s  # position of the leading 0 in config_s
-        if oracle.programmed:
-            erased = (j1 >= l and halt_time[l] is not None
-                      and halt_time[l] <= j1)
-        else:
-            erased = j1 >= l and halts_empty_within(oracle, l, j1)
-        if erased:
-            vis.append(_Visible(p + 1, l, s, s))
-            if l == j1 and j1 >= 1:
-                # position j1 escapes the j2 <= 2i bound and inherits the
-                # block's first 1; a fresh length-1 block is born
-                queue.append((p, 1, s + 1))
-        else:
-            vis.append(_Visible(p + 1, l, s, None))
-    return vis
-
-
-def _sigma2_visibles(x: Configuration, oracle: OracleTable, extent: int):
-    w = _materialize_closed(x, extent)
-    starts, ends = _one_runs(w)
-    vis: List[_Visible] = []
+    # (abs leading-0 pos, length, birth, gap); a reborn block keeps its
+    # parent's gap, which only phi' would read and phi' never rebirths
+    queue: List[Tuple[int, int, int, Optional[int]]] = []
     prev_end = None  # end of the previous 1-run
     for a, b in zip(starts, ends):
         if a == 0 or b == len(w):
             vis.append(_Visible(a, b - a, 0, None))
         else:
-            j1, l = a - 1, b - a
-            erased = (prev_end is not None and l < j1
-                      and halts_some_size_in(oracle, l, j1 - prev_end + 1,
-                                             j1, j1))
-            vis.append(_Visible(a, l, 0, 0 if erased else None))
+            queue.append((a - 1, b - a, 0,
+                          None if prev_end is None else a - prev_end))
         prev_end = b
+    while queue:
+        p, l, s, gap = queue.pop()
+        j1 = p - s  # position of the leading 0 in config_s
+        if erased(l, j1, gap):
+            vis.append(_Visible(p + 1, l, s, s))
+            if l == j1 and j1 >= 1:
+                # position j1 escapes the j2 <= 2i bound and inherits the
+                # block's first 1; a fresh length-1 block is born
+                queue.append((p, 1, s + 1, gap))
+        else:
+            vis.append(_Visible(p + 1, l, s, None))
     return vis
 
 
@@ -390,11 +387,8 @@ def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
         for t in range(t0, t1):
             yield w[t:t + window]
         return
-    extent = t1 + window + 1
-    if sys.id is SystemId.PI1:
-        vis = _pi1_visibles(x, sys.oracle, extent)
-    else:
-        vis = _sigma2_visibles(x, sys.oracle, extent)
+    vis = _erasure_visibles(x, erases_now(sys.oracle, ERASE_KIND[sys.id]),
+                            t1 + window + 1)
     yield from _windows_from_visibles(vis, t0, t1, window)
 
 

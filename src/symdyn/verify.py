@@ -17,9 +17,8 @@ from . import analysis, cantor, systems
 from .oracle import INF, Entry, OracleTable, QueryKind
 from .pi2 import ProductConfiguration, ZoneEngine
 from .space import (ALPHA_01S, ALPHA_AB, Configuration, Constant, Cylinder,
-                    Periodic, Sampler, Scheduled, binary_config, parse_blocks,
-                    rich_configuration)
-from .systems import EraseKind, SystemId, step_prefix
+                    Periodic, Sampler, binary_config, rich_configuration)
+from .systems import SystemId, step_prefix
 
 # ---------------------------------------------------------------------------
 # Shared oracle tables
@@ -218,16 +217,10 @@ def check_hierarchy(report: VerificationReport, max_n: int = 16) -> None:
 
 def attractor_language(oracle: OracleTable, depth: int) -> frozenset:
     """Depth-``depth`` factors at position 0 of the erasure-limit set:
-    words with no completed 1-block whose machine halts on empty input."""
-    out = []
-    for bits in range(1 << depth):
-        w = format(bits, "b").zfill(depth)
-        bad = any(r.symbol == "1" and r.bounded
-                  and oracle.empty_halt_time(r.length) is not None
-                  for r in parse_blocks(w).runs)
-        if not bad:
-            out.append(w)
-    return frozenset(out)
+    the words whose cylinder meets the pi1 attractor."""
+    words = (format(bits, "b").zfill(depth) for bits in range(1 << depth))
+    return frozenset(w for w in words if analysis.attractor_meets(
+        SystemId.PI1, Cylinder(w), oracle).value == analysis.YES)
 
 
 def check_omega(report: VerificationReport, burn_in: int = 2000,

@@ -1,0 +1,229 @@
+"""The block-erasure rule: one verdict behind the step map, the orbit
+engine, the erasure maps in the limit and the attractor predicates.
+
+The limit predicates the rule replaced are kept below as the reference
+(``ref_*``), verdicts and witnesses alike.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symdyn.analysis import NO, UNKNOWN, YES, MeetsVerdict, attractor_meets
+from symdyn.oracle import INF, Answer, Entry, HaltQuery, OracleTable, QueryKind
+from symdyn.space import Constant, Cylinder, Periodic, binary_config, parse_blocks
+from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
+                            block_fate, erase_map_prefix, orbit, pi1_system,
+                            reference_orbit, sigma2_system, step_prefix)
+
+# ---------------------------------------------------------------------------
+# Reference limit predicates (the per-function copies the rule replaced)
+# ---------------------------------------------------------------------------
+
+
+def ref_run_halts_empty(oracle, l, budget):
+    if oracle.programmed:
+        return oracle.empty_halt_time(l) is not None
+    if budget is None:
+        raise ValueError("enumerated oracles need a budget")
+    ans = oracle.answer(l, HaltQuery(QueryKind.EMPTY, budget))
+    return True if ans is Answer.YES else None
+
+
+def ref_meets_pi1(oracle, w, budget):
+    dec = parse_blocks(w)
+    for j1, l in dec.blocks("1"):
+        fate = ref_run_halts_empty(oracle, l, budget)
+        if fate is True:
+            return MeetsVerdict(NO, witness=f"block 01^{l} 0 at {j1}: M_{l} halts")
+        if fate is None:
+            return MeetsVerdict(UNKNOWN, witness=f"block 01^{l} 0 at {j1}")
+    return MeetsVerdict(YES, witness=w + "1^inf")
+
+
+def ref_meets_sigma2(oracle, w, budget):
+    if not oracle.programmed:
+        raise ValueError("the finite-domain predicates need a programmed table")
+    dec = parse_blocks(w)
+    for j1, l in dec.blocks("1"):
+        if not oracle.has_finite_domain(l):
+            return MeetsVerdict(NO, witness=f"block 01^{l} 0 at {j1}: "
+                                            f"M_{l} has infinite domain")
+        j0 = w.rfind("1", 0, j1)
+        if j0 >= 0 and oracle.halts_on_size_above(l, j1 - j0):
+            return MeetsVerdict(
+                NO, witness=f"factor 10^{j1 - j0}1^{l}0 at {j0}: "
+                            f"M_{l} halts on a larger input")
+    return MeetsVerdict(YES, witness=w + "1^inf")
+
+
+def ref_phi_fate(oracle, l, gap, kind):
+    if kind is EraseKind.PHI:
+        return oracle.empty_halt_time(l) is not None
+    return (not oracle.has_finite_domain(l)
+            or oracle.halts_on_size_above(l, gap))
+
+
+# ---------------------------------------------------------------------------
+# Tables: duplicate EMPTY entries, halt-at-1 defaults with machines listed
+# only under ALL_BELOW or SOME_IN, never-times, unbounded sizes
+# ---------------------------------------------------------------------------
+
+_size = st.integers(0, 4)
+
+
+@st.composite
+def _entry(draw):
+    e = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(list(QueryKind)))
+    time = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if kind is QueryKind.EMPTY:
+        return Entry(e, kind, time)
+    k = draw(_size)
+    if kind is QueryKind.ALL_BELOW:
+        return Entry(e, kind, time, k=draw(st.sampled_from([k, INF])))
+    k_hi = draw(st.one_of(st.just(INF), st.integers(k, k + 4)))
+    return Entry(e, kind, time, k=k, k_hi=k_hi)
+
+
+tables = st.builds(OracleTable.programmed_table, st.lists(_entry(), max_size=8),
+                   default=st.sampled_from(["never", "halt1"]))
+
+REPRO_TABLES = [
+    OracleTable.programmed_table(
+        [Entry(2, QueryKind.ALL_BELOW, k=3, time=2)], default="halt1"),
+    OracleTable.programmed_table(
+        [Entry(2, QueryKind.EMPTY, time=9), Entry(2, QueryKind.EMPTY, time=3)]),
+]
+
+
+def _config(data, max_prefix=20):
+    prefix = data.draw(st.text(alphabet="01", max_size=max_prefix))
+    tail = data.draw(st.sampled_from(["0", "01", "0011", "0111"]))
+    return binary_config(prefix, Constant("0") if tail == "0" else Periodic(tail))
+
+
+# ---------------------------------------------------------------------------
+# Per-step rule: the orbit engine against the per-position map
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("orc, want", [
+    # a listed machine does not take the halt-at-1 default
+    (REPRO_TABLES[0], "0001100000"),
+    # the least of two EMPTY times counts
+    (REPRO_TABLES[1], "0000000000"),
+])
+def test_step_and_orbit_agree_on_repro_tables(orc, want):
+    sys = pi1_system(orc)
+    w = "0000110000000000"
+    assert step_prefix(sys, w + "0" * sys.lookahead(10), 10) == want
+    assert orbit(sys, binary_config(w, Constant("0")), 1, 10) == [want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, st.data())
+def test_orbit_matches_reference_programmed(orc, data):
+    x = _config(data)
+    steps, window = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    for sys in (pi1_system(orc), sigma2_system(orc)):
+        assert orbit(sys, x, steps, window) == \
+            reference_orbit(sys, x, steps, window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_matches_reference_enumerated(data):
+    orc = OracleTable.enumerated()
+    sys = pi1_system(orc)
+    x = _config(data)
+    steps, window = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+    assert orbit(sys, x, steps, window) == reference_orbit(sys, x, steps, window)
+    # sigma2 enumerates every input size up to j1: keep the words short
+    sys = sigma2_system(orc)
+    x = binary_config(data.draw(st.text(alphabet="01", max_size=6)),
+                      Constant("0"))
+    window = data.draw(st.integers(1, 4))
+    assert orbit(sys, x, 1, window) == reference_orbit(sys, x, 1, window)
+
+
+# ---------------------------------------------------------------------------
+# Limit rule: against the reference predicates
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(tables)
+def test_block_fate_matches_reference(orc):
+    for kind in EraseKind:
+        fate = block_fate(orc, kind)
+        for l in range(9):
+            for gap in range(1, 9):
+                assert fate(l, gap) == ref_phi_fate(orc, l, gap, kind)
+    fate = block_fate(orc, EraseKind.PHI_PRIME)
+    for l in range(9):
+        assert fate(l, None) == (not orc.has_finite_domain(l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, st.lists(st.text(alphabet="01", max_size=14), max_size=8))
+def test_meets_matches_reference(orc, words):
+    for w in words:
+        for sid, ref in ((SystemId.PI1, ref_meets_pi1),
+                         (SystemId.SIGMA2, ref_meets_sigma2)):
+            assert attractor_meets(sid, Cylinder(w), orc) == ref(orc, w, None)
+
+
+def test_meets_matches_reference_enumerated():
+    orc = OracleTable.enumerated()
+    rng = random.Random(11)
+    for _ in range(200):
+        w = "".join(rng.choice("01") for _ in range(rng.randint(0, 14)))
+        budget = rng.choice([0, 1, 3, 8, 20])
+        assert attractor_meets(SystemId.PI1, Cylinder(w), orc, budget) == \
+            ref_meets_pi1(orc, w, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, st.text(alphabet="01", max_size=16))
+def test_erase_map_matches_reference(orc, w):
+    for kind in EraseKind:
+        word, status = erase_map_prefix(kind, orc, w)
+        for run in parse_blocks(w).runs:
+            cells = range(run.start, run.start + run.length)
+            if run.symbol != "1" or run.bound_left is None:
+                want = KEPT
+            elif not run.bounded_right:
+                want = UNRESOLVED
+            else:
+                j1 = run.bound_left
+                j0 = w.rfind("1", 0, j1)
+                if kind is EraseKind.PHI_PRIME and j0 < 0:
+                    erased = not orc.has_finite_domain(run.length)
+                else:
+                    erased = ref_phi_fate(orc, run.length, j1 - j0, kind)
+                want = ERASED if erased else KEPT
+            assert all(status[i] == want for i in cells)
+            assert all(word[i] == ("0" if want == ERASED else w[i])
+                       for i in cells)
+
+
+# ---------------------------------------------------------------------------
+# Tables the limit rule cannot decide
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("w", ["", "0", "11", "0110", "10110"])
+def test_sigma2_meets_needs_a_programmed_table(w):
+    with pytest.raises(ValueError):
+        attractor_meets(SystemId.SIGMA2, Cylinder(w), OracleTable.enumerated())
+
+
+def test_enumerated_limit_needs_a_budget():
+    orc = OracleTable.enumerated()
+    with pytest.raises(ValueError):
+        attractor_meets(SystemId.PI1, Cylinder("0110"), orc)
+    with pytest.raises(ValueError):
+        erase_map_prefix(EraseKind.PHI, orc, "0110")
+    with pytest.raises(ValueError):
+        erase_map_prefix(EraseKind.PHI_PRIME, orc, "10110", budget=8)
+    with pytest.raises(ValueError):
+        orc.empty_halt_time(1)

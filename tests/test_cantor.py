@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
-                           cantor_measure, escape_fraction, export_intervals,
-                           f_eval, gap_map, interval_of_word, locate,
-                           phi_point)
+                           escape_fraction, export_intervals, f_eval, gap_map,
+                           locate, phi_point)
 from symdyn.oracle import OracleTable
 from symdyn.space import (ALPHA_01S, Constant, Periodic, Sampler,
                           binary_config)
@@ -79,19 +78,19 @@ def reference_escaped(scheme, sys, iterations, samples, master_seed, depth):
 # -- interval recurrence ----------------------------------------------------
 
 def test_interval_examples(scheme):
-    assert interval_of_word(scheme, "") == (0, 1)
-    assert interval_of_word(scheme, "0") == (0, F(3, 8))
-    assert interval_of_word(scheme, "1") == (F(5, 8), 1)
-    assert interval_of_word(scheme, "01") == (F(7, 32), F(12, 32))
+    assert scheme.interval_of_word("") == (0, 1)
+    assert scheme.interval_of_word("0") == (0, F(3, 8))
+    assert scheme.interval_of_word("1") == (F(5, 8), 1)
+    assert scheme.interval_of_word("01") == (F(7, 32), F(12, 32))
     g = scheme.gap("0", 0)
     assert (g.a, g.b) == (F(5, 32), F(7, 32))
     assert g.b - g.a == F(1, 16)
 
 
 def test_cantor_measure_examples(scheme):
-    assert cantor_measure(scheme, "") == F(1, 2)
-    assert cantor_measure(scheme, "0") == F(1, 4)
-    assert cantor_measure(scheme, "101") == F(1, 16)
+    assert scheme.cantor_measure("") == F(1, 2)
+    assert scheme.cantor_measure("0") == F(1, 4)
+    assert scheme.cantor_measure("101") == F(1, 16)
 
 
 def test_level_identities(scheme):

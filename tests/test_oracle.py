@@ -101,6 +101,9 @@ def test_budget_monotonicity(entries, e, budget, extra, default):
                else Entry(x.e, x.kind, x.time, k=x.k or 0, k_hi=(x.k or 0) + 2)
                for x in entries]
     orc = OracleTable.programmed_table(entries, default=default)
+    t = orc.empty_halt_time(e)
+    assert (orc.answer(e, HaltQuery(QueryKind.EMPTY, budget)) is Answer.YES) \
+        == (t is not None and t <= budget)
     for q in (HaltQuery(QueryKind.EMPTY, budget),
               HaltQuery(QueryKind.ALL_BELOW, budget, k=3),
               HaltQuery(QueryKind.SOME_IN, budget, k=0, k_hi=INF)):
