@@ -163,10 +163,9 @@ def omega_profile(sys: SystemSpec, x, burn_in: int, horizon: int,
     """The set of depth-L windows visited in [burn_in, horizon)."""
     if burn_in >= horizon:
         raise ValueError("need burn_in < horizon")
-    seen = set()
-    for w in orbit_windows(sys, x, burn_in, horizon, depth):
-        seen.add(_window_key(w))
-    return OmegaProfile(depth, frozenset(seen), burn_in, horizon)
+    seen = frozenset(map(_window_key,
+                         orbit_windows(sys, x, burn_in, horizon, depth)))
+    return OmegaProfile(depth, seen, burn_in, horizon)
 
 
 @dataclass(frozen=True)
@@ -207,9 +206,8 @@ def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
     """Counts of depth-L windows over iterates start .. start+n-1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    counts: Counter = Counter()
-    for w in orbit_windows(sys, x, start, start + n, depth):
-        counts[_window_key(w)] += 1
+    counts = Counter(map(_window_key,
+                         orbit_windows(sys, x, start, start + n, depth)))
     return EmpiricalMeasure(depth, dict(counts), n)
 
 

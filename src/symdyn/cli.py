@@ -187,6 +187,9 @@ def cmd_meets(args) -> int:
         raise UsageError("the shift has no attractor predicate; "
                          "pick pi1, sigma2, pi2 or a product system")
     oracle = load_oracle(args.oracle)
+    if args.budget is not None and oracle.programmed:
+        raise UsageError("--budget is for enumerated oracles; this table "
+                         "is programmed")
     cyl = Cylinder(args.cylinder, args.position)
     verdict = analysis.attractor_meets(sid, cyl, oracle, budget=args.budget)
     with out_stream(args.out) as fh:

@@ -361,6 +361,9 @@ def _denum(v):
 
 
 def table_to_json(table: OracleTable) -> str:
+    if not table.programmed:
+        return json.dumps({"backend": "enumerated",
+                           "work_cap": table.work_cap}, indent=2)
     doc = {"default": "halt1" if table.default_halts else "never", "entries": []}
     for ent in table.entries:
         item = {"e": ent.e, "kind": ent.kind.value}
@@ -375,6 +378,11 @@ def table_to_json(table: OracleTable) -> str:
 
 def table_from_json(text: str) -> OracleTable:
     doc = json.loads(text)
+    backend = doc.get("backend", "programmed")
+    if backend == "enumerated":
+        return OracleTable.enumerated(int(doc["work_cap"]))
+    if backend != "programmed":
+        raise ValueError(f"unknown oracle backend {backend!r}")
     entries = []
     for item in doc.get("entries", []):
         kind = QueryKind(item["kind"])

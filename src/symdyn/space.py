@@ -84,7 +84,7 @@ class Sampler(Tail):
         rng = np.random.Generator(np.random.PCG64(self.seed))
         p = np.asarray(self.weights, dtype=float)
         idx = rng.choice(len(self.alphabet), size=n, p=p / p.sum())
-        return "".join(self.alphabet[i] for i in idx)
+        return "".join(np.array(self.alphabet, dtype=object)[idx].tolist())
 
 
 # Named word enumerators for scheduled tails.  An enumerator is a function

@@ -7,10 +7,13 @@ frontier bookkeeping.  For the block-erasure maps one rule,
 :func:`erases_now`, decides whether a step erases a block, and serves both
 the per-position map and the long-orbit engine; the engine exploits that a
 block's erasure condition only gets harder as it shifts toward the origin,
-so each block is erased at the first step it exists or never, and it is
-cross-checked against the per-position map in the test suite.  The limit
-rule, :func:`block_fate`, serves the erasure maps in the limit, the
-attractor predicates and the limit measure in :mod:`symdyn.analysis`.
+so each block is erased at the first step it exists or never.  It
+materializes the input only up to where the 1-run at the horizon closes,
+keeps runs as plain tuples and emits each window as a slice of one static
+word; the test suite checks it against the per-position map and against
+a slower reference engine.  The limit rule, :func:`block_fate`, serves
+the erasure maps in the limit, the attractor predicates and the limit
+measure in :mod:`symdyn.analysis`.
 """
 
 from __future__ import annotations
@@ -258,67 +261,58 @@ def erase_map_prefix(kind: EraseKind, oracle: OracleTable, w: str,
 # Long-orbit engine for the block-erasure systems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Visible:
-    """A 1-run in absolute coordinates (config_t position = abs - t).
-
-    ``t_until`` is the last step at which the run exists (inclusive);
-    None means it survives forever.
-    """
-
-    start: int      # absolute position of the first 1
-    length: int
-    t_from: int     # first step at which it exists
-    t_until: Optional[int]
-
-
 def _materialize_closed(x: Configuration, horizon: int) -> str:
-    """Materialize past ``horizon`` until the straddling 1-run closes.
+    """Materialize through ``horizon`` and on until the 1-run there closes.
 
-    A run left open after the capped extension is longer than any
-    position it borders, so the erasure conditions (which need l <= j1,
-    resp. l < j1) can never fire on it and it is safely a survivor.
+    The word ends just after the first 0 at or past ``horizon``; no later
+    run reaches a window.  A run still open at 4·horizon + 8 symbols is
+    longer than any position it borders, so the erasure conditions
+    (l <= j1, resp. l < j1) never fire on it: it is left open, a survivor.
+    Each extension regenerates the word, so the look-ahead starts at 64
+    symbols and grows eightfold.
     """
-    size = horizon + 1
-    w = x.materialize(size)
-    while w.endswith("1") and size <= 4 * horizon + 8:
-        size *= 2
+    cap = 4 * horizon + 8
+    size, step = min(horizon + 65, cap), 512
+    while True:
         w = x.materialize(size)
-    return w
+        close = w.find("0", horizon)
+        if close >= 0:
+            return w[:close + 1]
+        if size == cap:
+            return w
+        size, step = min(size + step, cap), 8 * step
 
 
 def _one_runs(w: str):
     """(starts, ends) of maximal 1-runs, via numpy for long words."""
-    if not w:
-        return [], []
-    arr = np.frombuffer(w.encode("ascii"), dtype=np.uint8) == ord("1")
-    d = np.diff(arr.astype(np.int8))
-    starts = (np.flatnonzero(d == 1) + 1).tolist()
-    ends = (np.flatnonzero(d == -1) + 1).tolist()
-    if arr[0]:
-        starts.insert(0, 0)
-    if arr[-1]:
-        ends.append(len(w))
-    return starts, ends
+    ones = np.frombuffer(w.encode("ascii"), dtype=np.uint8) == ord("1")
+    edges = np.flatnonzero(np.diff(ones, prepend=False, append=False))
+    return edges[0::2].tolist(), edges[1::2].tolist()
 
 
 def _erasure_visibles(x: Configuration, erased, extent: int):
-    """The 1-runs of the whole orbit, each with the steps it lives for.
+    """The 1-runs of the whole orbit, as (survivors, erased) lists.
 
-    A block's erasure condition only gets harder as it shifts toward the
-    origin (j1 and the budget shrink, the gap never does), so each block
-    is erased at the first step it exists or never.
+    Positions are absolute (config_t position = abs - t).  A survivor is
+    ``(start, length)``; an erased run is ``(start, length, step)`` and
+    lives at that one step.  A block's erasure condition only gets harder
+    as it shifts toward the origin (j1 and the budget shrink, the gap
+    never does), so each block is erased at the first step it exists or
+    never.  A survivor born after step 0 is a length-1 block reborn in the
+    cell its erased forebears hold at every earlier step, so it can be
+    shown from step 0 on.
     """
     w = _materialize_closed(x, extent)
     starts, ends = _one_runs(w)
-    vis: List[_Visible] = []
+    survivors: List[Tuple[int, int]] = []
+    gone: List[Tuple[int, int, int]] = []
     # (abs leading-0 pos, length, birth, gap); a reborn block keeps its
     # parent's gap, which only phi' would read and phi' never rebirths
     queue: List[Tuple[int, int, int, Optional[int]]] = []
     prev_end = None  # end of the previous 1-run
     for a, b in zip(starts, ends):
         if a == 0 or b == len(w):
-            vis.append(_Visible(a, b - a, 0, None))
+            survivors.append((a, b - a))
         else:
             queue.append((a - 1, b - a, 0,
                           None if prev_end is None else a - prev_end))
@@ -327,52 +321,41 @@ def _erasure_visibles(x: Configuration, erased, extent: int):
         p, l, s, gap = queue.pop()
         j1 = p - s  # position of the leading 0 in config_s
         if erased(l, j1, gap):
-            vis.append(_Visible(p + 1, l, s, s))
+            gone.append((p + 1, l, s))
             if l == j1 and j1 >= 1:
                 # position j1 escapes the j2 <= 2i bound and inherits the
                 # block's first 1; a fresh length-1 block is born
                 queue.append((p, 1, s + 1, gap))
         else:
-            vis.append(_Visible(p + 1, l, s, None))
-    return vis
+            survivors.append((p + 1, l))
+    return survivors, gone
 
 
-def _windows_from_visibles(vis, t0: int, t1: int, L: int) -> Iterator[str]:
+def _windows_from_visibles(survivors, gone, t0: int, t1: int,
+                           L: int) -> Iterator[str]:
     """Yield config_t[0:L] for t in [t0, t1) from visible-run data.
 
-    Survivors go into one static absolute-coordinate array; short-lived
-    runs and not-yet-born survivors become per-step correction buckets,
-    so each window costs O(L) regardless of the number of blocks.
+    Survivors go into one static absolute-coordinate word and a window is
+    a slice of it; only the steps at which erased runs live build a
+    patched copy.
     """
-    N = t1 + L + 1
-    static = np.zeros(N, dtype=bool)
+    static = np.full(t1 + L + 1, ord("0"), dtype=np.uint8)
+    for start, length in survivors:
+        static[start:start + length] = ord("1")
     add_at: dict = {}
-    zero_at: dict = {}
-    for v in vis:
-        lo, hi = v.start, min(v.start + v.length, N)
-        if lo >= hi:
-            continue
-        if v.t_until is None:
-            static[lo:hi] = True
-            if v.t_from > t0:
-                # hide the run at steps before its birth
-                for t in range(max(t0, lo - L + 1), min(v.t_from, t1, hi)):
-                    zero_at.setdefault(t, []).extend(
-                        range(max(lo, t), min(hi, t + L)))
-        elif t0 <= v.t_from < t1:
-            s = v.t_from  # == t_until for erased blocks
+    for start, length, s in gone:
+        if t0 <= s < t1:
             add_at.setdefault(s, []).extend(
-                range(max(lo, s), min(hi, s + L)))
-    ones = "1"
+                range(max(start, s), min(start + length, s + L)))
+    word = static.tobytes().decode("ascii")
     for t in range(t0, t1):
-        cells = static[t:t + L]
-        if t in zero_at or t in add_at:
-            cells = cells.copy()
-            for pos in zero_at.get(t, ()):
-                cells[pos - t] = False
-            for pos in add_at.get(t, ()):
-                cells[pos - t] = True
-        yield "".join(ones if c else "0" for c in cells)
+        if t in add_at:
+            cells = bytearray(word[t:t + L], "ascii")
+            for pos in add_at[t]:
+                cells[pos - t] = ord("1")
+            yield cells.decode("ascii")
+        else:
+            yield word[t:t + L]
 
 
 def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
@@ -387,9 +370,9 @@ def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
         for t in range(t0, t1):
             yield w[t:t + window]
         return
-    vis = _erasure_visibles(x, erases_now(sys.oracle, ERASE_KIND[sys.id]),
-                            t1 + window + 1)
-    yield from _windows_from_visibles(vis, t0, t1, window)
+    survivors, gone = _erasure_visibles(
+        x, erases_now(sys.oracle, ERASE_KIND[sys.id]), t1 + window + 1)
+    yield from _windows_from_visibles(survivors, gone, t0, t1, window)
 
 
 def orbit(sys: SystemSpec, x: Configuration, steps: int, window: int):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from symdyn.cli import main, parse_descriptor
-from symdyn.oracle import table_to_json
+from symdyn.oracle import OracleTable, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
 from symdyn.verify import WORKED_INPUT, WORKED_OUTPUT, worked_example_oracle
 
@@ -107,6 +107,27 @@ def test_meets_verdicts(capsys, oracle_file):
     code, out = run(capsys, "meets", "--system", "pi1",
                     "--oracle", oracle_file, "--cylinder", "0110")
     assert json.loads(out)["verdict"] == "yes"
+
+
+def test_meets_budget_reaches_an_enumerated_oracle(capsys, tmp_path):
+    path = tmp_path / "enumerated.json"
+    path.write_text(table_to_json(OracleTable.enumerated()))
+    args = ("meets", "--system", "pi1", "--oracle", str(path),
+            "--cylinder", "0101110")
+    code, out = run(capsys, *args, "--budget", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "unknown_within_budget"
+    code, out = run(capsys, *args, "--budget", "100")
+    assert code == 0 and json.loads(out)["verdict"] == "no"
+    code, _ = run(capsys, *args)
+    assert code == 2
+
+
+def test_meets_budget_on_a_programmed_table_is_usage_error(capsys,
+                                                           oracle_file):
+    code, out = run(capsys, "meets", "--system", "pi1",
+                    "--oracle", oracle_file, "--cylinder", "0101110",
+                    "--budget", "100")
+    assert code == 2 and out == ""
 
 
 def test_meets_shift_is_usage_error(capsys, oracle_file):

@@ -1,5 +1,6 @@
 """Machine numbering, bounded simulation, and oracle-table semantics."""
 
+import json
 import random
 
 import pytest
@@ -126,6 +127,15 @@ def test_json_round_trip_bit_exact():
     assert table_to_json(again) == text
     assert again.entries == orc.entries
     assert again.default_halts == orc.default_halts
+
+
+def test_json_round_trip_enumerated():
+    orc = OracleTable.enumerated(work_cap=1234)
+    text = table_to_json(orc)
+    assert json.loads(text) == {"backend": "enumerated", "work_cap": 1234}
+    assert table_from_json(text) == orc
+    with pytest.raises(ValueError):
+        table_from_json('{"backend": "oracular"}')
 
 
 def test_table_predicates():

@@ -1,0 +1,213 @@
+"""The long-orbit engine of the block-erasure maps against its slow form.
+
+The engine materializes the input only up to where the 1-run holding the
+horizon closes, keeps runs as plain tuples and emits windows as slices of
+one static word.  The form it replaced is kept below as the reference
+(``ref_*``): it doubles the word while it ends in 1, keeps one object per
+visible run and joins every window cell by cell.
+"""
+
+import re
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symdyn.analysis import derived_seed, empirical_measure, omega_profile
+from symdyn.oracle import Entry, OracleTable, QueryKind
+from symdyn.space import Constant, Periodic, Sampler, binary_config
+from symdyn.systems import (ERASE_KIND, _materialize_closed, erases_now,
+                            orbit_windows, pi1_system, sigma2_system)
+from symdyn.verify import parity_oracle
+
+from test_block_rule import tables
+
+# ---------------------------------------------------------------------------
+# Reference engine
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RefVisible:
+    start: int
+    length: int
+    t_from: int
+    t_until: Optional[int]
+
+
+def ref_materialize_closed(x, horizon):
+    size = horizon + 1
+    w = x.materialize(size)
+    while w.endswith("1") and size <= 4 * horizon + 8:
+        size *= 2
+        w = x.materialize(size)
+    return w
+
+
+def ref_visibles(x, erased, extent):
+    w = ref_materialize_closed(x, extent)
+    vis, queue, prev_end = [], [], None
+    for m in re.finditer("1+", w):
+        a, b = m.span()
+        if a == 0 or b == len(w):
+            vis.append(RefVisible(a, b - a, 0, None))
+        else:
+            queue.append((a - 1, b - a, 0,
+                          None if prev_end is None else a - prev_end))
+        prev_end = b
+    while queue:
+        p, l, s, gap = queue.pop()
+        j1 = p - s
+        if erased(l, j1, gap):
+            vis.append(RefVisible(p + 1, l, s, s))
+            if l == j1 and j1 >= 1:
+                queue.append((p, 1, s + 1, gap))
+        else:
+            vis.append(RefVisible(p + 1, l, s, None))
+    return vis
+
+
+def ref_windows(vis, t0, t1, L):
+    N = t1 + L + 1
+    static = np.zeros(N, dtype=bool)
+    add_at, zero_at = {}, {}
+    for v in vis:
+        lo, hi = v.start, min(v.start + v.length, N)
+        if lo >= hi:
+            continue
+        if v.t_until is None:
+            static[lo:hi] = True
+            if v.t_from > t0:
+                for t in range(max(t0, lo - L + 1), min(v.t_from, t1, hi)):
+                    zero_at.setdefault(t, []).extend(
+                        range(max(lo, t), min(hi, t + L)))
+        elif t0 <= v.t_from < t1:
+            s = v.t_from
+            add_at.setdefault(s, []).extend(range(max(lo, s), min(hi, s + L)))
+    out = []
+    for t in range(t0, t1):
+        cells = static[t:t + L].copy()
+        for pos in zero_at.get(t, ()):
+            cells[pos - t] = False
+        for pos in add_at.get(t, ()):
+            cells[pos - t] = True
+        out.append("".join("1" if c else "0" for c in cells))
+    return out
+
+
+def ref_orbit_windows(sys, x, t0, t1, L):
+    vis = ref_visibles(x, erases_now(sys.oracle, ERASE_KIND[sys.id]),
+                       t1 + L + 1)
+    return ref_windows(vis, t0, t1, L)
+
+
+def assert_matches_reference(sys, x, t0, t1, L):
+    want = ref_orbit_windows(sys, x, t0, t1, L)
+    got = list(orbit_windows(sys, x, t0, t1, L))
+    assert all(type(w) is str for w in got)
+    assert got == want
+    m = empirical_measure(sys, x, t1 - t0, L, start=t0)
+    assert m.counts == dict(Counter(want))
+    assert omega_profile(sys, x, t0, t1, L).words == frozenset(want)
+
+
+# ---------------------------------------------------------------------------
+# Inputs whose last 1-run straddles the horizon
+# ---------------------------------------------------------------------------
+
+ZONES = ("before_2h", "before_cap", "past_cap", "never")
+
+
+@st.composite
+def straddling(draw, zones=ZONES, rest=True, max_t1=12, max_L=6):
+    """(x, t0, t1, L): the 1-run at the horizon h = t1 + L + 1 closes in
+    the drawn zone (its closing 0 before 2h, in [2h, 4h + 8), past
+    4h + 8, or never); ``rest=False`` puts no 1 after it."""
+    t1 = draw(st.integers(1, max_t1))
+    t0 = draw(st.integers(0, t1 - 1))
+    L = draw(st.integers(1, max_L))
+    h = t1 + L + 1
+    start = draw(st.integers(0, h))
+    head = draw(st.text(alphabet="01", min_size=start, max_size=start))
+    zone = draw(st.sampled_from(zones))
+    if zone == "never":
+        return binary_config(head + "1", Constant("1")), t0, t1, L
+    close = draw({"before_2h": st.integers(h + 1, 2 * h - 1),
+                  "before_cap": st.integers(2 * h, 4 * h + 7),
+                  "past_cap": st.integers(4 * h + 8, 9 * h + 20)}[zone])
+    after = draw(st.text(alphabet="01", max_size=12)) if rest else ""
+    tail = draw(st.sampled_from([Constant("0"), Periodic("0111"),
+                                 Periodic("01")])) if rest else Constant("0")
+    word = head + "1" * (close - start) + "0" + after
+    return binary_config(word, tail), t0, t1, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables, straddling())
+def test_engine_matches_reference_programmed(orc, case):
+    x, t0, t1, L = case
+    for sys in (pi1_system(orc), sigma2_system(orc)):
+        assert_matches_reference(sys, x, t0, t1, L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(straddling(), straddling(zones=("before_2h",), rest=False,
+                                max_t1=2, max_L=2))
+def test_engine_matches_reference_enumerated(case, short):
+    orc = OracleTable.enumerated()
+    assert_matches_reference(pi1_system(orc), *case)
+    # sigma2 enumerates every input size up to j1: a short horizon and no
+    # run past the closing 0
+    assert_matches_reference(sigma2_system(orc), *short)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("t0, t1, L", [(0, 3000, 3), (500, 1500, 5)])
+def test_engine_matches_reference_sampled(seed, t0, t1, L):
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(seed, 0)))
+    sigma2 = OracleTable.programmed_table(
+        [Entry(e, QueryKind.SOME_IN, k=e % 3, k_hi=e % 3 + 2, time=e + 1)
+         for e in range(1, 12, 2)])
+    for sys in (pi1_system(parity_oracle()), sigma2_system(sigma2)):
+        assert_matches_reference(sys, x, t0, t1, L)
+
+
+@pytest.mark.parametrize("t0", [0, 1, 2])
+def test_reborn_survivor_sits_under_its_erased_forebears(t0):
+    # 0 1 0 at j1 = 1 is erased at step 0; its first 1 is reborn at step 1
+    # as a length-1 block at j1 = 0, which survives
+    orc = OracleTable.programmed_table([Entry(1, QueryKind.EMPTY, time=1)])
+    sys = pi1_system(orc)
+    x = binary_config("0010001", Constant("0"))
+    assert list(orbit_windows(sys, x, 0, 3, 4)) == ["0010", "0100", "1000"]
+    assert_matches_reference(sys, x, t0, 6, 5)
+
+
+@given(straddling())
+def test_word_ends_where_the_straddling_run_closes(case):
+    x, _, t1, L = case
+    h = t1 + L + 1
+    w = _materialize_closed(x, h)
+    assert w == x.materialize(len(w))
+    assert w[h] == "1"
+    if w.endswith("0"):
+        assert "0" not in w[h:-1]
+    else:
+        assert len(w) == 4 * h + 8
+
+
+def test_word_cut_just_after_the_closing_zero():
+    x = binary_config("01101", Constant("1"))
+    assert _materialize_closed(x, 3) == "0110"
+    assert _materialize_closed(x, 2) == "0110"
+    assert len(_materialize_closed(x, 4)) == 4 * 4 + 8
+
+
+def test_criterion_07_input_materializes_to_the_closing_zero():
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(2024, 0)))
+    w = _materialize_closed(x, 1_000_000 + 4)
+    assert len(w) == 1_000_010
+    assert w.endswith("10")

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +25,27 @@ def test_sampler_determinism():
     x = binary_config("", Sampler(("0", "1"), (1, 1), 7))
     assert x.materialize(20) == x.materialize(20)
     assert x.materialize(40)[:20] == x.materialize(20)
+
+
+def ref_sampler_generate(t, n):
+    """The per-symbol join ``Sampler.generate`` replaced."""
+    rng = np.random.Generator(np.random.PCG64(t.seed))
+    p = np.asarray(t.weights, dtype=float)
+    idx = rng.choice(len(t.alphabet), size=n, p=p / p.sum())
+    return "".join(t.alphabet[i] for i in idx)
+
+
+@pytest.mark.parametrize("alphabet, weights", [
+    (("0", "1"), (3, 1)),
+    (("0", "1", "S"), (2, 2, 1)),
+    (("a", "b"), (1, 5)),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sampler_matches_per_symbol_join(alphabet, weights, seed):
+    t = Sampler(alphabet, weights, seed)
+    for n in (0, 1, 17, 5000):
+        assert t.generate(n) == ref_sampler_generate(t, n)
+    assert t.generate(200) == t.generate(5000)[:200]
 
 
 @given(st.text(alphabet="01", max_size=12), st.integers(0, 30),
