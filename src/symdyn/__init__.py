@@ -10,7 +10,7 @@ The package provides, in order of dependency:
 - :mod:`symdyn.pi2` — the three-symbol zone automaton, its product
   variants, and a long-orbit engine;
 - :mod:`symdyn.analysis` — attractor-membership predicates, visit
-  profiles, empirical measures, and exact limit-measure enclosures;
+  profiles, empirical measures, and the exact limit measure;
 - :mod:`symdyn.cantor` — the exact-rational fat-Cantor interval
   embedding, interval map, and escape experiment;
 - :mod:`symdyn.verify` / :mod:`symdyn.cli` — verification suites and

@@ -4,16 +4,16 @@ The membership predicates decide, by pattern analysis plus oracle queries,
 whether a cylinder meets each of the four constructed attractors.  The
 statistical side provides visited-window profiles (the desk-scale
 surrogate for the omega-limit set), empirical measures along orbits and
-their Monte-Carlo averages, and an exact rational enclosure of the limit
-measure obtained by pushing a Bernoulli measure through the block-erasure
-maps.
+their Monte-Carlo averages, and the exact limit measure: a Bernoulli
+measure pushed through a block-erasure map, as exact rationals.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
@@ -282,36 +282,39 @@ def u_st_member(x, s: int, t: int, depth: int) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# The limit measure: exact rational enclosures
+# The limit measure
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TildeMuEstimate:
+    """The exact limit mass of ``word``, kept as ``lower == upper``."""
+
     word: str
     lower: Fraction
     upper: Fraction
     truncation: int
 
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
     def midpoint(self) -> Fraction:
         return (self.lower + self.upper) / 2
 
 
-def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
-             kind: EraseKind = EraseKind.PHI) -> TildeMuEstimate:
-    """Exact rational enclosure of the limit measure of [u] under Bernoulli(p).
+def _words(L: int):
+    return map("".join, itertools.product("01", repeat=L))
+
+
+def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
+                   kind: EraseKind) -> Dict[str, Fraction]:
+    """The limit distribution of length-``L`` windows, as {word: mass}.
 
     The limit of the shifted pushforwards of the Bernoulli(p on 1) product
     measure through a block-erasure map makes the window distribution
-    stationary; each window probability is a sum over environments: the
-    1-run touching the window's left edge (length a), the 0-gap before it
-    (z extra zeros), the window content, and the extension of a right-open
-    run (e).  A finite table's verdicts are eventually constant in both
-    run length and gap, so the geometric tails beyond the truncation are
-    summed in closed form with sentinel indices and the enclosure is tight.
+    stationary.  Each window's mass splits over environments: the 1-run
+    touching the window's left edge (length a), the 0-gap before it
+    (z extra zeros) and the extension of a right-open run (e); every
+    (window, environment) pair adds its mass to the bucket of its image.
+    Past T = max(l_big, k_big) -- an unlisted machine, a gap beyond every
+    finite k_hi -- each verdict is constant, so the index T + 1 stands for
+    the whole geometric tail and carries its closed-form mass.
     """
     if not oracle.programmed:
         raise ValueError("tilde_mu needs a programmed table")
@@ -319,93 +322,71 @@ def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
     q = 1 - p
-    L = len(u)
-    if L == 0:
-        return TildeMuEstimate(u, Fraction(1), Fraction(1), truncation)
+    l_big = max(oracle.listed_machines(), default=0) + 1
+    k_big = max((e.k_hi for e in oracle.entries
+                 if e.kind is QueryKind.SOME_IN and e.k_hi is not INF),
+                default=0) + 1
+    T = max(l_big, k_big)
+    fate = block_fate(oracle, kind)
 
-    listed = oracle.listed_machines()
-    l_big = max(listed, default=0) + 1           # unlisted machine index
-    finite_his = [e.k_hi for e in oracle.entries
-                  if e.kind is QueryKind.SOME_IN and e.k_hi is not INF]
-    k_big = max(finite_his, default=0) + 1       # gap beyond every k_hi
-    T = max(truncation, l_big, k_big)
-    BIG = None
-    need_gap = kind is EraseKind.PHI_PRIME
-    rule = block_fate(oracle, kind)
+    def geometric(r, s):
+        """P(n r-symbols, then an s-symbol); index T + 1 holds every n > T."""
+        return ([(n, r ** n * s) for n in range(T + 1)]
+                + [(T + 1, r ** (T + 1))])
 
-    def fate(l_tot, gap) -> bool:
-        return rule(l_big if l_tot is BIG else l_tot,
-                    k_big if gap is BIG else gap)
+    # left contexts ... 1 0^{z+1} 1^a | window
+    gaps = geometric(q, p) if kind is EraseKind.PHI_PRIME else [(0, 1)]
+    contexts = [(a, z, pa * pz) for a, pa in geometric(p, q) for z, pz in gaps]
+    tails = geometric(p, q)
 
-    # left contexts ... 1 0^{z+1} 1^a | window, with closed-form tail terms
-    if need_gap:
-        contexts = [(a, z, p ** (a + 1) * q ** (z + 1))
-                    for a in range(T + 1) for z in range(T + 1)]
-        contexts += [(a, BIG, p ** a * q ** (T + 2)) for a in range(T + 1)]
-        contexts += [(BIG, z, p ** (T + 2) * q ** z) for z in range(T + 1)]
-        contexts += [(BIG, BIG, p ** (T + 1) * q ** (T + 1))]
-    else:
-        contexts = [(a, 0, p ** a * q) for a in range(T + 1)]
-        contexts += [(BIG, 0, p ** (T + 1))]
-
-    yes = Fraction(0)
-    total = Fraction(0)
-    for bits in range(1 << L):
-        w = format(bits, "b").zfill(L)
-        w_prob = Fraction(1)
-        for c in w:
-            w_prob *= p if c == "1" else q
-        one_runs = [r for r in parse_blocks(w).runs if r.symbol == "1"]
+    mass: Dict[str, Fraction] = defaultdict(Fraction)
+    for w in _words(L):
+        w_prob = p ** w.count("1") * q ** w.count("0")
+        runs = [(r.start, r.length, r.bounded_right)
+                for r in parse_blocks(w).runs if r.symbol == "1"]
         for a, z, ctx_prob in contexts:
             base = ctx_prob * w_prob
             img = list(w)
             open_run = None
-            prev_one = None      # nearest in-window 1 left of the current run
-            for r in one_runs:
-                start, l = r.start, r.length
-                if start == 0 and a != 0:
-                    l_tot = BIG if a is BIG else a + l
-                    gap = BIG if z is BIG else z + 1
-                else:
-                    if prev_one is None:
-                        gap = (start if a != 0
-                               else (BIG if z is BIG else start + z + 1))
-                    else:
-                        gap = start - 1 - prev_one
-                    l_tot = l
-                if not r.bounded_right:
-                    open_run = (start, l, l_tot, gap)
+            prev_one = -1 if a else -z - 2   # nearest 1 left of the next run
+            for start, l, closed in runs:
+                l_tot = l + a if start == 0 else l
+                gap = z + 1 if start == 0 else start - 1 - prev_one
+                if not closed:
+                    open_run = (start, l_tot, gap)
                     break
                 if fate(l_tot, gap):
-                    for i in range(start, start + l):
-                        img[i] = "0"
+                    img[start:start + l] = "0" * l
                 prev_one = start + l - 1
+            kept = "".join(img)
             if open_run is None:
-                total += base
-                if "".join(img) == u:
-                    yes += base
+                mass[kept] += base
                 continue
-            start, l, l_tot, gap = open_run
-            exts = [(e, p ** e * q) for e in range(T + 1)] + [(BIG, p ** (T + 1))]
-            for e, e_prob in exts:
-                total += base * e_prob
-                img2 = img.copy()
-                full = BIG if (e is BIG or l_tot is BIG) else l_tot + e
-                if fate(full, gap):
-                    for i in range(start, start + l):
-                        img2[i] = "0"
-                if "".join(img2) == u:
-                    yes += base * e_prob
+            start, l_tot, gap = open_run
+            erased = kept[:start] + "0" * (L - start)
+            for e, e_prob in tails:
+                mass[erased if fate(l_tot + e, gap) else kept] += base * e_prob
 
-    if total != 1:
+    if sum(mass.values()) != 1:
         raise AssertionError("environment decomposition lost mass")
-    return TildeMuEstimate(u, yes, yes, truncation)
+    return mass
+
+
+def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,
+             kind: EraseKind = EraseKind.PHI) -> TildeMuEstimate:
+    """The exact limit measure of [u] under Bernoulli(p) input.
+
+    The value is an exact rational; ``truncation`` changes neither the
+    value nor the work, and is only carried into the result.
+    """
+    m = _limit_measure(oracle, p, len(u), kind)[u]
+    return TildeMuEstimate(u, m, m, truncation)
 
 
 def tilde_mu_table(oracle: OracleTable, p: Fraction, depth: int,
                    truncation: int,
                    kind: EraseKind = EraseKind.PHI) -> Dict[str, TildeMuEstimate]:
-    """Enclosures for every word of the given depth."""
-    return {format(i, "b").zfill(depth):
-            tilde_mu(oracle, p, format(i, "b").zfill(depth), truncation, kind)
-            for i in range(1 << depth)}
+    """The limit measure of every word of the given depth, from one pass."""
+    dist = _limit_measure(oracle, p, depth, kind)
+    return {w: TildeMuEstimate(w, dist[w], dist[w], truncation)
+            for w in _words(depth)}

@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_meets)
 
     p = sub.add_parser("tilde-mu",
-                       help="exact enclosures of the limit window measure")
+                       help="the exact limit measure of windows")
     p.add_argument("--p", default="1/2", help="Bernoulli weight of symbol 1")
     p.add_argument("--word", help="single window word")
     p.add_argument("--depth", type=int, help="all words of this length")

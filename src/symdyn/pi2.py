@@ -47,11 +47,7 @@ import numpy as np
 
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
 from .space import Configuration
-
-
-def _unresolved(msg):
-    from .systems import FrontierUnresolved
-    return FrontierUnresolved(msg)
+from .systems import FrontierUnresolved, SystemId
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def gate_allows(w2: str, i: int) -> bool:
         return True
     for hi, lo in ((c1_hi, i), (c2_hi, i + 1)):
         if len(w2) < hi and all(c == "a" for c in w2[lo:]):
-            raise _unresolved("second layer too short for the gate")
+            raise FrontierUnresolved("second layer too short for the gate")
     return False
 
 
@@ -122,7 +118,7 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
                gate_first: bool = False,
                second_inserts: bool = False) -> str:
     if len(w1) < n + 1:
-        raise _unresolved("need one symbol past the window")
+        raise FrontierUnresolved("need one symbol past the window")
     cells = list(w1)
     s_pos = [i for i, c in enumerate(cells) if c == "S"]
 
@@ -140,7 +136,7 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
         zone_hi = s_pos[k] if k < len(s_pos) else len(cells)
         scan_hi = zone_lo + i_k
         if zone_hi == len(cells) and scan_hi > len(cells):
-            raise _unresolved("scan prefix runs past the supplied word")
+            raise FrontierUnresolved("scan prefix runs past the supplied word")
         scan_hi = min(scan_hi, zone_hi)
         excised = []
         for start, l in _zone_runs(cells, zone_lo, zone_hi):
@@ -167,10 +163,12 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
         while i < len(cells) and cells[i] == "0":
             i += 1
         if i < n and i < len(cells) and all(c == "1" for c in cells[i:]):
-            raise _unresolved("open 1-run may be glued to an S beyond the word")
+            raise FrontierUnresolved(
+                "open 1-run may be glued to an S beyond the word")
         return "".join(cells[1:n + 1])
     if s1 + 1 >= len(cells):
-        raise _unresolved("first S reads one symbol past the supplied word")
+        raise FrontierUnresolved(
+            "first S reads one symbol past the supplied word")
 
     u0 = cells[:s1]
     ones = sum(1 for c in u0 if c == "1")
@@ -200,13 +198,13 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
 
 def step_prefix(sys, w, n: int):
     """One application of the zone automaton, restricted to [0, n)."""
-    from .systems import SystemId
     oracle = sys.oracle
     if sys.id is SystemId.PI2:
         return _step_word(oracle, w, n)
     w1, w2 = w
     if len(w2) < n + 1:
-        raise _unresolved("second layer needs one symbol past the window")
+        raise FrontierUnresolved(
+            "second layer needs one symbol past the window")
     gate_first = sys.id is SystemId.WILD_T_PRIME
     out1 = _step_word(oracle, w1, n, w2=w2, gate_first=gate_first,
                       second_inserts=sys.id is SystemId.WILD_T_SECOND)
@@ -231,7 +229,6 @@ class ZoneEngine:
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
                  layer2: Optional[Configuration], horizon: int, window: int):
-        from .systems import SystemId
         if not oracle.programmed:
             raise ValueError("the long-orbit engine needs a programmed oracle")
         self.oracle = oracle

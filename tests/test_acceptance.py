@@ -151,14 +151,14 @@ def test_criterion_10_structural_suites():
         prev_first, prev_pos = first, pos
         eng.step()
 
-    # tilde-mu enclosures shrink (or stay) as the truncation grows
-    prev = None
+    # tilde-mu is exact: lower == upper, the same value at every truncation
+    values = set()
     for R in (4, 8, 16):
         est = analysis.tilde_mu(verify.parity_oracle(), Fraction(1, 2),
                                 "010", R)
-        ok &= (prev is None
-               or (prev.lower <= est.lower and est.upper <= prev.upper))
-        prev = est
+        ok &= est.lower == est.upper
+        values.add(est.lower)
+    ok &= len(values) == 1
 
     rep = VerificationReport()
     verify.check_structural(rep)      # sampled no-creation + phi/f nesting

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from symdyn.cli import main, parse_descriptor
-from symdyn.oracle import OracleTable, table_to_json
+from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
 from symdyn.verify import WORKED_INPUT, WORKED_OUTPUT, worked_example_oracle
 
@@ -176,6 +176,40 @@ def test_tilde_mu_depth_table(capsys, oracle_file):
 def test_tilde_mu_needs_word_or_depth(capsys, oracle_file):
     code, _ = run(capsys, "tilde-mu", "--oracle", oracle_file)
     assert code == 2
+
+
+# the worked-example table at depth 3 and a SOME_IN table (M_2 halts on some
+# input of size 1..3) under phi', pinned byte for byte
+WORKED_DEPTH3 = {
+    "000": "281/512",
+    "001": "39/512",
+    "010": "0/1",
+    "011": "3/32",
+    "100": "39/512",
+    "101": "9/512",
+    "110": "3/32",
+    "111": "3/32",
+}
+
+
+def test_tilde_mu_depth3_golden(capsys, oracle_file):
+    code, out = run(capsys, "tilde-mu", "--oracle", oracle_file,
+                    "--depth", "3", "--truncation", "24")
+    assert code == 0
+    assert out == json.dumps(
+        {"p": "1/2", "truncation": 24, "kind": "phi",
+         "entries": {w: {"lower": v, "upper": v}
+                     for w, v in WORKED_DEPTH3.items()}}, indent=2) + "\n"
+
+
+def test_tilde_mu_phi_prime_word_golden(capsys, tmp_path):
+    path = tmp_path / "some_in.json"
+    path.write_text(table_to_json(OracleTable.programmed_table(
+        [Entry(e=2, kind=QueryKind.SOME_IN, k=1, k_hi=3, time=2)])))
+    code, out = run(capsys, "tilde-mu", "--oracle", str(path), "--word", "11",
+                    "--kind", "phi-prime", "--format", "csv")
+    assert code == 0
+    assert out == 'word,lower,upper\n11,13/64,13/64\n'
 
 
 # -- realm ------------------------------------------------------------------
