@@ -2,7 +2,9 @@
 
 Every run is fully determined by its arguments (system, oracle file,
 initial-configuration descriptor, seeds); there is no hidden state.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  Argument
+checks raise ``UsageError``; any other exception is a fault in the
+program and ends the run with its traceback.
 """
 
 from __future__ import annotations
@@ -17,13 +19,19 @@ from fractions import Fraction
 from . import analysis, cantor, systems, verify
 from .oracle import OracleTable, table_from_json
 from .pi2 import ProductConfiguration
-from .space import (ALPHA_AB, Alphabet, Configuration, Constant, Cylinder,
-                    Periodic, Sampler, Scheduled)
-from .systems import EraseKind, SystemId, SystemSpec
+from .space import (ALPHA_01, ALPHA_AB, Alphabet, Configuration, Constant,
+                    Cylinder, Periodic, Sampler, Scheduled, get_enumerator)
+from .systems import ERASE_KIND, EraseKind, SystemId, SystemSpec
 
 
 class UsageError(Exception):
     pass
+
+
+def _need(ok: bool, message: str) -> None:
+    """An argument check: raise ``UsageError(message)`` unless ``ok``."""
+    if not ok:
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -48,21 +56,34 @@ def parse_descriptor(text: str, alphabet: Alphabet,
     if tail_spec in alphabet.symbols:
         tail = Constant(tail_spec)
     elif tail_spec.startswith("period="):
-        tail = Periodic(tail_spec[len("period="):])
+        word = tail_spec[len("period="):]
+        _need(word != "" and set(word) <= set(alphabet.symbols),
+              f"bad periodic tail {tail_spec!r}")
+        tail = Periodic(word)
     elif tail_spec.startswith("bernoulli="):
         body = tail_spec[len("bernoulli="):]
         seed = default_seed
-        if ":" in body:
-            body, seed_part = body.split(":", 1)
-            if not seed_part.startswith("seed="):
-                raise UsageError(f"bad bernoulli tail {tail_spec!r}")
-            seed = int(seed_part[len("seed="):])
-        p = float(Fraction(body))
+        try:
+            if ":" in body:
+                body, seed_part = body.split(":", 1)
+                _need(seed_part.startswith("seed="),
+                      f"bad bernoulli tail {tail_spec!r}")
+                seed = int(seed_part[len("seed="):])
+            p = Fraction(body)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"bad bernoulli tail {tail_spec!r}")
+        _need(0 <= p <= 1, f"bernoulli weight outside [0, 1]: {tail_spec!r}")
+        p = float(p)
         if len(alphabet.symbols) != 2:
             raise UsageError("bernoulli tails are for two-symbol alphabets")
         tail = Sampler(alphabet.symbols, (1 - p, p), seed)
     elif tail_spec.startswith("rich="):
-        tail = Scheduled(tail_spec[len("rich="):], alphabet.symbols[0])
+        name = tail_spec[len("rich="):]
+        try:
+            get_enumerator(name)
+        except KeyError:
+            raise UsageError(f"unknown word enumerator {name!r}")
+        tail = Scheduled(name, alphabet.symbols[0])
     else:
         raise UsageError(f"unknown tail spec {tail_spec!r}")
     try:
@@ -90,7 +111,20 @@ def build_system(args) -> SystemSpec:
     sid = _SYSTEMS[args.system]
     if sid is SystemId.SHIFT:
         return systems.shift_system()
-    return SystemSpec(sid, load_oracle(args.oracle))
+    oracle = load_oracle(args.oracle)
+    _need(sid in ERASE_KIND or oracle.programmed,
+          f"{args.system} runs on the long-orbit engine, which needs a "
+          "programmed oracle table")
+    return SystemSpec(sid, oracle)
+
+
+def build_binary_system(args) -> SystemSpec:
+    """A system for the interval map, which embeds {0,1} systems only."""
+    sys_spec = build_system(args)
+    _need(sys_spec.alphabet is ALPHA_01,
+          "the interval map supports the binary systems only: shift, pi1, "
+          "sigma2")
+    return sys_spec
 
 
 def build_config(sys_spec: SystemSpec, init: str, init2, seed: int):
@@ -130,6 +164,7 @@ def parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def cmd_orbit(args) -> int:
+    _need(args.window >= 1, "--window must be >= 1")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     rows = systems.orbit_windows(sys_spec, x, args.start,
@@ -148,6 +183,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    _need(args.burn_in < args.horizon, "need --burn-in < --horizon")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     prof = analysis.omega_profile(sys_spec, x, args.burn_in, args.horizon,
@@ -165,6 +201,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    _need(args.steps >= 1, "--steps must be >= 1")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     m = analysis.empirical_measure(sys_spec, x, args.steps, args.depth,
@@ -186,10 +223,20 @@ def cmd_meets(args) -> int:
     if sid is SystemId.SHIFT:
         raise UsageError("the shift has no attractor predicate; "
                          "pick pi1, sigma2, pi2 or a product system")
+    _need(args.position == 0, "attractor predicates are defined at "
+                              "--position 0")
     oracle = load_oracle(args.oracle)
     if args.budget is not None and oracle.programmed:
         raise UsageError("--budget is for enumerated oracles; this table "
                          "is programmed")
+    _need(args.budget is None or args.budget >= 0, "--budget must be >= 0")
+    if not oracle.programmed:
+        _need(sid not in (SystemId.PI2, SystemId.WILD_T_PRIME),
+              "the totality predicate needs a programmed oracle table")
+        _need(ERASE_KIND.get(sid) is not EraseKind.PHI_PRIME,
+              "the finite-domain predicates need a programmed oracle table")
+        _need(sid is not SystemId.PI1 or args.budget is not None,
+              "an enumerated oracle table needs --budget")
     cyl = Cylinder(args.cylinder, args.position)
     verdict = analysis.attractor_meets(sid, cyl, oracle, budget=args.budget)
     with out_stream(args.out) as fh:
@@ -201,7 +248,10 @@ def cmd_meets(args) -> int:
 
 def cmd_tilde_mu(args) -> int:
     oracle = load_oracle(args.oracle)
+    _need(oracle.programmed, "tilde-mu needs a programmed oracle table")
     p = parse_fraction(args.p)
+    _need(0 < p < 1, "--p must lie strictly between 0 and 1")
+    _need(args.depth is None or args.depth >= 0, "--depth must be >= 0")
     kind = EraseKind.PHI if args.kind == "phi" else EraseKind.PHI_PRIME
     if args.word is not None:
         table = {args.word: analysis.tilde_mu(oracle, p, args.word,
@@ -229,6 +279,7 @@ def cmd_tilde_mu(args) -> int:
 
 
 def cmd_realm(args) -> int:
+    _need(args.t_from <= args.t_to, "need --from <= --to")
     sys_spec = build_system(args)
     seeds = [build_config(sys_spec, d, args.init2, args.seed + 17 * i)
              for i, d in enumerate(args.init)]
@@ -246,10 +297,11 @@ def cmd_realm(args) -> int:
 
 
 def cmd_interval_eval(args) -> int:
-    sys_spec = build_system(args)
+    sys_spec = build_binary_system(args)
+    point = parse_fraction(args.point)
+    _need(0 <= point <= 1, "--point must lie in [0, 1]")
     sch = cantor.CantorScheme()
-    enc = cantor.f_eval(sch, sys_spec, parse_fraction(args.point),
-                        args.precision)
+    enc = cantor.f_eval(sch, sys_spec, point, args.precision)
     with out_stream(args.out) as fh:
         json.dump({"lower": _frac(enc.lower), "upper": _frac(enc.upper),
                    "width": float(enc.width)}, fh, indent=2)
@@ -265,7 +317,8 @@ def cmd_interval_export(args) -> int:
 
 
 def cmd_interval_escape(args) -> int:
-    sys_spec = build_system(args)
+    _need(args.samples >= 1, "--samples must be >= 1")
+    sys_spec = build_binary_system(args)
     sch = cantor.CantorScheme()
     res = cantor.escape_fraction(sch, sys_spec, args.iterations,
                                  args.samples, args.seed, args.depth)
@@ -421,10 +474,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as ex:
+    except (UsageError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -28,11 +28,15 @@ everything to its right.
 
 ``step_prefix`` applies one step to a finite word exactly.  ``ZoneEngine``
 runs long orbits; it tracks every S inside a finite materialized horizon
-and extends the frontier whenever a scan or window read reaches it.  This
-is exact whenever no excision cascade originates beyond the horizon
+and extends the frontier whenever a scan or window read reaches it.  S
+positions are kept lazily: one min-tree over the zone index holds each
+zone's insertion displacement and its next excision wake-up, so an
+excision costs O(log zones) however many S's sit to its right.  This is
+exact whenever no excision cascade originates beyond the horizon
 (influence on a fixed window can in principle reach exponentially far for
-adversarial oracle tables); the engine is cross-checked against
-``step_prefix`` in the test suite.
+adversarial oracle tables); the engine counts the frontier checks that
+hit the materialization cap in ``cap_hits``.  It is cross-checked against
+``step_prefix`` and against the earlier heap engine in the test suite.
 """
 
 from __future__ import annotations
@@ -216,6 +220,101 @@ def step_prefix(sys, w, n: int):
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096
+_NO_KEY = 1 << 62          # leaf value of a zone with nothing pending
+
+
+class _WakeTree:
+    """Least wake key over the zone index, with lazy suffix adds.
+
+    Leaf k holds ``thr[k] - base[k] - dep[k]``, where ``thr[k]`` is the
+    least pending excision threshold of zone k (``_NO_KEY`` when nothing
+    is pending) and ``dep[k]`` its insertion displacement; zone k is due
+    once its leaf is <= ``pushes``.  ``add[i]`` is what has been added to
+    the whole subtree of node i and ``mn[i]`` the subtree's minimum with
+    ``add[i]`` included, so a displacement of S_k .. S_last is one suffix
+    add.  Slots past the last zone take the same adds: a zone appended
+    later starts at the displacement of the last one.
+    """
+
+    def __init__(self, zones: int):
+        n = 4
+        while n < zones:
+            n *= 2
+        self.n = n
+        self.mn = [_NO_KEY] * (2 * n)
+        self.add = [0] * (2 * n)
+
+    def set_key(self, k: int, key: int):
+        """Set leaf k to ``key`` minus its displacement."""
+        mn, add = self.mn, self.add
+        i = self.n + k
+        mn[i] = key + add[i]
+        i >>= 1
+        while i:
+            a, b = mn[2 * i], mn[2 * i + 1]
+            v = (a if a < b else b) + add[i]
+            if mn[i] == v:          # nothing above changes either
+                return
+            mn[i] = v
+            i >>= 1
+
+    def add_suffix(self, k: int, v: int):
+        """Add ``v`` to every leaf from k on."""
+        mn, add = self.mn, self.add
+        i, hi = self.n + k, 2 * self.n
+        while i < hi:
+            if i & 1:
+                mn[i] += v
+                add[i] += v
+                i += 1
+            i >>= 1
+            hi >>= 1
+        # every node above the nodes just added to is an ancestor of leaf k
+        i = (self.n + k) >> 1
+        while i:
+            a, b = mn[2 * i], mn[2 * i + 1]
+            mn[i] = (a if a < b else b) + add[i]
+            i >>= 1
+
+    def total_add(self, k: int) -> int:
+        """Everything added to leaf k, i.e. ``-dep[k]``."""
+        add = self.add
+        i, s = self.n + k, 0
+        while i:
+            s += add[i]
+            i >>= 1
+        return s
+
+    def due(self, limit: int) -> List[Tuple[int, int]]:
+        """(k, total_add(k)) for every leaf <= ``limit``, ascending in k."""
+        mn, add, n = self.mn, self.add, self.n
+        out = []
+        stack = [(1, 0)]
+        while stack:
+            i, above = stack.pop()
+            if mn[i] + above > limit:
+                continue
+            above += add[i]
+            if i >= n:
+                out.append((i - n, above))
+            else:
+                stack.append((2 * i + 1, above))
+                stack.append((2 * i, above))
+        return out
+
+    def grow(self):
+        """Double the slots; the new ones share the adds of the last."""
+        n, mn, add = self.n, self.mn, self.add
+        for i in range(1, n):            # push every add down to the leaves
+            for c in (2 * i, 2 * i + 1):
+                add[c] += add[i]
+                mn[c] += add[i]
+        last = add[2 * n - 1]
+        self.n = m = 2 * n
+        self.add = [0] * m + add[n:] + [last] * n
+        self.mn = [0] * m + mn[n:] + [_NO_KEY + last] * n
+        for i in range(m - 1, 0, -1):
+            self.mn[i] = min(self.mn[2 * i], self.mn[2 * i + 1])
 
 
 class ZoneEngine:
@@ -223,8 +322,16 @@ class ZoneEngine:
 
     Requires a programmed oracle (excision times must be computable in
     advance).  Zone k content sits in ``zones[k]``; the position of the
-    k-th S is ``base[k] + pushes + dep[k]`` where ``dep`` accumulates
-    insertion displacements, so idle zones cost nothing per step.
+    k-th S is ``base[k] + pushes + dep[k]``, where the insertion
+    displacement ``dep[k]`` lives in a lazy min-tree over the zone index
+    (``_WakeTree``) that also yields the zones due to excise.  A
+    displacement and a wake-up cost O(log zones), ``dep`` of the last S
+    is kept as a running total, and idle zones cost nothing per step.
+    ``s_positions()`` reads every position from the second S on.
+
+    ``cap_hits`` counts the frontier checks that stopped at the
+    materialization cap while the last S's scan prefix reached past the
+    materialized cells; past that point results can be inexact.
     """
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
@@ -240,6 +347,7 @@ class ZoneEngine:
         w = layer1.materialize(horizon + window + 64)
         self.src = len(w)          # next unread index of the initial layer 1
         self.cap = len(w)          # excision-scan materialization cap
+        self.cap_hits = 0
         self.excisable = oracle.default_halts or any(
             ent.kind is QueryKind.ALL_BELOW and ent.time is not None
             for ent in oracle.entries)
@@ -263,10 +371,8 @@ class ZoneEngine:
 
         self.zones: List = [None, deque()]   # zones[k] holds u_k
         self.base: List[int] = [0, first_s]  # initial position of S_k
-        self.dep: List[int] = [0, 0]         # insertion displacement of S_k
         self.pending: List[list] = [None, None]  # (threshold, start, len) heaps
         self.parsed: List[int] = [0, 0]
-        self.wake: list = []                 # (required pushes, zone index)
         rest = w[first_s:]
         idx = rest.find("S", 1)
         while idx >= 0:
@@ -275,7 +381,6 @@ class ZoneEngine:
             if len(self.base) == 2:
                 self.zones[1].extend(rest[1:idx])
             self.base.append(first_s + idx)
-            self.dep.append(0)
             self.zones.append(list(seg))
             self.pending.append([])
             self.parsed.append(0)
@@ -283,6 +388,8 @@ class ZoneEngine:
         if len(self.base) == 2:
             self.zones[1].extend(rest[1:])
         self.last = len(self.base) - 1
+        self._wake = _WakeTree(self.last + 1)
+        self._dep_last = 0                   # dep[last], a running total
         for k in range(2, self.last + 1):
             self._absorb_runs(k, complete=(k < self.last))
 
@@ -298,13 +405,24 @@ class ZoneEngine:
     # -- bookkeeping helpers ------------------------------------------------
 
     def _pos(self, k: int) -> int:
-        return self.base[k] + self.pushes + self.dep[k]
+        if k == self.last:
+            return self.base[k] + self.pushes + self._dep_last
+        return self.base[k] + self.pushes - self._wake.total_add(k)
+
+    def s_positions(self) -> List[int]:
+        """Current positions of S_2 .. S_last, each read off the tree (the
+        first S sits at ``len(u0)``)."""
+        if self.u0 is None:
+            return []
+        return [self.base[k] + self.pushes - self._wake.total_add(k)
+                for k in range(2, self.last + 1)]
 
     def _tau(self, l: int, k: int) -> Optional[int]:
         return self.oracle.all_below_time(l, k)
 
-    def _wake_key(self, k: int):
-        return self.pending[k][0][0] - self.base[k] - self.dep[k]
+    def _rekey(self, k: int):
+        heap = self.pending[k]
+        self._wake.set_key(k, heap[0][0] - self.base[k] if heap else _NO_KEY)
 
     def _absorb_runs(self, k: int, complete: bool):
         """Parse unparsed cells of zone k into pending excision candidates.
@@ -338,7 +456,7 @@ class ZoneEngine:
                 i += 1
         self.parsed[k] = off + hi
         if heap:
-            heapq.heappush(self.wake, (self._wake_key(k), k))
+            self._rekey(k)
 
     def _extend_frontier(self, needed: int):
         """Materialize layer 1 until the last zone holds ``needed`` cells.
@@ -360,7 +478,8 @@ class ZoneEngine:
                 # a new S enters the tracked region; everything right of
                 # every tracked S shares all pushes and displacements
                 self.base.append(self.src + cut)
-                self.dep.append(self.dep[self.last])
+                if self.last + 1 == self._wake.n:
+                    self._wake.grow()
                 self.zones.append([])
                 self.pending.append([])
                 self.parsed.append(0)
@@ -383,27 +502,20 @@ class ZoneEngine:
     # -- stepping -----------------------------------------------------------
 
     def _fire_excisions(self):
-        # snapshot the eligible zones first: a block deposited this step is
-        # not rescanned until the next application of the map
-        ready = []
-        while self.wake and self.wake[0][0] <= self.pushes:
-            ready.append(heapq.heappop(self.wake)[1])
-        # ascending zone order: a deposit into zone k-1 is then never
-        # rescanned before the next application of the map
-        ready = sorted(set(ready))
-        # all excisions of one step are judged against the pre-step S
-        # positions; same-step displacements must not widen a later scan
-        pos_before = {k: self._pos(k) for k in ready}
-        for k in ready:
+        if self._wake.mn[1] > self.pushes:
+            return
+        # snapshot the due zones in ascending order, with their pre-step
+        # displacements: all excisions of one step are judged against the
+        # pre-step S positions, a block deposited into zone k-1 is not
+        # rescanned before the next application of the map, and same-step
+        # displacements must not widen a later scan
+        for k, shift in self._wake.due(self.pushes):
             heap = self.pending[k]
-            if not heap:
-                continue
-            pos = pos_before[k]
+            pos = self.base[k] + self.pushes - shift
             fired = []
             while heap and heap[0][0] <= pos:
                 fired.append(heapq.heappop(heap))
-            if heap:
-                heapq.heappush(self.wake, (self._wake_key(k), k))
+            self._rekey(k)
             if not fired:
                 continue
             fired.sort(key=lambda e: e[1])
@@ -424,34 +536,31 @@ class ZoneEngine:
                         heapq.heappush(self.pending[k - 1],
                                        (max(tau, off + l + 1), off + 1, l))
                     off += len(piece)
-                if self.pending[k - 1]:
-                    heapq.heappush(self.wake, (self._wake_key(k - 1), k - 1))
+                self._rekey(k - 1)
             self._displace(k, len(w))
 
     def _displace(self, k: int, amount: int):
         """Record that S_k .. S_last moved right by ``amount``."""
-        for j in range(k, self.last + 1):
-            self.dep[j] += amount
-        refreshed = {}
-        while self.wake:
-            _, j = heapq.heappop(self.wake)
-            if self.pending[j] and j not in refreshed:
-                refreshed[j] = self._wake_key(j)
-        self.wake = [(key, j) for j, key in refreshed.items()]
-        heapq.heapify(self.wake)
+        self._wake.add_suffix(k, -amount)
+        self._dep_last += amount
         self._check_frontier()
 
     def _check_frontier(self):
         """Keep the last S's scan prefix parsed for future excisions.
 
         Stops at the materialization cap: excision cascades originating
-        beyond the initial horizon are outside the engine's contract.
+        beyond the initial horizon are outside the engine's contract.  A
+        stop while the scan prefix still reaches past the materialized
+        cells counts in ``cap_hits``.
         """
         if not self.excisable or self.last < 2:
             return
-        while (self.src <= self.cap
-               and self._pos(self.last) + _CHUNK // 2
-                   > len(self.zones[self.last])):
+        while (self._pos(self.last) + _CHUNK // 2
+               > len(self.zones[self.last])):
+            if self.src > self.cap:
+                if self._pos(self.last) > len(self.zones[self.last]):
+                    self.cap_hits += 1
+                break
             prev = (self.last, self.src)
             self._extend_frontier(self._pos(self.last) + _CHUNK)
             if (self.last, self.src) == prev:

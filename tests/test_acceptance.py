@@ -144,8 +144,7 @@ def test_criterion_10_structural_suites():
     prev_first, prev_pos = -1, None
     for _ in range(1_000):
         first = len(eng.u0)
-        pos = [eng.base[k] + eng.pushes + eng.dep[k]
-               for k in range(2, eng.last + 1)]
+        pos = eng.s_positions()
         ok &= first > prev_first
         ok &= prev_pos is None or all(p >= q for p, q in zip(pos, prev_pos))
         prev_first, prev_pos = first, pos

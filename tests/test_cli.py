@@ -293,3 +293,89 @@ def test_bad_descriptor_is_usage_error(capsys, oracle_file):
                   "--oracle", oracle_file, "--init", "tail:frob",
                   "--steps", "1", "--window", "4")
     assert code == 2
+
+
+# -- argument errors exit 2, faults in the program do not -------------------
+
+_BAD_ARGUMENTS = [
+    ("orbit", "--system", "pi1", "--oracle", "{prog}", "--init", "tail:0",
+     "--steps", "2", "--window", "0"),
+    ("orbit", "--system", "pi2", "--oracle", "{enum}",
+     "--init", "prefix:0S,tail:0", "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=abc",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=1/2:seed=x",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=2",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=1/0",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:rich=nosuch",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:period=",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:period=0S",
+     "--steps", "2", "--window", "4"),
+    ("omega", "--system", "shift", "--init", "tail:0", "--burn-in", "5",
+     "--horizon", "5", "--depth", "2"),
+    ("measure", "--system", "shift", "--init", "tail:0", "--steps", "0",
+     "--depth", "2"),
+    ("meets", "--system", "pi1", "--oracle", "{prog}", "--cylinder", "01",
+     "--position", "1"),
+    ("meets", "--system", "sigma2", "--oracle", "{enum}", "--cylinder", "01",
+     "--budget", "5"),
+    ("meets", "--system", "pi2", "--oracle", "{enum}", "--cylinder", "01",
+     "--budget", "5"),
+    ("meets", "--system", "pi1", "--oracle", "{enum}", "--cylinder", "01",
+     "--budget", "-1"),
+    ("tilde-mu", "--oracle", "{prog}", "--word", "01", "--p", "0"),
+    ("tilde-mu", "--oracle", "{enum}", "--word", "01"),
+    ("tilde-mu", "--oracle", "{prog}", "--depth", "-1"),
+    ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
+     "--match-depth", "1", "--from", "5", "--to", "2"),
+    ("interval", "eval", "--system", "shift", "--point", "2"),
+    ("interval", "eval", "--system", "pi2", "--oracle", "{prog}",
+     "--point", "1/2"),
+    ("interval", "escape", "--system", "shift", "--iterations", "1",
+     "--samples", "0"),
+    ("interval", "escape", "--system", "pi2", "--oracle", "{prog}",
+     "--iterations", "1", "--samples", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGUMENTS)
+def test_argument_errors_are_usage_errors(capsys, tmp_path, oracle_file,
+                                          argv):
+    enum = tmp_path / "enumerated.json"
+    enum.write_text(table_to_json(OracleTable.enumerated()))
+    argv = [a.format(prog=oracle_file, enum=str(enum)) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_internal_value_error_exits_with_a_traceback(oracle_file):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import symdyn
+    script = (
+        "import sys, symdyn.systems as s\n"
+        "def broken(*a, **k):\n"
+        "    raise ValueError('a fault inside the library')\n"
+        "s.orbit_windows = broken\n"
+        "from symdyn.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(symdyn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "orbit", "--system", "pi1",
+         "--oracle", oracle_file, "--init", "tail:0", "--steps", "1",
+         "--window", "4"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode not in (0, 2)
+    assert "Traceback" in proc.stderr
+    assert "ValueError: a fault inside the library" in proc.stderr

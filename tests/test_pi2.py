@@ -122,8 +122,7 @@ def test_s_positions_monotone():
         prev_pos = None
         for _ in range(200):
             first = len(eng.u0)
-            pos = [eng.base[k] + eng.pushes + eng.dep[k]
-                   for k in range(2, eng.last + 1)]
+            pos = eng.s_positions()
             assert first > prev_first
             if prev_pos is not None:
                 assert all(p >= q for p, q in zip(pos, prev_pos))

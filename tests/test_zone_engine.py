@@ -1,0 +1,552 @@
+"""The wake-tree ``ZoneEngine`` against the heap engine it replaced.
+
+``HeapZoneEngine`` below is the engine as it stood before the lazy
+min-tree: every displacement added to ``dep[j]`` for each later zone and
+rebuilt the whole wake heap.  It stays here as the reference.  Both
+engines run in lockstep, and before every step their windows, S positions
+(second S on), push counts and completed crossings must agree, on dense
+and sparse inputs, on all three zone systems, with deep excision cascades
+and with trees of many sizes.  The tree itself is checked against a plain
+list model, unoccupied slots and growth included.
+"""
+
+import heapq
+import itertools
+import random
+from collections import deque
+from typing import List, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symdyn import verify
+from symdyn.oracle import INF, Entry, OracleTable, QueryKind
+from symdyn.pi2 import (_CHUNK, _NO_KEY, ZoneEngine, _insertion_word,
+                        _WakeTree)
+from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
+from symdyn.systems import SystemId
+
+
+class HeapZoneEngine:
+    """The heap engine the wake tree replaced, kept as the reference.
+
+    Iterates the zone automaton with lazy position bookkeeping.
+
+    Requires a programmed oracle (excision times must be computable in
+    advance).  Zone k content sits in ``zones[k]``; the position of the
+    k-th S is ``base[k] + pushes + dep[k]`` where ``dep`` accumulates
+    insertion displacements, so idle zones cost nothing per step.
+    """
+
+    def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
+                 layer2: Optional[Configuration], horizon: int, window: int):
+        if not oracle.programmed:
+            raise ValueError("the long-orbit engine needs a programmed oracle")
+        self.oracle = oracle
+        self.layer1 = layer1
+        self.window = window
+        self.gate_first = sysid is SystemId.WILD_T_PRIME
+        self.second_inserts = sysid is SystemId.WILD_T_SECOND
+
+        w = layer1.materialize(horizon + window + 64)
+        self.src = len(w)          # next unread index of the initial layer 1
+        self.cap = len(w)          # excision-scan materialization cap
+        self.excisable = oracle.default_halts or any(
+            ent.kind is QueryKind.ALL_BELOW and ent.time is not None
+            for ent in oracle.entries)
+        self.t = 0
+        self.pushes = 0            # +1 per first-S push step
+        self.completed_crossings = 0
+        self.crossing = False
+
+        first_s = w.find("S")
+        if first_s < 0:
+            self.u0 = None         # S-free horizon: the map acts as the shift
+            self._shift_word = w
+            return
+        self.u0 = deque(w[:first_s])
+        self.ones = sum(1 for c in self.u0 if c == "1")
+        self.trailing = 0
+        for c in reversed(self.u0):
+            if c != "1":
+                break
+            self.trailing += 1
+
+        self.zones: List = [None, deque()]   # zones[k] holds u_k
+        self.base: List[int] = [0, first_s]  # initial position of S_k
+        self.dep: List[int] = [0, 0]         # insertion displacement of S_k
+        self.pending: List[list] = [None, None]  # (threshold, start, len) heaps
+        self.parsed: List[int] = [0, 0]
+        self.wake: list = []                 # (required pushes, zone index)
+        rest = w[first_s:]
+        idx = rest.find("S", 1)
+        while idx >= 0:
+            nxt = rest.find("S", idx + 1)
+            seg = rest[idx + 1: nxt if nxt >= 0 else len(rest)]
+            if len(self.base) == 2:
+                self.zones[1].extend(rest[1:idx])
+            self.base.append(first_s + idx)
+            self.dep.append(0)
+            self.zones.append(list(seg))
+            self.pending.append([])
+            self.parsed.append(0)
+            idx = nxt
+        if len(self.base) == 2:
+            self.zones[1].extend(rest[1:])
+        self.last = len(self.base) - 1
+        for k in range(2, self.last + 1):
+            self._absorb_runs(k, complete=(k < self.last))
+
+        if self.gate_first or self.second_inserts:
+            need = 4 * horizon + 3 * first_s + 3 * window + 64
+            g = layer2.materialize(need)
+            arr = np.frombuffer(g.encode("ascii"), np.uint8) == ord("b")
+            idxs = np.arange(len(arr), dtype=np.int64)
+            idxs[~arr] = np.iinfo(np.int64).max
+            self._next_b = np.minimum.accumulate(idxs[::-1])[::-1]
+            self._g2_len = len(g)
+
+    # -- bookkeeping helpers ------------------------------------------------
+
+    def _pos(self, k: int) -> int:
+        return self.base[k] + self.pushes + self.dep[k]
+
+    def s_positions(self) -> List[int]:
+        if self.u0 is None:
+            return []
+        return [self._pos(k) for k in range(2, self.last + 1)]
+
+    def _tau(self, l: int, k: int) -> Optional[int]:
+        return self.oracle.all_below_time(l, k)
+
+    def _wake_key(self, k: int):
+        return self.pending[k][0][0] - self.base[k] - self.dep[k]
+
+    def _absorb_runs(self, k: int, complete: bool):
+        """Parse unparsed cells of zone k into pending excision candidates.
+
+        Complete zones are parsed to the end; the frontier zone is parsed
+        a little past the scan prefix and never through an open 1-run.
+        """
+        zone = self.zones[k]
+        limit = len(zone) if complete else min(len(zone),
+                                               self._pos(k) + _CHUNK)
+        off = self.parsed[k]
+        if off >= limit:
+            return
+        cells = zone[off:limit]
+        hi = len(cells)
+        if not complete and k == self.last:
+            while hi > 0 and cells[hi - 1] == "1":
+                hi -= 1
+        i = 0
+        heap = self.pending[k]
+        while i < hi:
+            if cells[i] == "1":
+                j = i
+                while j < hi and cells[j] == "1":
+                    j += 1
+                tau = self._tau(j - i, k)
+                if tau is not None:
+                    heapq.heappush(heap, (max(tau, off + j), off + i, j - i))
+                i = j
+            else:
+                i += 1
+        self.parsed[k] = off + hi
+        if heap:
+            heapq.heappush(self.wake, (self._wake_key(k), k))
+
+    def _extend_frontier(self, needed: int):
+        """Materialize layer 1 until the last zone holds ``needed`` cells.
+
+        Returns early when a new S is discovered (the caller re-examines
+        the zone structure), so S-dense tails cannot run this unboundedly.
+        """
+        while len(self.zones[self.last]) < needed:
+            w = self.layer1.materialize(self.src + _CHUNK)
+            seg = w[self.src:]
+            cut = seg.find("S")
+            if cut < 0:
+                self.zones[self.last].extend(seg)
+                self.src += len(seg)
+            else:
+                self.zones[self.last].extend(seg[:cut])
+                if self.last >= 2:
+                    self._absorb_runs(self.last, complete=True)
+                # a new S enters the tracked region; everything right of
+                # every tracked S shares all pushes and displacements
+                self.base.append(self.src + cut)
+                self.dep.append(self.dep[self.last])
+                self.zones.append([])
+                self.pending.append([])
+                self.parsed.append(0)
+                self.last += 1
+                self.src += cut + 1
+                break
+        if self.last >= 2:
+            self._absorb_runs(self.last, complete=False)
+
+    def _gate_ok(self, i: int) -> bool:
+        if i == 0:
+            return True
+        lo1 = i + self.t
+        if lo1 + 2 * i <= self._g2_len and self._next_b[lo1] >= lo1 + 2 * i:
+            return True
+        lo2 = lo1 + 1
+        return (lo2 + 2 * i + 1 <= self._g2_len
+                and self._next_b[lo2] >= lo2 + 2 * i + 1)
+
+    # -- stepping -----------------------------------------------------------
+
+    def _fire_excisions(self):
+        # snapshot the eligible zones first: a block deposited this step is
+        # not rescanned until the next application of the map
+        ready = []
+        while self.wake and self.wake[0][0] <= self.pushes:
+            ready.append(heapq.heappop(self.wake)[1])
+        # ascending zone order: a deposit into zone k-1 is then never
+        # rescanned before the next application of the map
+        ready = sorted(set(ready))
+        # all excisions of one step are judged against the pre-step S
+        # positions; same-step displacements must not widen a later scan
+        pos_before = {k: self._pos(k) for k in ready}
+        for k in ready:
+            heap = self.pending[k]
+            if not heap:
+                continue
+            pos = pos_before[k]
+            fired = []
+            while heap and heap[0][0] <= pos:
+                fired.append(heapq.heappop(heap))
+            if heap:
+                heapq.heappush(self.wake, (self._wake_key(k), k))
+            if not fired:
+                continue
+            fired.sort(key=lambda e: e[1])
+            zone = self.zones[k]
+            pieces = []
+            for _, start, l in fired:
+                zone[start:start + l] = ["0"] * l
+                pieces.append("0" + "1" * l)
+            w = "".join(pieces)
+            tgt = self.zones[k - 1]
+            off = len(tgt)
+            tgt.extend(w)
+            if k - 1 >= 2:
+                for piece in pieces:
+                    l = len(piece) - 1
+                    tau = self._tau(l, k - 1)
+                    if tau is not None:
+                        heapq.heappush(self.pending[k - 1],
+                                       (max(tau, off + l + 1), off + 1, l))
+                    off += len(piece)
+                if self.pending[k - 1]:
+                    heapq.heappush(self.wake, (self._wake_key(k - 1), k - 1))
+            self._displace(k, len(w))
+
+    def _displace(self, k: int, amount: int):
+        """Record that S_k .. S_last moved right by ``amount``."""
+        for j in range(k, self.last + 1):
+            self.dep[j] += amount
+        refreshed = {}
+        while self.wake:
+            _, j = heapq.heappop(self.wake)
+            if self.pending[j] and j not in refreshed:
+                refreshed[j] = self._wake_key(j)
+        self.wake = [(key, j) for j, key in refreshed.items()]
+        heapq.heapify(self.wake)
+        self._check_frontier()
+
+    def _check_frontier(self):
+        """Keep the last S's scan prefix parsed for future excisions.
+
+        Stops at the materialization cap: excision cascades originating
+        beyond the initial horizon are outside the engine's contract.
+        """
+        if not self.excisable or self.last < 2:
+            return
+        while (self.src <= self.cap
+               and self._pos(self.last) + _CHUNK // 2
+                   > len(self.zones[self.last])):
+            prev = (self.last, self.src)
+            self._extend_frontier(self._pos(self.last) + _CHUNK)
+            if (self.last, self.src) == prev:
+                break
+
+    def _u0_popleft(self):
+        c = self.u0.popleft()
+        if c == "1":
+            if self.ones == len(self.u0) + 1:
+                self.trailing -= 1
+            self.ones -= 1
+
+    def _u0_append(self, c: str):
+        self.u0.append(c)
+        if c == "1":
+            self.ones += 1
+            self.trailing += 1
+        else:
+            self.trailing = 0
+
+    def step(self):
+        if self.u0 is None:
+            self.t += 1
+            return
+        self._fire_excisions()
+
+        if self.second_inserts and self.last >= 2:
+            if self._gate_ok(len(self.u0)):
+                word = _insertion_word(len(self.u0))
+                self.zones[1].extend(word)
+                self._displace(2, len(word))
+
+        u1 = self.zones[1]
+        if not u1 and self.last == 1:
+            self._extend_frontier(1)
+        if u1:
+            c = u1[0]
+        elif self.last >= 2:
+            c = "S"
+        else:
+            c = "0"
+        eat = self.ones == self.trailing
+        if eat and c == "1" and (not self.gate_first
+                                 or self._gate_ok(len(self.u0))):
+            u1.popleft()
+            self._u0_append("1")
+            self.crossing = True
+        elif eat and c == "0":
+            if u1:
+                u1.popleft()
+            self._u0_append("0")
+            if self.u0:
+                self._u0_popleft()
+            self._u0_append("0")
+            if self.crossing:
+                self.completed_crossings += 1
+                self.crossing = False
+        else:
+            self._u0_append("0")
+            self._u0_popleft()
+            self._u0_append("0")
+            self.pushes += 1
+            self.crossing = False
+            self._check_frontier()
+        self.t += 1
+
+    # -- observation --------------------------------------------------------
+
+    def window_word(self) -> str:
+        L = self.window
+        if self.u0 is None:
+            hi = self.t + L
+            if hi > len(self._shift_word):
+                self._shift_word = self.layer1.materialize(hi + _CHUNK)
+            return self._shift_word[self.t:hi]
+        out = list(itertools.islice(self.u0, 0, L))
+        k = 1
+        while len(out) < L and k <= self.last:
+            out.append("S")
+            take = L - len(out)
+            if take > 0:
+                if k == self.last and len(self.zones[k]) < take:
+                    self._extend_frontier(take)
+                out.extend(itertools.islice(self.zones[k], 0, take))
+            k += 1
+        return "".join(out[:L])
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+NEVER = OracleTable.programmed_table([])
+TOTALITY = verify.totality_oracle()
+# every run of length <= 12 is excisable at once in every zone, so blocks
+# deposited into zone k-1 are excised again on the next step: cascades
+CASCADE = OracleTable.programmed_table(
+    [Entry(e=l, kind=QueryKind.ALL_BELOW, k=INF, time=1)
+     for l in range(1, 13)])
+MIXED = OracleTable.programmed_table([
+    Entry(e=1, kind=QueryKind.ALL_BELOW, k=INF, time=2),
+    Entry(e=2, kind=QueryKind.ALL_BELOW, k=2, time=4),
+    Entry(e=3, kind=QueryKind.ALL_BELOW, k=5, time=7),
+    Entry(e=1, kind=QueryKind.EMPTY, time=3),
+    Entry(e=3, kind=QueryKind.SOME_IN, k=1, k_hi=3, time=2),
+])
+SYSTEMS = (SystemId.PI2, SystemId.WILD_T_PRIME, SystemId.WILD_T_SECOND)
+
+
+def cfg(prefix, period="0"):
+    return Configuration(ALPHA_01S, prefix, Periodic(period))
+
+
+def lockstep(sysid, oracle, layer1, layer2, steps, window, horizon=None):
+    """Run both engines ``steps`` steps; compare before every step."""
+    if sysid is not SystemId.PI2 and layer2 is None:
+        layer2 = Configuration(ALPHA_AB, "", Constant("a"))
+    horizon = steps if horizon is None else horizon
+    new = ZoneEngine(sysid, oracle, layer1, layer2, horizon, window)
+    ref = HeapZoneEngine(sysid, oracle, layer1, layer2, horizon, window)
+    for t in range(steps):
+        assert new.window_word() == ref.window_word(), t
+        assert new.s_positions() == ref.s_positions(), t
+        assert new.pushes == ref.pushes, t
+        assert new.completed_crossings == ref.completed_crossings, t
+        new.step()
+        ref.step()
+    return new, ref
+
+
+def displaced(ref):
+    """Total insertion displacement of the reference's last S."""
+    return ref.dep[ref.last] if ref.u0 is not None else 0
+
+
+# ---------------------------------------------------------------------------
+# The engines agree step by step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sysid", SYSTEMS)
+def test_dense_bernoulli_product(sysid):
+    # criterion 09's input: dense S, excision- and insertion-dominated
+    x = verify.bernoulli_product(5)
+    layer2 = None if sysid is SystemId.PI2 else x.layer2
+    new, ref = lockstep(sysid, TOTALITY, x.layer1, layer2, 300,
+                        8 if sysid is SystemId.PI2 else 4)
+    assert new.last > 40 and displaced(ref) > 0
+
+
+@pytest.mark.parametrize("prefix,period", [
+    ("0110S01110S", "01100"),        # criterion 08's two-zone input
+    ("0S0110", "0110"),
+    ("011S0111S", "0"),
+    ("S11S", "01"),
+])
+def test_sparse_two_zone(prefix, period):
+    new, _ = lockstep(SystemId.PI2, TOTALITY, cfg(prefix, period), None,
+                      1500, 5)
+    assert new.last <= 3
+
+
+def test_sparse_gated_crossing_member():
+    m = verify.crossing_member()
+    new, _ = lockstep(SystemId.WILD_T_PRIME, NEVER, m.layer1, m.layer2,
+                      1000, 4)
+    assert new.completed_crossings >= 1
+
+
+@pytest.mark.parametrize("sysid", SYSTEMS)
+@pytest.mark.parametrize("prefix,period", [
+    ("0S", "S011010"),
+    ("0S0110S01110", "S0111011S01"),
+    ("011S", "S1S11S111S0"),
+])
+def test_deep_cascade(sysid, prefix, period):
+    layer2 = Configuration(ALPHA_AB, "", Periodic("aab"))
+    _, ref = lockstep(sysid, CASCADE, cfg(prefix, period), layer2, 400, 8)
+    assert displaced(ref) > 0
+
+
+@pytest.mark.parametrize("zones,slots", [(5, 8), (20, 32), (70, 128)])
+def test_tree_sizes(zones, slots):
+    # S-rich prefixes over an S-free tail: the tree holds every zone from
+    # the start, past 4, 16 and 64 slots
+    rng = random.Random(zones)
+    prefix = "0" + "".join("S" + "".join(rng.choice("0011")
+                                         for _ in range(rng.randint(1, 4)))
+                           for _ in range(zones))
+    for oracle in (TOTALITY, CASCADE, MIXED):
+        new, _ = lockstep(SystemId.PI2, oracle, cfg(prefix), None, 300, 10)
+        assert new.last == zones and new._wake.n == slots
+
+
+@pytest.mark.parametrize("prefix", [
+    "0S0110S0110",                   # the new zone takes an unoccupied slot
+    "0S0110S0110S0110",              # ... fills the last slot
+    "0S0110S0110S0110S011",          # ... makes the tree grow
+    "0S01S011S0111S01S011",
+])
+def test_zone_appended_after_displacements(prefix):
+    # a small horizon puts an S just past the materialization cap; the
+    # first displacement reaches for it, so the new zone must start with
+    # the displacement of the last one
+    layer1 = cfg(prefix, "0" * 120 + "S0110")
+    new, ref = lockstep(SystemId.PI2, CASCADE, layer1, None, 200, 6,
+                        horizon=10)
+    assert new.last == ref.last == prefix.count("S") + 1
+    assert displaced(ref) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SYSTEMS),
+       st.sampled_from([TOTALITY, CASCADE, MIXED]),
+       st.text("0011S", min_size=1, max_size=40),
+       st.sampled_from(["0", "010", "0S011", "S0110", "01100"]),
+       st.sampled_from(["a", "ab", "aab", "b"]),
+       st.integers(2, 12))
+def test_drawn_prefixes(sysid, oracle, prefix, period, period2, window):
+    layer2 = Configuration(ALPHA_AB, "", Periodic(period2))
+    lockstep(sysid, oracle, cfg(prefix, period), layer2, 80, window)
+
+
+# ---------------------------------------------------------------------------
+# The tree against a list model
+# ---------------------------------------------------------------------------
+
+def test_wake_tree_matches_list_model():
+    rng = random.Random(7)
+    for _ in range(60):
+        tree = _WakeTree(rng.randint(1, 9))
+        key = [_NO_KEY] * tree.n       # what set_key stored, per slot
+        tot = [0] * tree.n             # everything added, per slot
+        last = rng.randrange(tree.n)
+        for _ in range(150):
+            op = rng.random()
+            if op < 0.35:
+                k = rng.randint(0, last)
+                key[k] = rng.choice([_NO_KEY, rng.randint(-50, 400)])
+                tree.set_key(k, key[k])
+            elif op < 0.8:
+                k, v = rng.randint(0, last), -rng.randint(0, 30)
+                tree.add_suffix(k, v)
+                for j in range(k, len(tot)):
+                    tot[j] += v
+            elif last + 1 < 200:
+                last += 1              # a zone is appended
+                if last == tree.n:
+                    tree.grow()
+                    key += [_NO_KEY] * len(key)
+                    tot += [tot[-1]] * len(tot)
+            assert tree.n == len(key)
+            assert [tree.total_add(k) for k in range(tree.n)] == tot
+            vals = [a + b for a, b in zip(key, tot)]
+            assert tree.mn[1] == min(vals)
+            limit = rng.randint(-100, 300)
+            assert tree.due(limit) == [(k, tot[k]) for k in range(tree.n)
+                                       if vals[k] <= limit]
+
+
+# ---------------------------------------------------------------------------
+# The frontier cap is counted
+# ---------------------------------------------------------------------------
+
+def test_cap_hits_counted_past_a_small_horizon():
+    eng = ZoneEngine(SystemId.PI2, TOTALITY, cfg("0110S01110S", "01100"),
+                     None, horizon=200, window=5)
+    for _ in range(3000):
+        eng.step()
+    assert eng.cap_hits > 0
+
+
+def test_cap_hits_zero_within_criterion_08_horizon():
+    # criterion 08's input at its benchmark horizon, over the first half
+    # of the run, where the last S's scan prefix stays materialized
+    eng = ZoneEngine(SystemId.PI2, TOTALITY, verify.two_zone_configuration(),
+                     None, horizon=100_000, window=5)
+    for _ in range(50_000):
+        eng.window_word()
+        eng.step()
+    assert eng.cap_hits == 0
