@@ -4,8 +4,8 @@ The package provides, in order of dependency:
 
 - :mod:`symdyn.oracle` — Turing-machine numbering, bounded simulation,
   and programmed/enumerated halting-oracle tables;
-- :mod:`symdyn.space` — configurations, cylinders, tails, and block
-  decompositions of one-sided symbol sequences;
+- :mod:`symdyn.space` — configurations, cylinders, tails, and the 1-run
+  scanner for finite words;
 - :mod:`symdyn.systems` — the erasure maps and their orbit machinery;
 - :mod:`symdyn.pi2` — the three-symbol zone automaton, its product
   variants, and a long-orbit engine;

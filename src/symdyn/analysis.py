@@ -23,7 +23,7 @@ import numpy as np
 from .oracle import OracleTable, QueryKind, INF
 from .space import Configuration, Cylinder, parse_blocks
 from .systems import (ERASE_KIND, EraseKind, SystemId, SystemSpec,
-                      block_fate, left_gap, orbit_windows)
+                      block_fate, orbit_windows)
 
 YES, NO, UNKNOWN = "yes", "no", "unknown_within_budget"
 
@@ -41,8 +41,13 @@ def _meets_erasure(kind: EraseKind, oracle, w, budget):
     """No block of ``w`` may be erased in the limit; extending by 1s keeps
     every later block open."""
     fate = block_fate(oracle, kind, budget)
-    for j1, l in parse_blocks(w).blocks("1"):
-        gap = left_gap(w, j1)
+    prev_end = None   # end of the previous 1-run
+    for start, l in parse_blocks(w):
+        gap = None if prev_end is None else start - prev_end
+        prev_end = start + l
+        if start == 0 or prev_end == len(w):
+            continue   # not a bounded block
+        j1 = start - 1
         erased = fate(l, gap)
         if erased is None:
             return MeetsVerdict(UNKNOWN, witness=f"block 01^{l} 0 at {j1}")
@@ -60,20 +65,17 @@ def _meets_erasure(kind: EraseKind, oracle, w, budget):
 
 
 def _single_block_shape(w: str):
-    """Parse w as 0^a 1^l 0^b (any part possibly absent).
+    """Parse w, a word over {0,1}, as 0^a 1^l 0^b (any part possibly absent).
 
     Returns (a, l, closed) or None when w has two separated 1-groups.
     """
-    runs = parse_blocks(w).runs
-    symbols = [r.symbol for r in runs]
-    if symbols in ([], ["0"], ["1"], ["0", "1"], ["1", "0"],
-                   ["0", "1", "0"]):
-        a = runs[0].length if symbols[:1] == ["0"] else 0
-        ones = [r for r in runs if r.symbol == "1"]
-        l = ones[0].length if ones else 0
-        closed = bool(ones) and ones[0].bounded_right
-        return a, l, closed
-    return None
+    runs = parse_blocks(w)
+    if not runs:
+        return len(w), 0, False
+    if len(runs) > 1:
+        return None
+    a, l = runs[0]
+    return a, l, a + l < len(w)
 
 
 def _meets_single_block(w, total_ok: Callable[[int], bool],
@@ -342,17 +344,16 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
     mass: Dict[str, Fraction] = defaultdict(Fraction)
     for w in _words(L):
         w_prob = p ** w.count("1") * q ** w.count("0")
-        runs = [(r.start, r.length, r.bounded_right)
-                for r in parse_blocks(w).runs if r.symbol == "1"]
+        runs = parse_blocks(w)
         for a, z, ctx_prob in contexts:
             base = ctx_prob * w_prob
             img = list(w)
             open_run = None
             prev_one = -1 if a else -z - 2   # nearest 1 left of the next run
-            for start, l, closed in runs:
+            for start, l in runs:
                 l_tot = l + a if start == 0 else l
                 gap = z + 1 if start == 0 else start - 1 - prev_one
-                if not closed:
+                if start + l == L:
                     open_run = (start, l_tot, gap)
                     break
                 if fate(l_tot, gap):

@@ -50,7 +50,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import Configuration
+from .space import Configuration, parse_blocks
 from .systems import FrontierUnresolved, SystemId
 
 
@@ -101,22 +101,6 @@ def _all_below_yes(oracle: OracleTable, l: int, k: int, budget: int) -> bool:
     return oracle.answer(l, q) is Answer.YES
 
 
-def _zone_runs(cells: List[str], lo: int, hi: int):
-    """Maximal 1-runs of cells[lo:hi] as (absolute start, length)."""
-    runs = []
-    i = lo
-    while i < hi:
-        if cells[i] == "1":
-            j = i
-            while j < hi and cells[j] == "1":
-                j += 1
-            runs.append((i, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
 def _step_word(oracle: OracleTable, w1: str, n: int,
                w2: Optional[str] = None,
                gate_first: bool = False,
@@ -142,8 +126,11 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
         if zone_hi == len(cells) and scan_hi > len(cells):
             raise FrontierUnresolved("scan prefix runs past the supplied word")
         scan_hi = min(scan_hi, zone_hi)
+        # earlier excisions zeroed cells of other zones only, so the zone
+        # still reads as in w1
         excised = []
-        for start, l in _zone_runs(cells, zone_lo, zone_hi):
+        for start, l in parse_blocks(w1[zone_lo:zone_hi]):
+            start += zone_lo
             if start + l <= scan_hi and _all_below_yes(oracle, l, k, i_k):
                 excised.append((start, l))
         if excised:

@@ -1,16 +1,23 @@
-"""Configurations, words, cylinders and block decompositions on A^N.
+"""Configurations, words, cylinders and the 1-run scanner on A^N.
 
 A configuration is a finite prefix plus a tail descriptor (constant,
 periodic, seeded Bernoulli sampler, or a scheduled word stream).  All
 values are immutable; sampler tails rebuild their PRNG stream from the
-seed on every materialization, so sharing across threads is safe.
+seed on every materialization, so sharing across threads is safe.  A
+constant tail is one alphabet symbol and a periodic tail a nonempty word
+over the alphabet, so ``materialize(n)`` always gives ``n`` symbols.
+
+``parse_blocks`` lists the maximal 1-runs of a finite word as
+``(start, length)`` tuples; the per-position maps, the attractor
+predicates and the limit measure read blocks through it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -154,6 +161,17 @@ class Configuration:
         for c in self.prefix:
             if c not in self.alphabet:
                 raise ValueError(f"symbol {c!r} outside alphabet")
+        # materialize(n) returns n symbols only for one-symbol constants and
+        # nonempty periods
+        t = self.tail
+        if isinstance(t, Constant) and t.symbol not in self.alphabet:
+            raise ValueError(f"constant tail {t.symbol!r} is not one "
+                             "alphabet symbol")
+        if isinstance(t, Periodic) and (
+                not isinstance(t.word, str) or not t.word
+                or any(c not in self.alphabet for c in t.word)):
+            raise ValueError(f"periodic tail {t.word!r} is not a nonempty "
+                             "word over the alphabet")
 
     def materialize(self, n: int) -> str:
         """First ``n`` symbols; deterministic and prefix-consistent."""
@@ -187,58 +205,21 @@ def distance_exponent(x: Configuration, y: Configuration, depth: int):
 
 
 # ---------------------------------------------------------------------------
-# Block decompositions
+# 1-runs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Run:
-    """Maximal run of ``symbol``; ``bound_left`` is the position of the
-    differing symbol to its left (the position the erasure rules key on),
-    None when the run touches the word boundary on that side."""
-
-    start: int
-    length: int
-    symbol: str
-    bound_left: Optional[int]
-    bounded_right: bool
-
-    @property
-    def bounded(self) -> bool:
-        return self.bound_left is not None and self.bounded_right
+_ONE_RUN = re.compile("1+")
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    word: str
-    runs: tuple
-    s_positions: tuple = ()
+def parse_blocks(w: str) -> List[Tuple[int, int]]:
+    """The maximal 1-runs of ``w``, left to right, as ``(start, length)``.
 
-    def blocks(self, symbol: str):
-        """Bounded maximal runs of ``symbol``, as (left-bound position, length)."""
-        return [(r.bound_left, r.length) for r in self.runs
-                if r.symbol == symbol and r.bounded]
-
-    def unbounded_runs(self, symbol: str):
-        return [r for r in self.runs if r.symbol == symbol and not r.bounded]
-
-
-def parse_blocks(w: str) -> BlockDecomposition:
-    runs = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        runs.append(Run(start=i, length=j - i, symbol=w[i],
-                        bound_left=i - 1 if i > 0 else None,
-                        bounded_right=j < len(w)))
-        i = j
-    s_pos = tuple(i for i, c in enumerate(w) if c == "S")
-    return BlockDecomposition(word=w, runs=tuple(runs), s_positions=s_pos)
-
-
-def render_runs(runs: Sequence[Run]) -> str:
-    return "".join(r.symbol * r.length for r in runs)
+    Any other symbol (0 or S) ends a run.  A run is bounded on the left
+    when ``start > 0`` (its left neighbour, at ``start - 1``, is the
+    position the erasure rules key on) and on the right when
+    ``start + length < len(w)``.
+    """
+    return [(m.start(), m.end() - m.start()) for m in _ONE_RUN.finditer(w)]
 
 
 # ---------------------------------------------------------------------------

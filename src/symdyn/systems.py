@@ -170,12 +170,6 @@ def block_fate(oracle: OracleTable, kind: EraseKind,
                            is Answer.YES) or None
 
 
-def left_gap(w: str, j1: int) -> Optional[int]:
-    """``j1`` minus the position of the nearest 1 left of it in ``w``."""
-    j0 = w.rfind("1", 0, j1)
-    return j1 - j0 if j0 >= 0 else None
-
-
 # ---------------------------------------------------------------------------
 # Per-position step rules
 # ---------------------------------------------------------------------------
@@ -183,22 +177,31 @@ def left_gap(w: str, j1: int) -> Optional[int]:
 def _erasure_step_prefix(erased, w: str, n: int) -> str:
     if len(w) < n + 1:
         raise FrontierUnresolved("need one symbol past the window")
-    dec = parse_blocks(w)
-    last = dec.runs[-1]
-    if (last.symbol == "1" and not last.bounded_right
-            and last.bound_left is not None):
-        j1 = last.bound_left
-        # the closing 0 sits at some j2 >= len(w); it can still matter when
-        # an erasable candidate (l <= j1, j2 <= 2i, i < n) remains possible
-        if j1 <= n - 1 and len(w) <= 2 * (n - 1) and len(w) <= 2 * j1 + 1:
-            raise FrontierUnresolved(f"1-run open at {last.start}")
-    out = list(w[1:n + 1])
-    for j1, l in dec.blocks("1"):
-        if erased(l, j1, left_gap(w, j1)):
-            j2 = j1 + l + 1
-            for i in range(max(j1, (j2 + 1) // 2), min(j2, n)):
-                out[i] = "0"
-    return "".join(out)
+    runs = parse_blocks(w)
+    if runs:
+        start, l = runs[-1]
+        j1 = start - 1
+        # a right-open run closes at some j2 >= len(w); it can still matter
+        # when an erasable candidate (l <= j1, j2 <= 2i, i < n) remains
+        if (start > 0 and start + l == len(w) and j1 <= n - 1
+                and len(w) <= 2 * (n - 1) and len(w) <= 2 * j1 + 1):
+            raise FrontierUnresolved(f"1-run open at {start}")
+    out = None
+    prev_end = None   # end of the previous 1-run
+    for start, l in runs:
+        j1 = start - 1
+        if j1 >= n:
+            break   # the block and all later ones lie right of the window
+        gap = None if prev_end is None else start - prev_end
+        if start > 0 and start + l < len(w) and erased(l, j1, gap):
+            j2 = start + l
+            lo, hi = max(j1, (j2 + 1) // 2), min(j2, n)
+            if lo < hi:
+                if out is None:
+                    out = list(w[1:n + 1])
+                out[lo:hi] = "0" * (hi - lo)
+        prev_end = start + l
+    return w[1:n + 1] if out is None else "".join(out)
 
 
 def step_prefix(sys: SystemSpec, w, n: int):
@@ -243,17 +246,18 @@ def erase_map_prefix(kind: EraseKind, oracle: OracleTable, w: str,
     fate = block_fate(oracle, kind, budget)
     statuses = [KEPT] * len(w)
     out = list(w)
-    for run in parse_blocks(w).runs:
-        if run.symbol != "1" or run.bound_left is None:
-            continue
-        verdict = (fate(run.length, left_gap(w, run.bound_left))
-                   if run.bounded_right else None)
-        for i in range(run.start, run.start + run.length):
+    prev_end = None   # end of the previous 1-run
+    for start, l in parse_blocks(w):
+        end = start + l
+        if start > 0:
+            gap = None if prev_end is None else start - prev_end
+            verdict = fate(l, gap) if end < len(w) else None
             if verdict is None:
-                statuses[i] = UNRESOLVED
+                statuses[start:end] = [UNRESOLVED] * l
             elif verdict:
-                statuses[i] = ERASED
-                out[i] = "0"
+                statuses[start:end] = [ERASED] * l
+                out[start:end] = "0" * l
+        prev_end = end
     return "".join(out), statuses
 
 

@@ -2,7 +2,8 @@
 engine, the erasure maps in the limit and the attractor predicates.
 
 The limit predicates the rule replaced are kept below as the reference
-(``ref_*``), verdicts and witnesses alike.
+(``ref_*``), verdicts and witnesses alike; they read blocks through the
+per-character parser kept in ``test_run_scanner.py``.
 """
 
 import random
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdyn.analysis import NO, UNKNOWN, YES, MeetsVerdict, attractor_meets
-from symdyn.oracle import INF, Answer, Entry, HaltQuery, OracleTable, QueryKind
-from symdyn.space import Constant, Cylinder, Periodic, binary_config, parse_blocks
+from symdyn.oracle import Answer, Entry, HaltQuery, OracleTable, QueryKind
+from symdyn.space import Constant, Cylinder, Periodic, binary_config
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
                             block_fate, erase_map_prefix, orbit, pi1_system,
                             reference_orbit, sigma2_system, step_prefix)
+
+from test_run_scanner import ref_parse_blocks, tables
 
 # ---------------------------------------------------------------------------
 # Reference limit predicates (the per-function copies the rule replaced)
@@ -32,7 +35,7 @@ def ref_run_halts_empty(oracle, l, budget):
 
 
 def ref_meets_pi1(oracle, w, budget):
-    dec = parse_blocks(w)
+    dec = ref_parse_blocks(w)
     for j1, l in dec.blocks("1"):
         fate = ref_run_halts_empty(oracle, l, budget)
         if fate is True:
@@ -45,7 +48,7 @@ def ref_meets_pi1(oracle, w, budget):
 def ref_meets_sigma2(oracle, w, budget):
     if not oracle.programmed:
         raise ValueError("the finite-domain predicates need a programmed table")
-    dec = parse_blocks(w)
+    dec = ref_parse_blocks(w)
     for j1, l in dec.blocks("1"):
         if not oracle.has_finite_domain(l):
             return MeetsVerdict(NO, witness=f"block 01^{l} 0 at {j1}: "
@@ -64,31 +67,6 @@ def ref_phi_fate(oracle, l, gap, kind):
     return (not oracle.has_finite_domain(l)
             or oracle.halts_on_size_above(l, gap))
 
-
-# ---------------------------------------------------------------------------
-# Tables: duplicate EMPTY entries, halt-at-1 defaults with machines listed
-# only under ALL_BELOW or SOME_IN, never-times, unbounded sizes
-# ---------------------------------------------------------------------------
-
-_size = st.integers(0, 4)
-
-
-@st.composite
-def _entry(draw):
-    e = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(list(QueryKind)))
-    time = draw(st.one_of(st.none(), st.integers(0, 12)))
-    if kind is QueryKind.EMPTY:
-        return Entry(e, kind, time)
-    k = draw(_size)
-    if kind is QueryKind.ALL_BELOW:
-        return Entry(e, kind, time, k=draw(st.sampled_from([k, INF])))
-    k_hi = draw(st.one_of(st.just(INF), st.integers(k, k + 4)))
-    return Entry(e, kind, time, k=k, k_hi=k_hi)
-
-
-tables = st.builds(OracleTable.programmed_table, st.lists(_entry(), max_size=8),
-                   default=st.sampled_from(["never", "halt1"]))
 
 REPRO_TABLES = [
     OracleTable.programmed_table(
@@ -188,7 +166,7 @@ def test_meets_matches_reference_enumerated():
 def test_erase_map_matches_reference(orc, w):
     for kind in EraseKind:
         word, status = erase_map_prefix(kind, orc, w)
-        for run in parse_blocks(w).runs:
+        for run in ref_parse_blocks(w).runs:
             cells = range(run.start, run.start + run.length)
             if run.symbol != "1" or run.bound_left is None:
                 want = KEPT

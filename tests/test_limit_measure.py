@@ -2,7 +2,8 @@
 
 The per-word enumeration the pass replaced is kept below as the reference
 (``ref_tilde_mu``): it reruns the whole window × environment sum for each
-word, with a sentinel index raised by ``truncation``.
+word, with a sentinel index raised by ``truncation``, and reads runs
+through the per-character parser kept in ``test_run_scanner.py``.
 """
 
 from fractions import Fraction
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from symdyn.analysis import tilde_mu, tilde_mu_table
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
-from symdyn.space import parse_blocks
 from symdyn.systems import EraseKind, block_fate
 from symdyn.verify import worked_example_oracle
+
+from test_run_scanner import ref_parse_blocks
 
 # ---------------------------------------------------------------------------
 # Reference: the per-word enumeration
@@ -59,7 +61,7 @@ def ref_tilde_mu(oracle, p, u, truncation, kind=EraseKind.PHI):
         w_prob = Fraction(1)
         for c in w:
             w_prob *= p if c == "1" else q
-        one_runs = [r for r in parse_blocks(w).runs if r.symbol == "1"]
+        one_runs = [r for r in ref_parse_blocks(w).runs if r.symbol == "1"]
         for a, z, ctx_prob in contexts:
             base = ctx_prob * w_prob
             img = list(w)

@@ -1,4 +1,4 @@
-"""Configurations, cylinders, block decompositions, distance."""
+"""Configurations, cylinders, the 1-run scanner, distance."""
 
 import json
 import random
@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from symdyn.space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration,
                           Constant, Cylinder, Periodic, Sampler, Scheduled,
                           binary_config, config_from_json, config_to_json,
-                          distance_exponent, parse_blocks, render_runs,
+                          distance_exponent, parse_blocks,
                           rich_configuration)
 
 WORKED = "1001011100101100"
@@ -55,30 +55,43 @@ def test_prefix_consistency(prefix, n, extra):
     assert x.materialize(n + extra)[:n] == x.materialize(n)
 
 
+def _blocks(w):
+    """Bounded 1-runs as (position of the leading 0, length)."""
+    return [(start - 1, l) for start, l in parse_blocks(w)
+            if start > 0 and start + l < len(w)]
+
+
 def test_parse_blocks_simple():
-    dec = parse_blocks("0110")
-    blocks = dec.blocks("1")
-    assert blocks == [(0, 2)]
+    assert parse_blocks("0110") == [(1, 2)]
+    assert _blocks("0110") == [(0, 2)]
 
 
 def test_parse_blocks_worked_example():
-    dec = parse_blocks(WORKED)
-    assert dec.blocks("1") == [(2, 1), (4, 3), (9, 1), (11, 2)]
-    lead = dec.runs[0]
-    assert lead.symbol == "1" and not lead.bounded and lead.bound_left is None
+    assert _blocks(WORKED) == [(2, 1), (4, 3), (9, 1), (11, 2)]
+    # the leading run touches the left boundary: unbounded
+    assert parse_blocks(WORKED)[0] == (0, 1)
 
 
 def test_parse_blocks_empty():
-    assert parse_blocks("").runs == ()
+    assert parse_blocks("") == []
 
 
 def test_parse_blocks_s_positions():
-    assert parse_blocks("01S0S").s_positions == (2, 4)
+    # an S ends a 1-run as a 0 does
+    assert parse_blocks("01S11S1") == [(1, 1), (3, 2), (6, 1)]
+    assert _blocks("01S0S") == [(0, 1)]
 
 
 @given(st.text(alphabet="01S", max_size=40))
 def test_parse_render_round_trip(w):
-    assert render_runs(parse_blocks(w).runs) == w
+    runs = parse_blocks(w)
+    cells = list(w.replace("1", "0"))
+    prev_end = -1
+    for start, l in runs:
+        assert l > 0 and start > prev_end   # maximal: runs never touch
+        cells[start:start + l] = "1" * l
+        prev_end = start + l
+    assert "".join(cells) == w
 
 
 def test_distance_exponent():
@@ -132,6 +145,32 @@ def test_alphabet_validation():
         Alphabet(("0", "0"))
     with pytest.raises(ValueError):
         Configuration(ALPHA_01, "01S", Constant("0"))
+
+
+@pytest.mark.parametrize("alphabet, tail", [
+    (ALPHA_01, Constant("")),
+    (ALPHA_01, Constant("01")),
+    (ALPHA_01, Constant("S")),
+    (ALPHA_01, Periodic("")),
+    (ALPHA_01, Periodic("0S")),
+    (ALPHA_01S, Periodic("01a")),
+])
+def test_tail_outside_alphabet_rejected(alphabet, tail):
+    with pytest.raises(ValueError):
+        Configuration(alphabet, "01", tail)
+
+
+def test_tail_symbols_checked_in_json():
+    text = config_to_json(binary_config("01", Constant("0")))
+    with pytest.raises(ValueError):
+        config_from_json(text.replace('"symbol": "0"', '"symbol": "00"'))
+
+
+@given(st.text(alphabet="01", max_size=6), st.sampled_from("01"),
+       st.text(alphabet="01", min_size=1, max_size=4), st.integers(0, 20))
+def test_materialize_length(prefix, symbol, period, n):
+    for tail in (Constant(symbol), Periodic(period)):
+        assert len(binary_config(prefix, tail).materialize(n)) == n
 
 
 def test_config_json_round_trip():
