@@ -4,11 +4,12 @@ The package provides, in order of dependency:
 
 - :mod:`symdyn.oracle` — Turing-machine numbering, bounded simulation,
   and programmed/enumerated halting-oracle tables;
-- :mod:`symdyn.space` — configurations, cylinders, tails, and the 1-run
-  scanner for finite words;
-- :mod:`symdyn.systems` — the erasure maps and their orbit machinery;
+- :mod:`symdyn.space` — configurations, cylinders, tails, the 1-run
+  scanner for finite words, and ``FrontierUnresolved``;
 - :mod:`symdyn.pi2` — the three-symbol zone automaton, its product
   variants, and a long-orbit engine;
+- :mod:`symdyn.systems` — ``SystemId`` (one row of facts per system),
+  the erasure maps and the dispatch of every system's orbit machinery;
 - :mod:`symdyn.analysis` — attractor-membership predicates, visit
   profiles, empirical measures, and the exact limit measure;
 - :mod:`symdyn.cantor` — the exact-rational fat-Cantor interval
@@ -21,14 +22,14 @@ from .oracle import (INF, Answer, Entry, HaltQuery, OracleTable, QueryKind,
                      TMSpec, decode_machine, encode_machine, simulate_tm,
                      table_from_json, table_to_json)
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, Configuration,
-                    Constant, Cylinder, Periodic, Sampler, Scheduled, Tail,
-                    binary_config, config_from_json, config_to_json,
-                    parse_blocks, rich_configuration)
-from .systems import (EraseKind, FrontierUnresolved, SystemId, SystemSpec,
-                      erase_map_prefix, orbit, orbit_windows, pi1_system,
-                      pi2_system, reference_orbit, shift_system, sigma2_system,
-                      step_prefix, wild_t_prime_system, wild_t_second_system)
+                    Constant, Cylinder, FrontierUnresolved, Periodic, Sampler,
+                    Scheduled, Tail, binary_config, config_from_json,
+                    config_to_json, parse_blocks, rich_configuration)
 from .pi2 import ProductConfiguration, ZoneEngine, gate_allows
+from .systems import (EraseKind, SystemId, SystemSpec, erase_map_prefix, orbit,
+                      orbit_windows, pi1_system, pi2_system, reference_orbit,
+                      shift_system, sigma2_system, step_prefix,
+                      wild_t_prime_system, wild_t_second_system)
 from .analysis import (EmpiricalMeasure, MeetsVerdict, OmegaProfile,
                        TildeMuEstimate, attractor_meets, derived_seed,
                        empirical_measure, omega_profile, pushforward_average,

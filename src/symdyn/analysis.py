@@ -22,8 +22,8 @@ import numpy as np
 
 from .oracle import OracleTable, QueryKind, INF
 from .space import Configuration, Cylinder, parse_blocks
-from .systems import (ERASE_KIND, EraseKind, SystemId, SystemSpec,
-                      block_fate, orbit_windows)
+from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
+                      orbit_windows)
 
 YES, NO, UNKNOWN = "yes", "no", "unknown_within_budget"
 
@@ -124,13 +124,13 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
     if c.position != 0:
         raise ValueError("membership predicates are defined at position 0")
     w = c.word
-    if system_id in ERASE_KIND:
-        return _meets_erasure(ERASE_KIND[system_id], oracle, w, budget)
-    if system_id is SystemId.PI2 or system_id is SystemId.WILD_T_PRIME:
-        return _meets_pi2(oracle, w)
-    if system_id is SystemId.WILD_T_SECOND:
+    if system_id.erase is not None:
+        return _meets_erasure(system_id.erase, oracle, w, budget)
+    if system_id is SystemId.SHIFT:
+        raise ValueError(f"no attractor predicate for {system_id}")
+    if system_id.second_inserts:
         return _meets_a_prime(w)
-    raise ValueError(f"no attractor predicate for {system_id}")
+    return _meets_pi2(oracle, w)
 
 
 def verdict_to_json(predicate: str, v: MeetsVerdict) -> str:

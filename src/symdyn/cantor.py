@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Optional, Union
 import numpy as np
 
 from .space import ALPHA_01, Alphabet, Configuration, Constant, Periodic, Tail
-from .systems import SystemId, SystemSpec, step_prefix
+from .systems import SystemSpec, step_prefix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -336,11 +336,8 @@ def phi_point(scheme: CantorScheme, x: Configuration,
 # The interval map f
 # ---------------------------------------------------------------------------
 
-_BINARY_SYSTEMS = (SystemId.SHIFT, SystemId.PI1, SystemId.SIGMA2)
-
-
 def _require_embeddable(scheme: CantorScheme, sys: SystemSpec):
-    if sys.id not in _BINARY_SYSTEMS:
+    if sys.id.alphabet is not ALPHA_01:
         raise ValueError(
             "interval map supports binary-alphabet systems only; the "
             "three-symbol and product systems need exact values at "

@@ -20,8 +20,8 @@ from . import analysis, cantor, systems, verify
 from .oracle import OracleTable, table_from_json
 from .pi2 import ProductConfiguration
 from .space import (ALPHA_01, ALPHA_AB, Alphabet, Configuration, Constant,
-                    Cylinder, Periodic, Sampler, Scheduled, get_enumerator)
-from .systems import ERASE_KIND, EraseKind, SystemId, SystemSpec
+                    Cylinder, Periodic, Sampler, Scheduled)
+from .systems import EraseKind, SystemId, SystemSpec
 
 
 class UsageError(Exception):
@@ -78,12 +78,8 @@ def parse_descriptor(text: str, alphabet: Alphabet,
             raise UsageError("bernoulli tails are for two-symbol alphabets")
         tail = Sampler(alphabet.symbols, (1 - p, p), seed)
     elif tail_spec.startswith("rich="):
-        name = tail_spec[len("rich="):]
-        try:
-            get_enumerator(name)
-        except KeyError:
-            raise UsageError(f"unknown word enumerator {name!r}")
-        tail = Scheduled(name, alphabet.symbols[0])
+        # Configuration checks the enumerator and the symbols it writes
+        tail = Scheduled(tail_spec[len("rich="):], alphabet.symbols[0])
     else:
         raise UsageError(f"unknown tail spec {tail_spec!r}")
     try:
@@ -104,15 +100,12 @@ def load_oracle(path) -> OracleTable:
         raise UsageError(f"malformed oracle file {path}: {ex}")
 
 
-_SYSTEMS = {sid.value: sid for sid in SystemId}
-
-
 def build_system(args) -> SystemSpec:
-    sid = _SYSTEMS[args.system]
+    sid = SystemId(args.system)
     if sid is SystemId.SHIFT:
         return systems.shift_system()
     oracle = load_oracle(args.oracle)
-    _need(sid in ERASE_KIND or oracle.programmed,
+    _need(sid.erase is not None or oracle.programmed,
           f"{args.system} runs on the long-orbit engine, which needs a "
           "programmed oracle table")
     return SystemSpec(sid, oracle)
@@ -121,7 +114,7 @@ def build_system(args) -> SystemSpec:
 def build_binary_system(args) -> SystemSpec:
     """A system for the interval map, which embeds {0,1} systems only."""
     sys_spec = build_system(args)
-    _need(sys_spec.alphabet is ALPHA_01,
+    _need(sys_spec.id.alphabet is ALPHA_01,
           "the interval map supports the binary systems only: shift, pi1, "
           "sigma2")
     return sys_spec
@@ -130,10 +123,10 @@ def build_binary_system(args) -> SystemSpec:
 def build_config(sys_spec: SystemSpec, init: str, init2, seed: int):
     """The initial configuration from its descriptor(s); ``init2`` is the
     second layer of a product system."""
-    if sys_spec.is_product and init2 is None:
+    if sys_spec.id.product and init2 is None:
         raise UsageError("product systems need --init2 for the second layer")
-    x = parse_descriptor(init, sys_spec.alphabet, seed)
-    if sys_spec.is_product:
+    x = parse_descriptor(init, sys_spec.id.alphabet, seed)
+    if sys_spec.id.product:
         return ProductConfiguration(x, parse_descriptor(init2, ALPHA_AB,
                                                         seed + 1))
     return x
@@ -219,7 +212,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_meets(args) -> int:
-    sid = _SYSTEMS[args.system]
+    sid = SystemId(args.system)
     if sid is SystemId.SHIFT:
         raise UsageError("the shift has no attractor predicate; "
                          "pick pi1, sigma2, pi2 or a product system")
@@ -231,11 +224,11 @@ def cmd_meets(args) -> int:
                          "is programmed")
     _need(args.budget is None or args.budget >= 0, "--budget must be >= 0")
     if not oracle.programmed:
-        _need(sid not in (SystemId.PI2, SystemId.WILD_T_PRIME),
+        _need(sid.erase is not None or sid.second_inserts,
               "the totality predicate needs a programmed oracle table")
-        _need(ERASE_KIND.get(sid) is not EraseKind.PHI_PRIME,
+        _need(sid.erase is not EraseKind.PHI_PRIME,
               "the finite-domain predicates need a programmed oracle table")
-        _need(sid is not SystemId.PI1 or args.budget is not None,
+        _need(sid.erase is not EraseKind.PHI or args.budget is not None,
               "an enumerated oracle table needs --budget")
     cyl = Cylinder(args.cylinder, args.position)
     verdict = analysis.attractor_meets(sid, cyl, oracle, budget=args.budget)
@@ -357,7 +350,8 @@ def _add_common(p, oracle=True, fmt="csv"):
 
 
 def _add_system(p, init=True):
-    p.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
+    p.add_argument("--system", required=True,
+                   choices=sorted(sid.value for sid in SystemId))
     if init:
         p.add_argument("--init", required=True,
                        help="initial-configuration descriptor, e.g. "
@@ -419,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realm",
                        help="search orbits for a visit to a target cylinder")
-    p.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
+    _add_system(p, init=False)
     p.add_argument("--init", action="append", required=True,
                    help="initial-configuration descriptor (repeatable)")
     p.add_argument("--init2", help="second-layer descriptor")
@@ -436,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="interval_command", required=True)
 
     q = isub.add_parser("eval", help="rigorous value of the interval map")
-    q.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
+    _add_system(q, init=False)
     q.add_argument("--point", required=True, help="rational in [0,1]")
     q.add_argument("--precision", type=int, default=20)
     _add_common(q, fmt="json")
@@ -448,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_interval_export)
 
     q = isub.add_parser("escape", help="certified-outside fraction after n steps")
-    q.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
+    _add_system(q, init=False)
     q.add_argument("--iterations", type=int, required=True)
     q.add_argument("--samples", type=int, default=10_000)
     q.add_argument("--depth", type=int, default=16)

@@ -50,8 +50,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import Configuration, parse_blocks
-from .systems import FrontierUnresolved, SystemId
+from .space import Configuration, FrontierUnresolved, parse_blocks
 
 
 @dataclass(frozen=True)
@@ -189,16 +188,15 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
 
 def step_prefix(sys, w, n: int):
     """One application of the zone automaton, restricted to [0, n)."""
-    oracle = sys.oracle
-    if sys.id is SystemId.PI2:
-        return _step_word(oracle, w, n)
+    sid = sys.id
+    if not sid.product:
+        return _step_word(sys.oracle, w, n)
     w1, w2 = w
     if len(w2) < n + 1:
         raise FrontierUnresolved(
             "second layer needs one symbol past the window")
-    gate_first = sys.id is SystemId.WILD_T_PRIME
-    out1 = _step_word(oracle, w1, n, w2=w2, gate_first=gate_first,
-                      second_inserts=sys.id is SystemId.WILD_T_SECOND)
+    out1 = _step_word(sys.oracle, w1, n, w2=w2, gate_first=sid.gate_first,
+                      second_inserts=sid.second_inserts)
     return out1, w2[1:n + 1]
 
 
@@ -328,8 +326,8 @@ class ZoneEngine:
         self.oracle = oracle
         self.layer1 = layer1
         self.window = window
-        self.gate_first = sysid is SystemId.WILD_T_PRIME
-        self.second_inserts = sysid is SystemId.WILD_T_SECOND
+        self.gate_first = sysid.gate_first
+        self.second_inserts = sysid.second_inserts
 
         w = layer1.materialize(horizon + window + 64)
         self.src = len(w)          # next unread index of the initial layer 1
@@ -380,7 +378,7 @@ class ZoneEngine:
         for k in range(2, self.last + 1):
             self._absorb_runs(k, complete=(k < self.last))
 
-        if self.gate_first or self.second_inserts:
+        if sysid.product:
             need = 4 * horizon + 3 * first_s + 3 * window + 64
             g = layer2.materialize(need)
             arr = np.frombuffer(g.encode("ascii"), np.uint8) == ord("b")
@@ -638,7 +636,7 @@ class ZoneEngine:
 
 def orbit_windows(sys, x, t0: int, t1: int, window: int) -> Iterator:
     """Windows T^t(x)[0:window] for t in [t0, t1); pairs for two layers."""
-    product = isinstance(x, ProductConfiguration)
+    product = sys.id.product
     layer1 = x.layer1 if product else x
     layer2 = x.layer2 if product else None
     eng = ZoneEngine(sys.id, sys.oracle, layer1, layer2, t1, window)

@@ -3,13 +3,14 @@
 A configuration is a finite prefix plus a tail descriptor (constant,
 periodic, seeded Bernoulli sampler, or a scheduled word stream).  All
 values are immutable; sampler tails rebuild their PRNG stream from the
-seed on every materialization, so sharing across threads is safe.  A
-constant tail is one alphabet symbol and a periodic tail a nonempty word
-over the alphabet, so ``materialize(n)`` always gives ``n`` symbols.
+seed on every materialization, so sharing across threads is safe.  Each
+cell a tail writes is one alphabet symbol, so ``materialize(n)`` always
+gives ``n`` symbols over the alphabet.
 
 ``parse_blocks`` lists the maximal 1-runs of a finite word as
 ``(start, length)`` tuples; the per-position maps, the attractor
-predicates and the limit measure read blocks through it.
+predicates and the limit measure read blocks through it.  A map raises
+``FrontierUnresolved`` when a finite word is too short to fix its image.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ class Alphabet:
 ALPHA_01 = Alphabet(BINARY)
 ALPHA_01S = Alphabet(TERNARY)
 ALPHA_AB = Alphabet(LAYER2)
+
+
+class FrontierUnresolved(Exception):
+    """The supplied word is too short to determine the requested output."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,7 @@ class Sampler(Tail):
 
 
 # Named word enumerators for scheduled tails.  An enumerator is a function
-# index -> word; registration keeps configurations serializable.
+# index -> word over {0, 1}; registration keeps configurations serializable.
 _ENUMERATORS: dict = {}
 
 
@@ -161,8 +166,8 @@ class Configuration:
         for c in self.prefix:
             if c not in self.alphabet:
                 raise ValueError(f"symbol {c!r} outside alphabet")
-        # materialize(n) returns n symbols only for one-symbol constants and
-        # nonempty periods
+        # materialize(n) returns n symbols over the alphabet only when each
+        # cell a tail writes is one alphabet symbol
         t = self.tail
         if isinstance(t, Constant) and t.symbol not in self.alphabet:
             raise ValueError(f"constant tail {t.symbol!r} is not one "
@@ -172,6 +177,18 @@ class Configuration:
                 or any(c not in self.alphabet for c in t.word)):
             raise ValueError(f"periodic tail {t.word!r} is not a nonempty "
                              "word over the alphabet")
+        if isinstance(t, Sampler) and (
+                len(t.weights) != len(t.alphabet)
+                or any(c not in self.alphabet for c in t.alphabet)):
+            raise ValueError(f"sampler tail over {t.alphabet!r} with weights "
+                             f"{t.weights!r} does not fit the alphabet")
+        if isinstance(t, Scheduled):
+            if t.enumerator not in _ENUMERATORS:
+                raise ValueError(f"unknown word enumerator {t.enumerator!r}")
+            if t.filler not in self.alphabet or any(
+                    c not in self.alphabet for c in BINARY):
+                raise ValueError(f"scheduled tail {t!r} writes symbols "
+                                 "outside the alphabet")
 
     def materialize(self, n: int) -> str:
         """First ``n`` symbols; deterministic and prefix-consistent."""

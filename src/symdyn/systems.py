@@ -14,6 +14,9 @@ word; the test suite checks it against the per-position map and against
 a slower reference engine.  The limit rule, :func:`block_fate`, serves
 the erasure maps in the limit, the attractor predicates and the limit
 measure in :mod:`symdyn.analysis`.
+
+Each ``SystemId`` member carries the facts that fix its system; the zone
+systems run in :mod:`symdyn.pi2`.
 """
 
 from __future__ import annotations
@@ -24,24 +27,39 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import pi2
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration, parse_blocks)
+from .space import (ALPHA_01, ALPHA_01S, Configuration, FrontierUnresolved,
+                    parse_blocks)
 
 
-class FrontierUnresolved(Exception):
-    """The supplied word is too short to determine the requested output."""
+class EraseKind(Enum):
+    PHI = "phi"
+    PHI_PRIME = "phi_prime"
 
 
 class SystemId(Enum):
-    SHIFT = "shift"
-    PI1 = "pi1"
-    PI2 = "pi2"
-    WILD_T_PRIME = "wild_t_prime"
-    WILD_T_SECOND = "wild_t_second"
-    SIGMA2 = "sigma2"
+    """The six systems, each with the facts that fix it: its (first-layer)
+    ``alphabet``, its block-erasure rule ``erase`` (None for the shift and
+    the zone systems), and for the products, which read a second layer,
+    whether it gates the first S (``gate_first``) or lets the second S
+    insert (``second_inserts``); ``product`` is either flag."""
 
+    SHIFT = ("shift", ALPHA_01, None)
+    PI1 = ("pi1", ALPHA_01, EraseKind.PHI)
+    PI2 = ("pi2", ALPHA_01S, None)
+    WILD_T_PRIME = ("wild_t_prime", ALPHA_01S, None, True)
+    WILD_T_SECOND = ("wild_t_second", ALPHA_01S, None, False, True)
+    SIGMA2 = ("sigma2", ALPHA_01, EraseKind.PHI_PRIME)
 
-_PRODUCT = (SystemId.WILD_T_PRIME, SystemId.WILD_T_SECOND)
+    def __new__(cls, value, alphabet, erase, gate_first=False,
+                second_inserts=False):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.alphabet, member.erase = alphabet, erase
+        member.gate_first, member.second_inserts = gate_first, second_inserts
+        member.product = gate_first or second_inserts
+        return member
 
 
 @dataclass(frozen=True)
@@ -49,20 +67,10 @@ class SystemSpec:
     id: SystemId
     oracle: Optional[OracleTable] = None
 
-    @property
-    def alphabet(self) -> Alphabet:
-        if self.id in (SystemId.SHIFT, SystemId.PI1, SystemId.SIGMA2):
-            return ALPHA_01
-        return ALPHA_01S  # first layer of the product systems
-
-    @property
-    def is_product(self) -> bool:
-        return self.id in _PRODUCT
-
     def lookahead(self, n: int) -> int:
         if self.id is SystemId.SHIFT:
             return n + 1
-        if self.id in _PRODUCT:
+        if self.id.product:
             # the crossing gate reads the second layer up to 3i + 2
             return 3 * n + 2
         return 2 * n + 2
@@ -103,15 +111,6 @@ def wild_t_second_system(oracle: OracleTable) -> SystemSpec:
 # ---------------------------------------------------------------------------
 # The block-erasure rule (phi / phi')
 # ---------------------------------------------------------------------------
-
-class EraseKind(Enum):
-    PHI = "phi"
-    PHI_PRIME = "phi_prime"
-
-
-# the erasure map each block-erasure system applies
-ERASE_KIND = {SystemId.PI1: EraseKind.PHI, SystemId.SIGMA2: EraseKind.PHI_PRIME}
-
 
 def erases_now(oracle: OracleTable, kind: EraseKind):
     """The per-step rule, as ``erased(l, j1, gap) -> bool``.
@@ -214,17 +213,13 @@ def step_prefix(sys: SystemSpec, w, n: int):
     ``'000S'``, "first S reads one symbol past the supplied word"), so
     callers must be ready for FrontierUnresolved at any length.
     """
-    if sys.is_product or sys.id is SystemId.PI2:
-        from . import pi2
+    if sys.id.erase is not None:
+        return _erasure_step_prefix(erases_now(sys.oracle, sys.id.erase), w, n)
+    if sys.id is not SystemId.SHIFT:
         return pi2.step_prefix(sys, w, n)
-    if sys.id is SystemId.SHIFT:
-        if len(w) < n + 1:
-            raise FrontierUnresolved("need one symbol past the window")
-        return w[1:n + 1]
-    if sys.id in ERASE_KIND:
-        return _erasure_step_prefix(erases_now(sys.oracle, ERASE_KIND[sys.id]),
-                                    w, n)
-    raise ValueError(sys.id)
+    if len(w) < n + 1:
+        raise FrontierUnresolved("need one symbol past the window")
+    return w[1:n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +360,16 @@ def _windows_from_visibles(survivors, gone, t0: int, t1: int,
 def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
                   window: int) -> Iterator[str]:
     """Windows T^t(x)[0:window] for t in [t0, t1); t = 0 is x itself."""
-    if sys.is_product or sys.id is SystemId.PI2:
-        from . import pi2
+    if sys.id.erase is not None:
+        survivors, gone = _erasure_visibles(
+            x, erases_now(sys.oracle, sys.id.erase), t1 + window + 1)
+        yield from _windows_from_visibles(survivors, gone, t0, t1, window)
+    elif sys.id is not SystemId.SHIFT:
         yield from pi2.orbit_windows(sys, x, t0, t1, window)
-        return
-    if sys.id is SystemId.SHIFT:
+    else:
         w = x.materialize(t1 + window)
         for t in range(t0, t1):
             yield w[t:t + window]
-        return
-    survivors, gone = _erasure_visibles(
-        x, erases_now(sys.oracle, ERASE_KIND[sys.id]), t1 + window + 1)
-    yield from _windows_from_visibles(survivors, gone, t0, t1, window)
 
 
 def orbit(sys: SystemSpec, x: Configuration, steps: int, window: int):

@@ -8,6 +8,7 @@ experiments at full scale).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,11 +66,6 @@ class CheckResult:
     measured: object = None
     expected: object = None
     tolerance: object = None
-
-    @staticmethod
-    def from_bound(name, measured, bound) -> "CheckResult":
-        return CheckResult(name, "pass" if measured <= bound else "fail",
-                           measured, bound)
 
 
 @dataclass
@@ -175,7 +171,6 @@ def check_escape(report: VerificationReport, samples: int = 3000,
                  depth: int = 16, seed: int = 42) -> None:
     sch = cantor.CantorScheme()
     sys = systems.pi1_system(worked_example_oracle())
-    import math
     for n in range(1, 9):
         r = cantor.escape_fraction(sch, sys, n, samples, seed, depth)
         p = float(r.bound)

@@ -340,6 +340,10 @@ _BAD_ARGUMENTS = [
      "--samples", "0"),
     ("interval", "escape", "--system", "pi2", "--oracle", "{prog}",
      "--iterations", "1", "--samples", "3"),
+    # all01 writes binary words, not second-layer symbols
+    ("orbit", "--system", "wild_t_prime", "--oracle", "{prog}",
+     "--init", "prefix:01S,tail:0", "--init2", "tail:rich=all01",
+     "--steps", "2", "--window", "6"),
 ]
 
 

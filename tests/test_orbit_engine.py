@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from symdyn.analysis import derived_seed, empirical_measure, omega_profile
 from symdyn.oracle import Entry, OracleTable, QueryKind
 from symdyn.space import Constant, Periodic, Sampler, binary_config
-from symdyn.systems import (ERASE_KIND, _materialize_closed, erases_now,
-                            orbit_windows, pi1_system, sigma2_system)
+from symdyn.systems import (_materialize_closed, erases_now, orbit_windows,
+                            pi1_system, sigma2_system)
 from symdyn.verify import parity_oracle
 
 from test_block_rule import tables
@@ -99,7 +99,7 @@ def ref_windows(vis, t0, t1, L):
 
 
 def ref_orbit_windows(sys, x, t0, t1, L):
-    vis = ref_visibles(x, erases_now(sys.oracle, ERASE_KIND[sys.id]),
+    vis = ref_visibles(x, erases_now(sys.oracle, sys.id.erase),
                        t1 + L + 1)
     return ref_windows(vis, t0, t1, L)
 

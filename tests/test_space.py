@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symdyn.space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration,
-                          Constant, Cylinder, Periodic, Sampler, Scheduled,
-                          binary_config, config_from_json, config_to_json,
-                          distance_exponent, parse_blocks,
+from symdyn.space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet,
+                          Configuration, Constant, Cylinder, Periodic, Sampler,
+                          Scheduled, binary_config, config_from_json,
+                          config_to_json, distance_exponent, parse_blocks,
                           rich_configuration)
 
 WORKED = "1001011100101100"
@@ -169,8 +169,37 @@ def test_tail_symbols_checked_in_json():
 @given(st.text(alphabet="01", max_size=6), st.sampled_from("01"),
        st.text(alphabet="01", min_size=1, max_size=4), st.integers(0, 20))
 def test_materialize_length(prefix, symbol, period, n):
-    for tail in (Constant(symbol), Periodic(period)):
-        assert len(binary_config(prefix, tail).materialize(n)) == n
+    for tail in (Constant(symbol), Periodic(period),
+                 Sampler(("0", "1"), (1, 2), n), Scheduled("all01", symbol)):
+        w = binary_config(prefix, tail).materialize(n)
+        assert len(w) == n and set(w) <= {"0", "1"}
+
+
+def test_scheduled_filler_must_be_one_symbol():
+    # an empty filler would make materialize(20) return 8 symbols
+    with pytest.raises(ValueError):
+        binary_config("", Scheduled("all01", ""))
+    with pytest.raises(ValueError):
+        binary_config("", Scheduled("all01", "01"))
+
+
+def test_sampler_symbols_must_lie_in_the_alphabet():
+    # unchecked, materialize(12) would return 00S10110S011
+    with pytest.raises(ValueError):
+        binary_config("", Sampler(("0", "1", "S"), (1, 1, 1), 3))
+
+
+def test_sampler_needs_one_weight_per_symbol():
+    with pytest.raises(ValueError):
+        binary_config("", Sampler(("0", "1"), (1, 1, 1), 3))
+
+
+def test_scheduled_enumerator_must_write_alphabet_symbols():
+    # all01 writes 0s and 1s, which are not layer-2 symbols
+    with pytest.raises(ValueError):
+        Configuration(ALPHA_AB, "", Scheduled("all01", "a"))
+    with pytest.raises(ValueError):
+        binary_config("", Scheduled("no-such-enumerator", "0"))
 
 
 def test_config_json_round_trip():
