@@ -16,19 +16,20 @@ gap onto the whole target interval I', so at least a fixed proportion
 of every gap escapes into C under one application of f.
 
 Every value is an exact rational; ``Fraction`` appears only at the
-public API.  The hot paths work on integers instead.  The scheme keeps an
-integer copy of its level layout -- each level's child length and
-child-to-child stride times a common denominator D, the lcm of the level
-denominators, built lazily only as deep as a call reaches.  ``locate``
-unpacks y = p/q once into floor(y*D) and a flag for y*D not being an
-integer, then descends with one floor division per level.  Because every
-layout value is an integer over D, floor(y*D) picks the same child as y
-itself, and "y strictly inside the gap" (y*D > N for the integer N = gap
-start times D) holds exactly when ceil(y*D) > N, so every comparison is
-still exact.  A ``GapMap`` evaluates each of its three affine pieces as
-one integer expression (u*p + v*q) / (w*q), and ``escape_fraction``
-carries that (numerator, denominator) pair, unreduced, from one step to
-the next.
+public API.  The scheme stores its geometry once, as an integer table:
+each level's child-to-child stride and child length times a common
+denominator D, the lcm of the level denominators.  That table is its one
+cache, pure and grown lazily only as deep as a call reaches.  Endpoints
+and gaps are digit sums over it: I_w starts at the sum of index(w_i)
+times the level-i stride, over D.  ``locate`` unpacks y = p/q once into
+floor(y*D) and a flag for y*D not being an integer, then descends with
+one floor division per level.  Because every table entry is an integer
+over D, floor(y*D) picks the same child as y itself, and "y strictly
+inside the gap" (y*D > N for the integer N = gap start times D) holds
+exactly when ceil(y*D) > N, so every comparison is still exact.  A
+``GapMap`` evaluates each of its three affine pieces as one integer
+expression (u*p + v*q) / (w*q), and ``escape_fraction`` carries that
+(numerator, denominator) pair, unreduced, from one step to the next.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def default_level_measure(n: int) -> Fraction:
 
 
 class CantorScheme:
-    """Immutable k-ary fat-Cantor interval scheme with an endpoint memo.
+    """Immutable k-ary fat-Cantor interval scheme.
 
-    The memo is a pure cache: ``interval_of_word`` always returns the
-    value given by the recurrence, so concurrent readers at worst
-    recompute an entry.
+    Endpoints and gaps are read from the integer level table
+    (``_integer_layout``), a pure cache grown lazily: a fresh scheme
+    returns the same values, so concurrent readers at worst rebuild a level.
     """
 
     def __init__(self,
@@ -75,8 +76,6 @@ class CantorScheme:
         self.limit = Fraction(limit)
         if not ZERO < self.limit < self._c(0) == ONE:
             raise ValueError("need c_0 = 1 and limit in (0, 1)")
-        self._memo: dict = {"": (ZERO, ONE)}
-        self._layout: dict = {}
         self._grid: tuple = (1, ())
 
     def level_measure(self, n: int) -> Fraction:
@@ -96,26 +95,14 @@ class CantorScheme:
         except ValueError:
             raise ValueError(f"symbol {symbol!r} outside scheme alphabet")
 
-    def child_layout(self, w: str):
-        """(child length, gap length, list of child left endpoints) of I_w."""
-        lo, hi = self.interval_of_word(w)
-        length = hi - lo
-        b = self.contraction(len(w))
-        child = b * length / self.k
-        gap = (1 - b) * length / (self.k - 1)
-        starts = [lo + j * (child + gap) for j in range(self.k)]
-        return child, gap, starts
-
     def interval_of_word(self, w: str):
-        """Exact endpoints (lo, hi) of I_w."""
-        cached = self._memo.get(w)
-        if cached is not None:
-            return cached
-        child, _, starts = self.child_layout(w[:-1])
-        j = self._index(w[-1])
-        val = (starts[j], starts[j] + child)
-        self._memo[w] = val
-        return val
+        """Exact endpoints (lo, hi) of I_w: lo*D is the digit sum of
+        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}."""
+        n = len(w)
+        den, levels = self._integer_layout(n - 1)
+        lo = sum(self._index(s) * levels[i][0] for i, s in enumerate(w))
+        hi = lo + (levels[n - 1][1] if n else den)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def interval_length(self, w: str) -> Fraction:
         lo, hi = self.interval_of_word(w)
@@ -129,25 +116,24 @@ class CantorScheme:
         """The j-th gap inside I_w (between children j and j+1)."""
         if not 0 <= j < self.k - 1:
             raise ValueError("gap index out of range")
-        child, _, starts = self.child_layout(w)
-        return GapLocation(w, j, starts[j] + child, starts[j + 1])
+        syms = self.alphabet.symbols
+        a = self.interval_of_word(w + syms[j])[1]
+        b = self.interval_of_word(w + syms[j + 1])[0]
+        return GapLocation(w, j, a, b)
 
     def level_layout(self, n: int):
         """(child length, child-to-child stride) shared by all level-n I_w."""
-        cached = self._layout.get(n)
-        if cached is None:
-            length = self.level_measure(n) / Fraction(self.k) ** n
-            b = self.contraction(n)
-            child = b * length / self.k
-            gap = (1 - b) * length / (self.k - 1)
-            cached = self._layout[n] = (child, child + gap)
-        return cached
+        length = self.level_measure(n) / Fraction(self.k) ** n
+        b = self.contraction(n)
+        child = b * length / self.k
+        gap = (1 - b) * length / (self.k - 1)
+        return child, child + gap
 
     def _integer_layout(self, n: int):
         """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n.
 
         D is the lcm of the layout denominators of the levels built so
-        far, so every entry is an integer.  The copy grows lazily; growing
+        far, so every entry is an integer.  The table grows lazily; growing
         it rescales the older levels to the new D and replaces the pair
         whole, so a reader holding an older pair still has a consistent one.
         """

@@ -34,6 +34,13 @@ def _need(ok: bool, message: str) -> None:
         raise UsageError(message)
 
 
+def _need_nonnegative(args, *names: str) -> None:
+    """``_need`` that each named integer option is >= 0."""
+    for name in names:
+        _need(getattr(args, name) >= 0,
+              f"--{name.replace('_', '-')} must be >= 0")
+
+
 # ---------------------------------------------------------------------------
 # Argument plumbing
 # ---------------------------------------------------------------------------
@@ -158,6 +165,7 @@ def parse_fraction(text: str) -> Fraction:
 
 def cmd_orbit(args) -> int:
     _need(args.window >= 1, "--window must be >= 1")
+    _need_nonnegative(args, "start", "steps")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     rows = systems.orbit_windows(sys_spec, x, args.start,
@@ -176,6 +184,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_omega(args) -> int:
+    _need_nonnegative(args, "burn_in", "depth")
     _need(args.burn_in < args.horizon, "need --burn-in < --horizon")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
@@ -195,6 +204,7 @@ def cmd_omega(args) -> int:
 
 def cmd_measure(args) -> int:
     _need(args.steps >= 1, "--steps must be >= 1")
+    _need_nonnegative(args, "start", "depth")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     m = analysis.empirical_measure(sys_spec, x, args.steps, args.depth,
@@ -272,6 +282,8 @@ def cmd_tilde_mu(args) -> int:
 
 
 def cmd_realm(args) -> int:
+    _need_nonnegative(args, "match_depth", "position")
+    _need(args.t_from >= 0, "--from must be >= 0")
     _need(args.t_from <= args.t_to, "need --from <= --to")
     sys_spec = build_system(args)
     seeds = [build_config(sys_spec, d, args.init2, args.seed + 17 * i)
@@ -293,6 +305,7 @@ def cmd_interval_eval(args) -> int:
     sys_spec = build_binary_system(args)
     point = parse_fraction(args.point)
     _need(0 <= point <= 1, "--point must lie in [0, 1]")
+    _need_nonnegative(args, "precision")
     sch = cantor.CantorScheme()
     enc = cantor.f_eval(sch, sys_spec, point, args.precision)
     with out_stream(args.out) as fh:
@@ -303,6 +316,7 @@ def cmd_interval_eval(args) -> int:
 
 
 def cmd_interval_export(args) -> int:
+    _need_nonnegative(args, "depth")
     sch = cantor.CantorScheme()
     with out_stream(args.out) as fh:
         cantor.export_intervals(sch, args.depth, fh)
@@ -311,6 +325,7 @@ def cmd_interval_export(args) -> int:
 
 def cmd_interval_escape(args) -> int:
     _need(args.samples >= 1, "--samples must be >= 1")
+    _need_nonnegative(args, "iterations", "depth")
     sys_spec = build_binary_system(args)
     sch = cantor.CantorScheme()
     res = cantor.escape_fraction(sch, sys_spec, args.iterations,

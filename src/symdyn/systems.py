@@ -29,8 +29,8 @@ import numpy as np
 
 from . import pi2
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import (ALPHA_01, ALPHA_01S, Configuration, FrontierUnresolved,
-                    parse_blocks)
+from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
+                    FrontierUnresolved, parse_blocks)
 
 
 class EraseKind(Enum):
@@ -359,7 +359,21 @@ def _windows_from_visibles(survivors, gone, t0: int, t1: int,
 
 def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
                   window: int) -> Iterator[str]:
-    """Windows T^t(x)[0:window] for t in [t0, t1); t = 0 is x itself."""
+    """Windows T^t(x)[0:window] for t in [t0, t1); t = 0 is x itself.
+
+    Raises ValueError before the first window when ``t0`` or ``window`` is
+    negative, or when ``x`` does not have the layers the system reads: a
+    ``ProductConfiguration`` exactly for the products, with layer 1 over
+    the system's alphabet and layer 2 over {a, b}.
+    """
+    if t0 < 0 or window < 0:
+        raise ValueError(f"need t0 >= 0 and window >= 0, got {t0}, {window}")
+    layers = ((x.layer1, x.layer2) if isinstance(x, pi2.ProductConfiguration)
+              else (x,))
+    want = (sys.id.alphabet, ALPHA_AB)[:1 + sys.id.product]
+    if [getattr(layer, "alphabet", None) for layer in layers] != list(want):
+        raise ValueError(f"{sys.id.value} reads {len(want)} layer(s) over "
+                         f"{' x '.join(''.join(a.symbols) for a in want)}")
     if sys.id.erase is not None:
         survivors, gone = _erasure_visibles(
             x, erases_now(sys.oracle, sys.id.erase), t1 + window + 1)

@@ -1,5 +1,6 @@
 """Fat-Cantor interval scheme, the embedding, and the extended map."""
 
+import functools
 import io
 import random
 from fractions import Fraction
@@ -26,6 +27,40 @@ def scheme():
 
 # -- slow Fraction references for the integer paths --------------------------
 
+class ReferenceScheme:
+    """The per-word Fraction recursion the integer level table replaced:
+    I_w is read off the child layout of I_{w[:-1]}, memoized per word."""
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self.memo = {"": (F(0), F(1))}
+
+    def child_layout(self, w):
+        """(child length, gap length, list of child left endpoints) of I_w."""
+        lo, hi = self.interval_of_word(w)
+        length, k = hi - lo, self.scheme.k
+        b = self.scheme.contraction(len(w))
+        child = b * length / k
+        gap = (1 - b) * length / (k - 1)
+        return child, gap, [lo + j * (child + gap) for j in range(k)]
+
+    def interval_of_word(self, w):
+        if w not in self.memo:
+            child, _, starts = self.child_layout(w[:-1])
+            j = self.scheme.alphabet.symbols.index(w[-1])
+            self.memo[w] = (starts[j], starts[j] + child)
+        return self.memo[w]
+
+    def gap(self, w, j):
+        child, _, starts = self.child_layout(w)
+        return GapLocation(w, j, starts[j] + child, starts[j + 1])
+
+
+@functools.cache
+def reference_level_layout(scheme, n):
+    return scheme.level_layout(n)
+
+
 def reference_locate(scheme, y, depth):
     """locate as a Fraction walk down ``scheme.level_layout``."""
     y = F(y)
@@ -33,7 +68,7 @@ def reference_locate(scheme, y, depth):
         raise ValueError("point outside [0, 1]")
     w, lo = "", F(0)
     for n in range(depth):
-        child, stride = scheme.level_layout(n)
+        child, stride = reference_level_layout(scheme, n)
         j = min(int((y - lo) / stride), scheme.k - 1)
         start = lo + j * stride
         if y > start + child:  # strictly inside the gap right of child j
@@ -121,9 +156,52 @@ def test_nesting_and_endpoint_sharing(scheme):
 
 
 def test_memo_is_pure_cache(scheme):
+    # the integer level table grows only as deep as a call reaches, and a
+    # fresh scheme gives the values of one whose table is already deeper
+    scheme.interval_of_word("0" * 12)
     fresh = CantorScheme()
+    assert fresh._grid == (1, ())
     for w in ("", "0110", "10101", "111111"):
         assert fresh.interval_of_word(w) == scheme.interval_of_word(w)
+        assert len(fresh._grid[1]) == len(w)
+        assert fresh.gap(w, 0) == scheme.gap(w, 0)
+        assert len(fresh._grid[1]) == len(w) + 1
+
+
+def _quadratic_measure(n):
+    return F(1, 3) + F(2, 3) / (n + 1) ** 2
+
+
+@pytest.mark.parametrize("make, depth", [
+    (lambda: CantorScheme(), 8),
+    (lambda: CantorScheme(ALPHA_01S), 5),
+    (lambda: CantorScheme(level_measure=_quadratic_measure, limit=F(1, 3)), 8),
+], ids=["binary", "ternary", "custom-measure"])
+def test_level_table_matches_per_word_recursion(make, depth):
+    s, ref = make(), ReferenceScheme(make())
+    for w in s.words(depth):
+        assert s.interval_of_word(w) == ref.interval_of_word(w), w
+        for j in range(s.k - 1):
+            assert s.gap(w, j) == ref.gap(w, j), (w, j)
+
+
+def test_level_measure_that_stops_decreasing_is_refused():
+    # c_4 = c_3 = 9/16: level 3 would have no gaps, so b_3 = 1 is refused
+    # by every call that reaches level 3, and by none that stops short
+    def flat():
+        return CantorScheme(
+            level_measure=lambda n: F(1, 2) + F(1, 2 ** min(n + 1, 4)),
+            limit=F(9, 16))
+    default = CantorScheme()
+    assert flat().interval_of_word("010") == default.interval_of_word("010")
+    assert flat().gap("01", 0) == default.gap("01", 0)
+    assert locate(flat(), F(0), 3) == InLevelInterval("000")
+    assert locate(flat(), F(1, 2), 10) == locate(default, F(1, 2), 10)
+    for call in (lambda s: s.interval_of_word("0100"),
+                 lambda s: s.gap("010", 0),
+                 lambda s: locate(s, F(0), 4)):
+        with pytest.raises(ValueError, match="not strictly decreasing at 3"):
+            call(flat())
 
 
 def test_distortion_implication(scheme):

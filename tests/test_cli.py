@@ -344,6 +344,31 @@ _BAD_ARGUMENTS = [
     ("orbit", "--system", "wild_t_prime", "--oracle", "{prog}",
      "--init", "prefix:01S,tail:0", "--init2", "tail:rich=all01",
      "--steps", "2", "--window", "6"),
+    ("orbit", "--system", "shift", "--init", "tail:0", "--steps", "2",
+     "--window", "4", "--start", "-2"),
+    ("orbit", "--system", "shift", "--init", "tail:0", "--steps", "-1",
+     "--window", "4"),
+    ("omega", "--system", "shift", "--init", "tail:0", "--burn-in", "-4",
+     "--horizon", "2", "--depth", "2"),
+    ("omega", "--system", "shift", "--init", "tail:0", "--burn-in", "0",
+     "--horizon", "2", "--depth", "-1"),
+    ("measure", "--system", "shift", "--init", "tail:0", "--steps", "2",
+     "--depth", "2", "--start", "-1"),
+    ("measure", "--system", "shift", "--init", "tail:0", "--steps", "2",
+     "--depth", "-1"),
+    ("interval", "export", "--depth", "-1"),
+    ("interval", "escape", "--system", "shift", "--iterations", "1",
+     "--samples", "3", "--depth", "-2"),
+    ("interval", "escape", "--system", "shift", "--iterations", "-1",
+     "--samples", "3"),
+    ("interval", "eval", "--system", "shift", "--point", "1/2",
+     "--precision", "-1"),
+    ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
+     "--match-depth", "-1", "--from", "0", "--to", "2"),
+    ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
+     "--match-depth", "1", "--from", "-3", "--to", "2"),
+    ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
+     "--position", "-1", "--match-depth", "1", "--from", "0", "--to", "2"),
 ]
 
 

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
-from symdyn.space import Configuration, Constant, Periodic, Sampler, binary_config
+from symdyn.pi2 import ProductConfiguration
+from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
+                          Periodic, Sampler, binary_config)
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind,
                             FrontierUnresolved, SystemId, erase_map_prefix,
-                            orbit, pi1_system, reference_orbit, shift_system,
-                            sigma2_system, step_prefix)
+                            orbit, orbit_windows, pi1_system, pi2_system,
+                            reference_orbit, shift_system, sigma2_system,
+                            step_prefix, wild_t_prime_system,
+                            wild_t_second_system)
 
 WORKED_IN = "1001011100101100"
 WORKED_OUT = "0010000000011000"
@@ -159,3 +163,34 @@ def test_pi1_leak_erasure_takes_effect_later():
     rows = orbit(sys, x, 4, 4)
     assert rows == reference_orbit(sys, x, 4, 4)
     assert rows[-1] == "0000"
+
+
+# -- orbit input checks -----------------------------------------------------
+
+LAYER1 = Configuration(ALPHA_01S, "01S01S", Constant("0"))
+LAYER2 = Configuration(ALPHA_AB, "", Periodic("ab"))
+BINARY = binary_config("0110", Constant("0"))
+
+
+@pytest.mark.parametrize("make, x", [
+    (wild_t_prime_system, LAYER1),
+    (pi1_system, ProductConfiguration(BINARY, LAYER2)),
+    (pi2_system, ProductConfiguration(LAYER1, LAYER2)),
+    (lambda orc: shift_system(), ProductConfiguration(BINARY, LAYER2)),
+    (pi1_system, LAYER1),
+    (wild_t_second_system, ProductConfiguration(LAYER1, BINARY)),
+    (wild_t_prime_system, ProductConfiguration(BINARY, LAYER2)),
+], ids=["product-on-one-layer", "pi1-on-two-layers", "pi2-on-two-layers",
+        "shift-on-two-layers", "pi1-on-S-cells", "layer2-not-over-ab",
+        "layer1-not-over-01S"])
+def test_orbit_windows_refuses_mismatched_configuration(totality, make, x):
+    windows = orbit_windows(make(totality), x, 0, 3, 6)
+    with pytest.raises(ValueError, match="layer"):
+        next(windows)
+
+
+@pytest.mark.parametrize("t0, window", [(-2, 4), (0, -1)])
+def test_orbit_windows_refuses_negative_start_or_window(worked, t0, window):
+    for sys in (shift_system(), pi1_system(worked)):
+        with pytest.raises(ValueError, match=">= 0"):
+            next(orbit_windows(sys, BINARY, t0, 3, window))
