@@ -10,7 +10,6 @@ measure pushed through a block-erasure map, as exact rationals.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -23,7 +22,7 @@ import numpy as np
 from .oracle import OracleTable, QueryKind, INF
 from .space import Configuration, Cylinder, parse_blocks
 from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
-                      orbit_windows)
+                      orbit_window_counts, orbit_windows)
 
 YES, NO, UNKNOWN = "yes", "no", "unknown_within_budget"
 
@@ -142,8 +141,9 @@ def verdict_to_json(predicate: str, v: MeetsVerdict) -> str:
 # Visited-window profiles and empirical measures
 # ---------------------------------------------------------------------------
 
-def _window_key(w) -> str:
-    return w if isinstance(w, str) else "|".join(w)
+def _project_key(w: str, depth: int) -> str:
+    """Cut each layer of a window key ('w1' or 'w1|w2') to ``depth``."""
+    return "|".join(layer[:depth] for layer in w.split("|"))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,8 @@ class OmegaProfile:
     def project(self, depth: int) -> "OmegaProfile":
         if depth > self.depth:
             raise ValueError("cannot project to a greater depth")
-        return OmegaProfile(depth, frozenset(w[:depth] for w in self.words),
+        return OmegaProfile(depth, frozenset(_project_key(w, depth)
+                                             for w in self.words),
                             self.burn_in, self.horizon)
 
 
@@ -165,8 +166,7 @@ def omega_profile(sys: SystemSpec, x, burn_in: int, horizon: int,
     """The set of depth-L windows visited in [burn_in, horizon)."""
     if burn_in >= horizon:
         raise ValueError("need burn_in < horizon")
-    seen = frozenset(map(_window_key,
-                         orbit_windows(sys, x, burn_in, horizon, depth)))
+    seen = frozenset(orbit_window_counts(sys, x, burn_in, horizon, depth))
     return OmegaProfile(depth, seen, burn_in, horizon)
 
 
@@ -184,7 +184,7 @@ class EmpiricalMeasure:
             raise ValueError("cannot project to a greater depth")
         agg: Counter = Counter()
         for w, c in self.counts.items():
-            agg[w[:depth]] += c
+            agg[_project_key(w, depth)] += c
         return EmpiricalMeasure(depth, dict(agg), self.total)
 
     def total_variation(self, other: "EmpiricalMeasure") -> Fraction:
@@ -194,13 +194,16 @@ class EmpiricalMeasure:
         return sum((abs(self.frequency(w) - other.frequency(w))
                     for w in words), Fraction(0)) / 2
 
+    def write_csv(self, fh) -> None:
+        """Write the table word,count,frequency: one row per word, in word
+        order, each ended by a bare newline."""
+        fh.write("word,count,frequency\n")
+        for w in sorted(self.counts):
+            fh.write(f"{w},{self.counts[w]},{float(self.frequency(w))}\n")
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["word", "count", "frequency"])
-            for w in sorted(self.counts):
-                out.writerow([w, self.counts[w],
-                              float(Fraction(self.counts[w], self.total))])
+            self.write_csv(fh)
 
 
 def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
@@ -208,9 +211,8 @@ def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
     """Counts of depth-L windows over iterates start .. start+n-1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    counts = Counter(map(_window_key,
-                         orbit_windows(sys, x, start, start + n, depth)))
-    return EmpiricalMeasure(depth, dict(counts), n)
+    counts = orbit_window_counts(sys, x, start, start + n, depth)
+    return EmpiricalMeasure(depth, counts, n)
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -254,7 +256,7 @@ def realm_visit_check(sys: SystemSpec, seeds: Sequence, target: Cylinder,
     lo, hi = target.position, target.position + len(word)
     for idx, x in enumerate(seeds):
         for t, w in enumerate(orbit_windows(sys, x, n, m + 1, hi), start=n):
-            key = _window_key(w) if not isinstance(w, tuple) else w[0]
+            key = w[0] if isinstance(w, tuple) else w
             if key[lo:hi] == word:
                 return FoundWitness(t=t, seed_index=idx)
     return None

@@ -215,9 +215,7 @@ def cmd_measure(args) -> int:
                        "counts": dict(sorted(m.counts.items()))}, fh, indent=2)
             fh.write("\n")
         else:
-            fh.write("word,count,frequency\n")
-            for w in sorted(m.counts):
-                fh.write(f"{w},{m.counts[w]},{float(m.frequency(w))}\n")
+            m.write_csv(fh)
     return 0
 
 

@@ -9,11 +9,15 @@ the per-position map and the long-orbit engine; the engine exploits that a
 block's erasure condition only gets harder as it shifts toward the origin,
 so each block is erased at the first step it exists or never.  It
 materializes the input only up to where the 1-run at the horizon closes,
-keeps runs as plain tuples and emits each window as a slice of one static
-word; the test suite checks it against the per-position map and against
-a slower reference engine.  The limit rule, :func:`block_fate`, serves
-the erasure maps in the limit, the attractor predicates and the limit
-measure in :mod:`symdyn.analysis`.
+keeps runs as plain tuples and turns them into one static word plus
+per-step patches (the erased runs).  :func:`orbit_windows` yields each
+window as a slice of that word, patched at the steps that have patches;
+:func:`orbit_window_counts` counts the windows as integer codes over the
+same data and builds no window string.  The test suite checks the engine
+against the per-position map and against a slower reference engine, and
+the counter against counting the generated windows.  The limit rule,
+:func:`block_fate`, serves the erasure maps in the limit, the attractor
+predicates and the limit measure in :mod:`symdyn.analysis`.
 
 Each ``SystemId`` member carries the facts that fix its system; the zone
 systems run in :mod:`symdyn.pi2`.
@@ -21,9 +25,11 @@ systems run in :mod:`symdyn.pi2`.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -330,31 +336,95 @@ def _erasure_visibles(x: Configuration, erased, extent: int):
     return survivors, gone
 
 
-def _windows_from_visibles(survivors, gone, t0: int, t1: int,
-                           L: int) -> Iterator[str]:
-    """Yield config_t[0:L] for t in [t0, t1) from visible-run data.
+def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
+                    L: int):
+    """The erasure orbit's windows in [t0, t1) as one static word plus patches.
 
-    Survivors go into one static absolute-coordinate word and a window is
-    a slice of it; only the steps at which erased runs live build a
-    patched copy.
+    ``static`` is a 0/1 uint8 array over absolute positions [0, t1 + L + 1)
+    holding every survivor.  config_t[0:L] is ``static[t:t + L]`` with the
+    cells [lo, hi) of each patch ``(step, lo, hi)`` set to 1 at t == step:
+    an erased run clipped to the window of the one step it lives at.  The
+    patches come as three columns.
     """
-    static = np.full(t1 + L + 1, ord("0"), dtype=np.uint8)
+    survivors, gone = _erasure_visibles(
+        x, erases_now(sys.oracle, sys.id.erase), t1 + L + 1)
+    static = np.zeros(t1 + L + 1, dtype=np.uint8)
     for start, length in survivors:
-        static[start:start + length] = ord("1")
+        static[start:start + length] = 1
+    start, length, step = np.fromiter(
+        itertools.chain.from_iterable(gone), dtype=np.int64,
+        count=3 * len(gone)).reshape(-1, 3).T
+    lo, hi = np.maximum(start, step), np.minimum(start + length, step + L)
+    keep = (t0 <= step) & (step < t1) & (lo < hi)
+    return static, (step[keep], lo[keep], hi[keep])
+
+
+def _patched_windows(static, patches, t0: int, t1: int,
+                     L: int) -> Iterator[str]:
+    """Yield config_t[0:L] for t in [t0, t1) from :func:`_erasure_layout`.
+
+    A window is a slice of the static word; only the steps with patches
+    build a patched copy.
+    """
     add_at: dict = {}
-    for start, length, s in gone:
-        if t0 <= s < t1:
-            add_at.setdefault(s, []).extend(
-                range(max(start, s), min(start + length, s + L)))
-    word = static.tobytes().decode("ascii")
+    for s, lo, hi in zip(*(col.tolist() for col in patches)):
+        add_at.setdefault(s, []).append((lo - s, hi - s))
+    word = (static + ord("0")).tobytes().decode("ascii")
     for t in range(t0, t1):
         if t in add_at:
             cells = bytearray(word[t:t + L], "ascii")
-            for pos in add_at[t]:
-                cells[pos - t] = ord("1")
+            for a, b in add_at[t]:
+                cells[a:b] = b"1" * (b - a)
             yield cells.decode("ascii")
         else:
             yield word[t:t + L]
+
+
+_CODE_TYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32),
+               (64, np.uint64))
+
+
+def _count_codes(static, patches, t0: int, t1: int,
+                 L: int) -> Dict[str, int]:
+    """Count the windows ``static[t:t + L]``, patched as in
+    :func:`_patched_windows`, for t in [t0, t1), with L <= 64.
+
+    Each window is packed into an L-bit code, first cell highest, in the
+    smallest unsigned dtype that holds it; the codes are counted and only
+    the distinct ones are formatted back to words.
+    """
+    dtype = next(d for bits, d in _CODE_TYPES if L <= bits)
+    codes = np.zeros(max(t1 - t0, 0), dtype=dtype)
+    for i in range(L):
+        codes <<= 1
+        codes |= static[t0 + i:t1 + i]
+    step, lo, hi = patches
+    # low[k] has the low k bits set; window cells [a, b) are the bits
+    # L - b .. L - a - 1
+    low = np.array([(1 << k) - 1 for k in range(L + 1)], dtype=dtype)
+    masks = low[L - (lo - step)] - low[L - (hi - step)]
+    np.bitwise_or.at(codes, step - t0, masks)
+    values, counts = np.unique(codes, return_counts=True)
+    fmt = f"0{L}b"
+    return {format(v, fmt) if L else "": c
+            for v, c in zip(values.tolist(), counts.tolist())}
+
+
+def _window_key(w) -> str:
+    """A window as one string: a product window (w1, w2) reads 'w1|w2'."""
+    return w if isinstance(w, str) else "|".join(w)
+
+
+def _check_orbit_args(sys: SystemSpec, x: Configuration, t0: int,
+                      window: int) -> None:
+    if t0 < 0 or window < 0:
+        raise ValueError(f"need t0 >= 0 and window >= 0, got {t0}, {window}")
+    layers = ((x.layer1, x.layer2) if isinstance(x, pi2.ProductConfiguration)
+              else (x,))
+    want = (sys.id.alphabet, ALPHA_AB)[:1 + sys.id.product]
+    if [getattr(layer, "alphabet", None) for layer in layers] != list(want):
+        raise ValueError(f"{sys.id.value} reads {len(want)} layer(s) over "
+                         f"{' x '.join(''.join(a.symbols) for a in want)}")
 
 
 def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
@@ -366,24 +436,35 @@ def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     ``ProductConfiguration`` exactly for the products, with layer 1 over
     the system's alphabet and layer 2 over {a, b}.
     """
-    if t0 < 0 or window < 0:
-        raise ValueError(f"need t0 >= 0 and window >= 0, got {t0}, {window}")
-    layers = ((x.layer1, x.layer2) if isinstance(x, pi2.ProductConfiguration)
-              else (x,))
-    want = (sys.id.alphabet, ALPHA_AB)[:1 + sys.id.product]
-    if [getattr(layer, "alphabet", None) for layer in layers] != list(want):
-        raise ValueError(f"{sys.id.value} reads {len(want)} layer(s) over "
-                         f"{' x '.join(''.join(a.symbols) for a in want)}")
+    _check_orbit_args(sys, x, t0, window)
     if sys.id.erase is not None:
-        survivors, gone = _erasure_visibles(
-            x, erases_now(sys.oracle, sys.id.erase), t1 + window + 1)
-        yield from _windows_from_visibles(survivors, gone, t0, t1, window)
+        yield from _patched_windows(*_erasure_layout(sys, x, t0, t1, window),
+                                    t0, t1, window)
     elif sys.id is not SystemId.SHIFT:
         yield from pi2.orbit_windows(sys, x, t0, t1, window)
     else:
         w = x.materialize(t1 + window)
         for t in range(t0, t1):
             yield w[t:t + window]
+
+
+def orbit_window_counts(sys: SystemSpec, x: Configuration, t0: int, t1: int,
+                        window: int) -> Dict[str, int]:
+    """How often each window of :func:`orbit_windows` occurs, as
+    ``Counter(map(_window_key, orbit_windows(...)))`` would count it.
+
+    For the block-erasure maps no window string is built: the windows are
+    counted as integer codes over the static word of
+    :func:`_erasure_layout`.  The shift, pi2, the products and windows
+    wider than 64 count the generated windows.
+    Raises ValueError at once where :func:`orbit_windows` would.
+    """
+    _check_orbit_args(sys, x, t0, window)
+    if sys.id.erase is not None and window <= 64:
+        return _count_codes(*_erasure_layout(sys, x, t0, t1, window),
+                            t0, t1, window)
+    return dict(Counter(map(_window_key,
+                            orbit_windows(sys, x, t0, t1, window))))
 
 
 def orbit(sys: SystemSpec, x: Configuration, steps: int, window: int):

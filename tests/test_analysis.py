@@ -12,11 +12,12 @@ from symdyn.analysis import (NO, UNKNOWN, YES, attractor_meets,
                              tilde_mu_table, u_st_member, verdict_to_json)
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import ProductConfiguration
-from symdyn.space import (ALPHA_AB, Configuration, Constant, Cylinder,
-                          Periodic, Sampler, binary_config,
+from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
+                          Cylinder, Periodic, Sampler, binary_config,
                           rich_configuration)
 from symdyn.systems import (EraseKind, SystemId, pi1_system, shift_system,
-                            sigma2_system)
+                            sigma2_system, wild_t_second_system)
+from symdyn.verify import totality_oracle
 
 NEVER = OracleTable.programmed_table([])
 ALL_HALT = OracleTable.programmed_table([], default="halt1")
@@ -158,6 +159,18 @@ def test_empirical_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "word,count,frequency"
     assert lines[1] == "0,5,0.5"
+
+
+def test_product_projection_cuts_each_layer():
+    x = ProductConfiguration(Configuration(ALPHA_01S, "01S0", Periodic("01")),
+                             Configuration(ALPHA_AB, "ab", Periodic("ab")))
+    sys = wild_t_second_system(totality_oracle())
+    m = empirical_measure(sys, x, n=50, depth=3)
+    assert "01S|aba" in m.counts
+    assert m.project(2).counts == {"01|ab": 3, "10|ba": 3, "00|ab": 22,
+                                   "00|ba": 22}
+    assert omega_profile(sys, x, 0, 50, 3).project(2).words == {
+        "01|ab", "10|ba", "00|ab", "00|ba"}
 
 
 # -- the exact limit measure ------------------------------------------------

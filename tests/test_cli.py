@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from symdyn.analysis import empirical_measure
 from symdyn.cli import main, parse_descriptor
 from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
+from symdyn.systems import pi1_system
 from symdyn.verify import WORKED_INPUT, WORKED_OUTPUT, worked_example_oracle
 
 from symdyn.cli import UsageError
@@ -152,6 +154,19 @@ def test_measure_csv_and_reproducible(capsys, oracle_file):
     assert code == 0 and out1.splitlines()[0] == "word,count,frequency"
     _, out2 = run(capsys, *args)
     assert out1 == out2
+
+
+def test_measure_csv_is_the_to_csv_table(capsys, oracle_file, tmp_path):
+    init = "tail:bernoulli=0.5:seed=9"
+    code, out = run(capsys, "measure", "--system", "pi1", "--oracle",
+                    oracle_file, "--init", init, "--steps", "300",
+                    "--depth", "3", "--start", "4")
+    assert code == 0
+    x = parse_descriptor(init, ALPHA_01)
+    m = empirical_measure(pi1_system(worked_example_oracle()), x, 300, 3,
+                          start=4)
+    m.to_csv(tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == out.encode("ascii")
 
 
 # -- tilde-mu ---------------------------------------------------------------

@@ -4,7 +4,9 @@ The engine materializes the input only up to where the 1-run holding the
 horizon closes, keeps runs as plain tuples and emits windows as slices of
 one static word.  The form it replaced is kept below as the reference
 (``ref_*``): it doubles the word while it ends in 1, keeps one object per
-visible run and joins every window cell by cell.
+visible run and joins every window cell by cell.  The window counter,
+which packs windows into integer codes, is checked against counting the
+generated windows.
 """
 
 import re
@@ -19,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 from symdyn.analysis import derived_seed, empirical_measure, omega_profile
 from symdyn.oracle import Entry, OracleTable, QueryKind
 from symdyn.space import Constant, Periodic, Sampler, binary_config
-from symdyn.systems import (_materialize_closed, erases_now, orbit_windows,
-                            pi1_system, sigma2_system)
+from symdyn.systems import (_materialize_closed, erases_now,
+                            orbit_window_counts, orbit_windows, pi1_system,
+                            shift_system, sigma2_system)
 from symdyn.verify import parity_oracle
 
 from test_block_rule import tables
@@ -164,14 +167,16 @@ def test_engine_matches_reference_enumerated(case, short):
     assert_matches_reference(sigma2_system(orc), *short)
 
 
+SIGMA2_TABLE = OracleTable.programmed_table(
+    [Entry(e, QueryKind.SOME_IN, k=e % 3, k_hi=e % 3 + 2, time=e + 1)
+     for e in range(1, 12, 2)])
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("t0, t1, L", [(0, 3000, 3), (500, 1500, 5)])
 def test_engine_matches_reference_sampled(seed, t0, t1, L):
     x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(seed, 0)))
-    sigma2 = OracleTable.programmed_table(
-        [Entry(e, QueryKind.SOME_IN, k=e % 3, k_hi=e % 3 + 2, time=e + 1)
-         for e in range(1, 12, 2)])
-    for sys in (pi1_system(parity_oracle()), sigma2_system(sigma2)):
+    for sys in (pi1_system(parity_oracle()), sigma2_system(SIGMA2_TABLE)):
         assert_matches_reference(sys, x, t0, t1, L)
 
 
@@ -211,3 +216,47 @@ def test_criterion_07_input_materializes_to_the_closing_zero():
     w = _materialize_closed(x, 1_000_000 + 4)
     assert len(w) == 1_000_010
     assert w.endswith("10")
+
+
+# ---------------------------------------------------------------------------
+# The window counter against counting the generated windows
+# ---------------------------------------------------------------------------
+
+def assert_counts_match(sys, x, t0, t1, L):
+    want = Counter(orbit_windows(sys, x, t0, t1, L))
+    assert orbit_window_counts(sys, x, t0, t1, L) == dict(want)
+
+
+@pytest.mark.parametrize("make", [shift_system,
+                                  lambda: pi1_system(parity_oracle()),
+                                  lambda: sigma2_system(SIGMA2_TABLE)],
+                         ids=["shift", "pi1", "sigma2"])
+@pytest.mark.parametrize("t0", [0, 37])
+@pytest.mark.parametrize("L", [0, 1, 8, 9, 16, 17, 32, 33, 64, 65])
+def test_window_counts_match_generated_windows(make, t0, L):
+    # the shift and L = 65 (past the widest code) count the generated
+    # windows
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(3, L)))
+    assert_counts_match(make(), x, t0, t0 + 400, L)
+
+
+@pytest.mark.parametrize("t0, t1, L", [(0, 1, 6), (0, 6, 6), (0, 6, 10),
+                                      (1, 2, 6), (1, 6, 3), (2, 6, 4)])
+def test_window_counts_patch_a_rebirth_chain(t0, t1, L):
+    # 0 1^2 0 at j1 = 2 is erased at step 0 (l == j1); its first 1 is
+    # reborn at step 1 as 0 1 0 at j1 = 1, erased again (l == j1) and
+    # reborn at step 2 at j1 = 0, where it survives.  The block at j1 = 7
+    # is erased at step 0 and shows in the window only when L > 8; with
+    # t1 = 1 the step-1 run lies past the last window.
+    orc = OracleTable.programmed_table([Entry(1, QueryKind.EMPTY, time=1),
+                                        Entry(2, QueryKind.EMPTY, time=2)])
+    sys = pi1_system(orc)
+    x = binary_config("00011000110", Constant("0"))
+    assert list(orbit_windows(sys, x, 0, 4, 6)) == [
+        "000110", "001000", "010000", "100000"]
+    assert_counts_match(sys, x, t0, t1, L)
+
+
+def test_window_counts_on_the_criterion_07_input():
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(2024, 0)))
+    assert_counts_match(pi1_system(parity_oracle()), x, 0, 100_000, 3)
