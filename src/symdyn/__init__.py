@@ -28,9 +28,8 @@ from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, Configuration,
 from .pi2 import ProductConfiguration, ZoneEngine, gate_allows
 from .systems import (EraseKind, SystemId, SystemSpec, erase_map_prefix, orbit,
                       orbit_window_counts, orbit_windows, pi1_system,
-                      pi2_system, reference_orbit, shift_system,
-                      sigma2_system, step_prefix, wild_t_prime_system,
-                      wild_t_second_system)
+                      pi2_system, shift_system, sigma2_system, step_prefix,
+                      wild_t_prime_system, wild_t_second_system)
 from .analysis import (EmpiricalMeasure, MeetsVerdict, OmegaProfile,
                        TildeMuEstimate, attractor_meets, derived_seed,
                        empirical_measure, omega_profile, pushforward_average,

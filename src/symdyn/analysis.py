@@ -187,13 +187,6 @@ class EmpiricalMeasure:
             agg[_project_key(w, depth)] += c
         return EmpiricalMeasure(depth, dict(agg), self.total)
 
-    def total_variation(self, other: "EmpiricalMeasure") -> Fraction:
-        if self.depth != other.depth:
-            raise ValueError("depth mismatch")
-        words = set(self.counts) | set(other.counts)
-        return sum((abs(self.frequency(w) - other.frequency(w))
-                    for w in words), Fraction(0)) / 2
-
     def write_csv(self, fh) -> None:
         """Write the table word,count,frequency: one row per word, in word
         order, each ended by a bare newline."""

@@ -1,10 +1,10 @@
 """Halting-time oracles parameterizing the constructed systems.
 
-Two backends are provided.  The *enumerated* backend decodes machine
-indices into actual single-tape Turing machines and answers queries by
-bounded simulation; it can therefore never certify non-halting.  The
-*programmed* backend is a finite table of asserted halting facts and is
-the vehicle for exact desk-scale experiments: it may answer NEVER.
+The *enumerated* backend decodes machine indices into single-tape Turing
+machines and answers by bounded simulation, so it never certifies
+non-halting.  The *programmed* backend is a finite table of asserted
+halting facts that may answer NEVER; it indexes them per machine and kind
+once and answers every query and table predicate through one reader.
 """
 
 from __future__ import annotations
@@ -179,29 +179,41 @@ class Entry:
     k_hi: Optional[int] = None
 
 
+# The facts that answer a query: ALL_BELOW ones whose bound is at least k, and
+# SOME_IN ones whose size range lies inside [lo, hi] (lo None: no low end).
+def _covers(k):
+    return lambda x: x.k is INF or (k is not INF and x.k >= k)
+
+
+def _inside(lo, hi):
+    return lambda x: (x.k is not INF and (lo is None or x.k >= lo)
+                      and (hi is INF or (x.k_hi is not INF and x.k_hi <= hi)))
+
+
 @dataclass(frozen=True)
 class OracleTable:
+    """A halting oracle: enumerated (bounded simulation) or programmed.
+
+    A programmed table indexes ``entries`` once, in ``_facts``: each listed
+    machine maps to its timed entries by kind, least time first.  ``answer``
+    and the five table predicates each read it through :meth:`_least_time`.
+    A listed machine answers from its own facts alone; an unlisted one halts
+    at time 1 under ``halt1`` (``default_halts``) and never otherwise.
+    """
+
     programmed: bool
     entries: tuple = ()
-    # unlisted machines halt at time 1 vs never; a listed machine answers
-    # from its entries alone, in every query kind and table predicate
     default_halts: bool = False
     work_cap: int = DEFAULT_WORK_CAP
-    _by_machine: dict = field(init=False, repr=False, compare=False)
-    _empty_time: dict = field(init=False, repr=False, compare=False)
+    _facts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # fresh indexes per instance, so dataclasses.replace never shares them
-        by_machine: dict = {}
-        empty_time: dict = {}      # listed machine -> least EMPTY time or None
-        for ent in self.entries:
-            by_machine.setdefault(ent.e, []).append(ent)
-            t = empty_time.get(ent.e)
-            if ent.kind is QueryKind.EMPTY and ent.time is not None:
-                t = ent.time if t is None else min(t, ent.time)
-            empty_time[ent.e] = t
-        object.__setattr__(self, "_by_machine", by_machine)
-        object.__setattr__(self, "_empty_time", empty_time)
+        # a fresh index per instance, so dataclasses.replace never shares it
+        facts = {x.e: {} for x in self.entries}
+        for ent in sorted((x for x in self.entries if x.time is not None),
+                          key=lambda x: x.time):
+            facts[ent.e].setdefault(ent.kind, []).append(ent)
+        object.__setattr__(self, "_facts", facts)
 
     # -- construction ------------------------------------------------------
 
@@ -216,49 +228,22 @@ class OracleTable:
 
     # -- programmed answering ---------------------------------------------
 
-    def _entries_for(self, e):
-        return self._by_machine.get(e, ())
-
     def listed_machines(self):
-        """Indices of the machines with at least one entry, in order of
-        their first entry."""
-        return list(self._by_machine)
+        """Indices of the machines with any entry, by their first entry."""
+        return list(self._facts)
 
-    def _unlisted_time(self) -> Optional[int]:
-        return 1 if self.default_halts else None
-
-    def _least_empty_time(self, e: int) -> Optional[int]:
-        return self._empty_time.get(e, self._unlisted_time())
-
-    def _least_all_below_time(self, e: int, k) -> Optional[int]:
-        ents = self._entries_for(e)
-        if not ents:
-            return self._unlisted_time()
-        return min((x.time for x in ents
-                    if x.kind is QueryKind.ALL_BELOW and x.time is not None
-                    and (x.k is INF or (k is not INF and x.k >= k))),
-                   default=None)
-
-    def _answer_programmed(self, e: int, q: HaltQuery) -> Answer:
-        ents = self._entries_for(e)
-        if q.kind is QueryKind.EMPTY:
-            best = self._least_empty_time(e)
-        elif q.kind is QueryKind.ALL_BELOW:
-            best = self._least_all_below_time(e, q.k)
-        elif not ents:
-            best = self._unlisted_time()
-        else:
-            # SOME_IN: an entry answers the query when its size range is
-            # contained in the queried range.
-            best = min((x.time for x in ents
-                        if x.kind is QueryKind.SOME_IN and x.time is not None
-                        and x.k is not INF and (q.k is None or x.k >= q.k)
-                        and (q.k_hi is INF
-                             or (x.k_hi is not INF and x.k_hi <= q.k_hi))),
-                       default=None)
-        if best is None:
-            return Answer.NEVER
-        return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
+    def _least_time(self, e: int, kind: QueryKind, fits=None) -> Optional[int]:
+        """Least time of the ``kind`` facts of ``e`` that ``fits`` accepts
+        (all if None), None if none does; 1 or None for unlisted ``e``."""
+        if not self.programmed:
+            raise ValueError("programmed table required")
+        facts = self._facts.get(e)
+        if facts is None:
+            return 1 if self.default_halts else None
+        for x in facts.get(kind, ()):      # least time first
+            if fits is None or fits(x):
+                return x.time
+        return None
 
     # -- enumerated answering ---------------------------------------------
 
@@ -297,55 +282,39 @@ class OracleTable:
     # -- public API --------------------------------------------------------
 
     def answer(self, e: int, q: HaltQuery) -> Answer:
-        if self.programmed:
-            return self._answer_programmed(e, q)
-        return self._answer_enumerated(e, q)
+        if not self.programmed:
+            return self._answer_enumerated(e, q)
+        fits = (None if q.kind is QueryKind.EMPTY else _covers(q.k)
+                if q.kind is QueryKind.ALL_BELOW else _inside(q.k, q.k_hi))
+        best = self._least_time(e, q.kind, fits)
+        if best is None:
+            return Answer.NEVER
+        return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
 
     def empty_halt_time(self, e: int) -> Optional[int]:
-        """Least asserted empty-input halting time, or None for never.
-
-        Programmed backend only; the enumerated backend cannot certify
-        non-halting, use :meth:`answer` with an explicit budget instead.
-        ``answer`` on an EMPTY query reads the same time.
-        """
-        if not self.programmed:
-            raise ValueError("empty_halt_time requires a programmed table")
-        return self._least_empty_time(e)
+        """Least asserted empty-input halting time, or None for never (as
+        ``answer`` on an EMPTY query reads it).  The enumerated backend
+        cannot certify non-halting: use ``answer`` with a budget there."""
+        return self._least_time(e, QueryKind.EMPTY)
 
     def all_below_time(self, e: int, k) -> Optional[int]:
         """Least asserted time within which all inputs of size < k halt."""
-        if not self.programmed:
-            raise ValueError("programmed table required")
-        return self._least_all_below_time(e, k)
+        return self._least_time(e, QueryKind.ALL_BELOW, _covers(k))
 
     def is_total(self, e: int) -> bool:
         """Table predicate for membership in the totality index set."""
-        return self.all_below_time(e, INF) is not None
+        return self._least_time(e, QueryKind.ALL_BELOW, _covers(INF)) is not None
 
     def halts_on_size_above(self, e: int, k: int) -> bool:
         """Table predicate: some input of size > k halts (any time)."""
-        if not self.programmed:
-            raise ValueError("programmed table required")
-        if not self._entries_for(e):
-            return self.default_halts
-        for ent in self._entries_for(e):
-            if ent.kind is QueryKind.SOME_IN and ent.time is not None:
-                if ent.k_hi is INF or ent.k_hi > k:
-                    return True
-        return False
+        return self._least_time(e, QueryKind.SOME_IN,
+                                lambda x: x.k_hi is INF or x.k_hi > k) is not None
 
     def has_finite_domain(self, e: int) -> bool:
         """Table predicate for the finite-domain index set."""
-        if not self.programmed:
-            raise ValueError("programmed table required")
-        if not self._entries_for(e):
-            return not self.default_halts
-        for ent in self._entries_for(e):
-            if ent.kind is QueryKind.SOME_IN and ent.time is not None and ent.k_hi is INF:
-                return False
-            if ent.kind is QueryKind.ALL_BELOW and ent.time is not None and ent.k is INF:
-                return False
-        return True
+        return (self._least_time(e, QueryKind.SOME_IN,
+                                 lambda x: x.k_hi is INF) is None
+                and self._least_time(e, QueryKind.ALL_BELOW, _covers(INF)) is None)
 
 
 # ---------------------------------------------------------------------------

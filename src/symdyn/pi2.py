@@ -421,25 +421,15 @@ class ZoneEngine:
         off = self.parsed[k]
         if off >= limit:
             return
-        cells = zone[off:limit]
-        hi = len(cells)
+        word = "".join(zone[off:limit])
         if not complete and k == self.last:
-            while hi > 0 and cells[hi - 1] == "1":
-                hi -= 1
-        i = 0
+            word = word.rstrip("1")
         heap = self.pending[k]
-        while i < hi:
-            if cells[i] == "1":
-                j = i
-                while j < hi and cells[j] == "1":
-                    j += 1
-                tau = self._tau(j - i, k)
-                if tau is not None:
-                    heapq.heappush(heap, (max(tau, off + j), off + i, j - i))
-                i = j
-            else:
-                i += 1
-        self.parsed[k] = off + hi
+        for i, l in parse_blocks(word):
+            tau = self._tau(l, k)
+            if tau is not None:
+                heapq.heappush(heap, (max(tau, off + i + l), off + i, l))
+        self.parsed[k] = off + len(word)
         if heap:
             self._rekey(k)
 

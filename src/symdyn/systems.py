@@ -290,8 +290,8 @@ def _materialize_closed(x: Configuration, horizon: int) -> str:
 
 def _one_runs(w: str):
     """(starts, ends) of maximal 1-runs, via numpy for long words."""
-    ones = np.frombuffer(w.encode("ascii"), dtype=np.uint8) == ord("1")
-    edges = np.flatnonzero(np.diff(ones, prepend=False, append=False))
+    ones = np.frombuffer(b"0" + w.encode("ascii") + b"0", np.uint8) == ord("1")
+    edges = np.flatnonzero(ones[1:] != ones[:-1])
     return edges[0::2].tolist(), edges[1::2].tolist()
 
 
@@ -472,21 +472,3 @@ def orbit(sys: SystemSpec, x: Configuration, steps: int, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     return list(orbit_windows(sys, x, 1, steps + 1, window))
-
-
-def reference_orbit(sys: SystemSpec, x: Configuration, steps: int,
-                    window: int):
-    """Orbit by repeated step_prefix on a shrinking buffer (test reference)."""
-    sizes = [window]
-    for _ in range(steps - 1):
-        sizes.append(sys.lookahead(sizes[-1]))
-    sizes.reverse()
-    def clip(word, n):
-        return word[:n] if isinstance(word, str) else tuple(s[:n] for s in word)
-
-    w = x.materialize(sys.lookahead(sizes[0]))
-    out = []
-    for n in sizes:
-        w = step_prefix(sys, w, n)
-        out.append(clip(w, window))
-    return out

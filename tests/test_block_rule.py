@@ -15,10 +15,11 @@ from symdyn.analysis import NO, UNKNOWN, YES, MeetsVerdict, attractor_meets
 from symdyn.oracle import Answer, Entry, HaltQuery, OracleTable, QueryKind
 from symdyn.space import Constant, Cylinder, Periodic, binary_config
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
-                            block_fate, erase_map_prefix, orbit, pi1_system,
-                            reference_orbit, sigma2_system, step_prefix)
+                            block_fate, erase_map_prefix, erases_now, orbit,
+                            pi1_system, sigma2_system, step_prefix)
 
 from test_run_scanner import ref_parse_blocks, tables
+from test_systems import reference_orbit
 
 # ---------------------------------------------------------------------------
 # Reference limit predicates (the per-function copies the rule replaced)
@@ -140,6 +141,18 @@ def test_block_fate_matches_reference(orc):
     fate = block_fate(orc, EraseKind.PHI_PRIME)
     for l in range(9):
         assert fate(l, None) == (not orc.has_finite_domain(l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables)
+def test_phi_limit_is_the_step_rule_at_a_far_block(orc):
+    # under phi a block erased in the limit is erased by one step once its
+    # leading 0 lies past every asserted time
+    fate = block_fate(orc, EraseKind.PHI)
+    erased = erases_now(orc, EraseKind.PHI)
+    for l in range(9):
+        for gap in (None, *range(1, 9)):
+            assert fate(l, gap) == erased(l, 10 ** 6, gap)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symdyn.oracle import (INF, Answer, Entry, HaltQuery, OracleTable,
                            QueryKind, TMSpec, decode_machine, encode_machine,
@@ -172,5 +172,161 @@ def test_replace_builds_a_fresh_index():
     assert fewer.listed_machines() == [1]
     # the original's index is untouched: no duplicate entry for M1
     assert orc.listed_machines() == [1, 3]
-    assert orc._entries_for(1) == [orc.entries[0]]
+    assert orc._facts[1][QueryKind.EMPTY] == [orc.entries[0]]
     assert orc.empty_halt_time(3) == 4
+
+
+# ---------------------------------------------------------------------------
+# Reference readers: the per-call entry walks the fact index replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_listed(orc, e):
+    return [x for x in orc.entries if x.e == e]
+
+
+def _ref_least(ents, kind, fits):
+    return min((x.time for x in ents
+                if x.kind is kind and x.time is not None and fits(x)),
+               default=None)
+
+
+def ref_empty_halt_time(orc, e):
+    ents = _ref_listed(orc, e)
+    if not ents:
+        return 1 if orc.default_halts else None
+    return _ref_least(ents, QueryKind.EMPTY, lambda x: True)
+
+
+def ref_all_below_time(orc, e, k):
+    ents = _ref_listed(orc, e)
+    if not ents:
+        return 1 if orc.default_halts else None
+    return _ref_least(ents, QueryKind.ALL_BELOW,
+                      lambda x: x.k is INF or (k is not INF and x.k >= k))
+
+
+def ref_is_total(orc, e):
+    return ref_all_below_time(orc, e, INF) is not None
+
+
+def ref_halts_on_size_above(orc, e, k):
+    ents = _ref_listed(orc, e)
+    if not ents:
+        return orc.default_halts
+    for ent in ents:
+        if ent.kind is QueryKind.SOME_IN and ent.time is not None:
+            if ent.k_hi is INF or ent.k_hi > k:
+                return True
+    return False
+
+
+def ref_has_finite_domain(orc, e):
+    ents = _ref_listed(orc, e)
+    if not ents:
+        return not orc.default_halts
+    for ent in ents:
+        if ent.kind is QueryKind.SOME_IN and ent.time is not None and ent.k_hi is INF:
+            return False
+        if ent.kind is QueryKind.ALL_BELOW and ent.time is not None and ent.k is INF:
+            return False
+    return True
+
+
+def ref_answer(orc, e, q):
+    ents = _ref_listed(orc, e)
+    if q.kind is QueryKind.EMPTY:
+        best = ref_empty_halt_time(orc, e)
+    elif q.kind is QueryKind.ALL_BELOW:
+        best = ref_all_below_time(orc, e, q.k)
+    elif not ents:
+        best = 1 if orc.default_halts else None
+    else:
+        # SOME_IN: an entry answers when its size range lies inside the query's
+        best = _ref_least(ents, QueryKind.SOME_IN,
+                          lambda x: x.k is not INF
+                          and (q.k is None or x.k >= q.k)
+                          and (q.k_hi is INF
+                               or (x.k_hi is not INF and x.k_hi <= q.k_hi)))
+    if best is None:
+        return Answer.NEVER
+    return Answer.YES if best <= q.budget else Answer.NO_WITHIN_BUDGET
+
+
+# Tables over machines 0..7: "never" times, INF bounds, SOME_IN facts whose
+# low end k is None (what table_from_json builds when a file omits k) and
+# duplicated entries, under either default.
+_SIZES = [*range(9), INF]
+_fact_size = st.sampled_from(_SIZES)
+
+
+@st.composite
+def _fact(draw):
+    e = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(list(QueryKind)))
+    time = draw(st.one_of(st.none(), st.integers(0, 14)))
+    if kind is QueryKind.EMPTY:
+        return Entry(e, kind, time)
+    k = draw(_fact_size)
+    if kind is QueryKind.ALL_BELOW:
+        return Entry(e, kind, time, k=k)
+    gap = draw(_fact_size)
+    k_hi = INF if gap is INF else (k or 0) + gap
+    return Entry(e, kind, time, k=k, k_hi=k_hi)
+
+
+@st.composite
+def _indexed_tables(draw):
+    facts = draw(st.lists(_fact(), max_size=10))
+    if facts:
+        facts += draw(st.lists(st.sampled_from(facts), max_size=3))
+    return OracleTable.programmed_table(
+        facts, default=draw(st.sampled_from(["never", "halt1"])))
+
+
+def _queries(budget):
+    yield HaltQuery(QueryKind.EMPTY, budget)
+    for k in _SIZES:
+        yield HaltQuery(QueryKind.ALL_BELOW, budget, k=k)
+        if k is INF:
+            yield HaltQuery(QueryKind.SOME_IN, budget, k=None, k_hi=INF)
+            continue
+        for gap in _SIZES:
+            yield HaltQuery(QueryKind.SOME_IN, budget, k=k,
+                            k_hi=INF if gap is INF else k + gap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexed_tables(), st.integers(0, 14))
+def test_index_answers_as_the_entry_walk(orc, budget):
+    queries = list(_queries(budget))
+    for e in range(8):
+        for q in queries:
+            assert orc.answer(e, q) is ref_answer(orc, e, q), (e, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexed_tables())
+def test_index_predicates_as_the_entry_walk(orc):
+    for e in range(8):
+        assert orc.empty_halt_time(e) == ref_empty_halt_time(orc, e)
+        assert orc.is_total(e) == ref_is_total(orc, e)
+        assert orc.has_finite_domain(e) == ref_has_finite_domain(orc, e)
+        for k in _SIZES:
+            assert orc.all_below_time(e, k) == ref_all_below_time(orc, e, k)
+        for k in range(9):
+            assert (orc.halts_on_size_above(e, k)
+                    == ref_halts_on_size_above(orc, e, k))
+    assert orc.listed_machines() == list(dict.fromkeys(x.e for x in orc.entries))
+
+
+@pytest.mark.parametrize("read", [
+    lambda orc: orc.empty_halt_time(0),
+    lambda orc: orc.all_below_time(0, 2),
+    lambda orc: orc.is_total(0),
+    lambda orc: orc.halts_on_size_above(0, 2),
+    lambda orc: orc.has_finite_domain(0),
+])
+def test_predicates_need_a_programmed_table(read):
+    with pytest.raises(ValueError):
+        read(OracleTable.enumerated())

@@ -8,8 +8,10 @@ from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import ProductConfiguration, ZoneEngine, gate_allows
 from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
 from symdyn.systems import (FrontierUnresolved, SystemId, orbit, pi2_system,
-                            reference_orbit, step_prefix, wild_t_prime_system,
+                            step_prefix, wild_t_prime_system,
                             wild_t_second_system)
+
+from test_systems import reference_orbit
 
 NEVER = OracleTable.programmed_table([])
 

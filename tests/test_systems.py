@@ -12,12 +12,31 @@ from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind,
                             FrontierUnresolved, SystemId, erase_map_prefix,
                             orbit, orbit_windows, pi1_system, pi2_system,
-                            reference_orbit, shift_system, sigma2_system,
-                            step_prefix, wild_t_prime_system,
-                            wild_t_second_system)
+                            shift_system, sigma2_system, step_prefix,
+                            wild_t_prime_system, wild_t_second_system)
 
 WORKED_IN = "1001011100101100"
 WORKED_OUT = "0010000000011000"
+
+
+def reference_orbit(sys, x, steps, window):
+    """Orbit by repeated step_prefix on a shrinking buffer: the reference
+    for every orbit engine (shared with test_block_rule.py and
+    test_pi2.py)."""
+    sizes = [window]
+    for _ in range(steps - 1):
+        sizes.append(sys.lookahead(sizes[-1]))
+    sizes.reverse()
+
+    def clip(word, n):
+        return word[:n] if isinstance(word, str) else tuple(s[:n] for s in word)
+
+    w = x.materialize(sys.lookahead(sizes[0]))
+    out = []
+    for n in sizes:
+        w = step_prefix(sys, w, n)
+        out.append(clip(w, window))
+    return out
 
 
 def test_pi1_worked_example_step(worked):
