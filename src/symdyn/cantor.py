@@ -18,18 +18,25 @@ of every gap escapes into C under one application of f.
 Every value is an exact rational; ``Fraction`` appears only at the
 public API.  The scheme stores its geometry once, as an integer table:
 each level's child-to-child stride and child length times a common
-denominator D, the lcm of the level denominators.  That table is its one
-cache, pure and grown lazily only as deep as a call reaches.  Endpoints
-and gaps are digit sums over it: I_w starts at the sum of index(w_i)
-times the level-i stride, over D.  ``locate`` unpacks y = p/q once into
-floor(y*D) and a flag for y*D not being an integer, then descends with
-one floor division per level.  Because every table entry is an integer
-over D, floor(y*D) picks the same child as y itself, and "y strictly
-inside the gap" (y*D > N for the integer N = gap start times D) holds
-exactly when ceil(y*D) > N, so every comparison is still exact.  A
-``GapMap`` evaluates each of its three affine pieces as one integer
-expression (u*p + v*q) / (w*q), and ``escape_fraction`` carries that
-(numerator, denominator) pair, unreduced, from one step to the next.
+denominator D, the lcm of the level denominators.  Level n follows from
+c_n and c_{n+1} alone: the child length is c_{n+1}/k^{n+1} and the
+stride (k c_n - c_{n+1}) / ((k-1) k^{n+1}).  c_n is read back off the
+table (it is k^n times the level-(n-1) child length), so growing the
+table reads the level measure once per level, as an integer pair.  That
+table is the scheme's one cache, pure and grown lazily only as deep as a
+call reaches; a descent that runs past it stores the grown table once,
+on the way out, so growth costs no rescale of older levels per level.
+Endpoints and gaps are digit sums over it: I_w starts at the sum of
+index(w_i) times the level-i stride, over D.  ``locate`` unpacks y = p/q
+once into floor(y*D) and a flag for y*D not being an integer, then
+descends with one floor division per level.  Because every table entry
+is an integer over D, floor(y*D) picks the same child as y itself, and
+"y strictly inside the gap" (y*D > N for the integer N = gap start
+times D) holds exactly when ceil(y*D) > N, so every comparison is still
+exact.  A ``GapMap`` evaluates each of its three affine pieces as one
+integer expression (u*p + v*q) / (w*q), and ``escape_fraction`` carries
+that (numerator, denominator) pair, unreduced, from one step to the
+next.
 """
 
 from __future__ import annotations
@@ -52,15 +59,18 @@ ONE = Fraction(1)
 
 def default_level_measure(n: int) -> Fraction:
     """c_n = (1 + 2^{-n}) / 2; c_0 = 1, decreasing, limit 1/2."""
-    return (1 + Fraction(1, 2 ** n)) / 2
+    return Fraction(2 ** n + 1, 2 ** (n + 1))
 
 
 class CantorScheme:
     """Immutable k-ary fat-Cantor interval scheme.
 
     Endpoints and gaps are read from the integer level table
-    (``_integer_layout``), a pure cache grown lazily: a fresh scheme
-    returns the same values, so concurrent readers at worst rebuild a level.
+    (``_integer_layout``), a pure cache grown lazily by one integer
+    recurrence per level (``_grow``), with one read of c_n per level: a
+    fresh scheme returns the same values, so concurrent readers at worst
+    rebuild levels another has built.  A level measure that stops
+    strictly decreasing is refused when the table reaches that level.
     """
 
     def __init__(self,
@@ -121,37 +131,58 @@ class CantorScheme:
         b = self.interval_of_word(w + syms[j + 1])[0]
         return GapLocation(w, j, a, b)
 
-    def level_layout(self, n: int):
-        """(child length, child-to-child stride) shared by all level-n I_w."""
-        length = self.level_measure(n) / Fraction(self.k) ** n
-        b = self.contraction(n)
-        child = b * length / self.k
-        gap = (1 - b) * length / (self.k - 1)
-        return child, child + gap
+    def _grow(self, den: int, levels: tuple) -> Iterator[tuple]:
+        """Yield the levels after ``levels`` (a table over ``den``) one at
+        a time, as (D, stride * D, child * D), D the running lcm of the
+        layout denominators.
+
+        Level m reads the measure once, at m + 1.  With c_m = a/b (read
+        back off the last child, or c_0 = 1) and c_{m+1} = p/q, over
+        E = b q (k-1) k^{m+1} the child is p b (k-1) and the stride
+        k a q - p b.  E/g, for g their gcd with E, is the lcm of the two
+        reduced denominators, so D = lcm(D, E/g) is as small as the
+        layout allows.
+        """
+        k, m = self.k, len(levels)
+        km = k ** m
+        a, b = (levels[-1][1] * km, den) if levels else (1, 1)
+        while True:
+            p, q = self._c(m + 1).as_integer_ratio()
+            if not 0 < p * b < a * q:
+                raise ValueError(
+                    f"level measures not strictly decreasing at {m}")
+            km *= k
+            child, stride = p * b * (k - 1), k * a * q - p * b
+            e = b * q * (k - 1) * km
+            g = math.gcd(child, stride, e)
+            e //= g
+            den = math.lcm(den, e)
+            yield den, stride // g * (den // e), child // g * (den // e)
+            a, b, m = p, q, m + 1
+
+    def _store(self, den: int, levels: tuple, new: list) -> tuple:
+        """Replace the table by ``levels`` (over ``den``) and the ``new``
+        (D, stride * D, child * D) rows after them, all over the last D.
+
+        The pair is replaced whole, so a reader holding an older pair
+        still has a consistent one.
+        """
+        top = new[-1][0]
+        r = top // den
+        rows = [(s * r, c * r) for s, c in levels]
+        rows += [(s * (top // d), c * (top // d)) for d, s, c in new]
+        self._grid = (top, tuple(rows))
+        return self._grid
 
     def _integer_layout(self, n: int):
-        """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n.
-
-        D is the lcm of the layout denominators of the levels built so
-        far, so every entry is an integer.  The table grows lazily; growing
-        it rescales the older levels to the new D and replaces the pair
-        whole, so a reader holding an older pair still has a consistent one.
-        """
+        """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n,
+        grown lazily only as deep as n."""
         den, levels = self._grid
         if n < len(levels):
-            return den, levels
-        levels = list(levels)
-        while len(levels) <= n:
-            child, stride = self.level_layout(len(levels))
-            new = math.lcm(den, child.denominator, stride.denominator)
-            if new != den:
-                m = new // den
-                levels = [(s * m, c * m) for s, c in levels]
-                den = new
-            levels.append((stride.numerator * (den // stride.denominator),
-                           child.numerator * (den // child.denominator)))
-        self._grid = (den, tuple(levels))
-        return self._grid
+            return self._grid
+        grow = self._grow(den, levels)
+        return self._store(den, levels,
+                           [next(grow) for _ in range(n + 1 - len(levels))])
 
     def _word_at(self, n: int, index: int) -> str:
         """The level-n word whose base-k digits (first letter most
@@ -238,25 +269,33 @@ def _descend(scheme: CantorScheme, p: int, q: int, depth: int):
     of child j (strictly inside the gap after it) exactly when
     t + [y*D is not an integer] > child * D.
     """
-    den, levels = scheme._grid
+    base, levels = scheme._grid
+    den = base
     yd, rem = divmod(p * den, q)
     t, frac = yd, rem != 0
-    k, index = scheme.k, 0
-    for n in range(depth):
-        if n == len(levels):
-            lo = yd - t
-            new, levels = scheme._integer_layout(n)
-            lo *= new // den
-            den = new
-            yd, rem = divmod(p * den, q)
-            t, frac = yd - lo, rem != 0
-        stride, child = levels[n]
-        j, t = divmod(t, stride)
-        if t + frac > child:  # strictly inside the gap right of child j
-            start = yd - t
-            return n, index, j, start + child, start + stride, den
-        index = index * k + j
-    return depth, index, None, 0, 0, den
+    k, index, new = scheme.k, 0, []
+    try:
+        for n in range(depth):
+            if n < len(levels):
+                stride, child = levels[n]
+            else:  # past the table: grow it a level, store it on the way out
+                if not new:
+                    grow = scheme._grow(den, levels)
+                new.append(next(grow))
+                d, stride, child = new[-1]
+                lo = (yd - t) * (d // den)
+                den = d
+                yd, rem = divmod(p * den, q)
+                t, frac = yd - lo, rem != 0
+            j, t = divmod(t, stride)
+            if t + frac > child:  # strictly inside the gap right of child j
+                start = yd - t
+                return n, index, j, start + child, start + stride, den
+            index = index * k + j
+        return depth, index, None, 0, 0, den
+    finally:
+        if new:
+            scheme._store(base, levels, new)
 
 
 def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:

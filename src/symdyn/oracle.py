@@ -137,6 +137,9 @@ class QueryKind(Enum):
     SOME_IN = "some_in"
 
 
+_KINDS = {kind.value: kind for kind in QueryKind}  # serialized value -> kind
+
+
 INF = None  # unbounded k / k_hi marker, serialized as "inf"
 
 
@@ -354,7 +357,9 @@ def table_from_json(text: str) -> OracleTable:
         raise ValueError(f"unknown oracle backend {backend!r}")
     entries = []
     for item in doc.get("entries", []):
-        kind = QueryKind(item["kind"])
+        kind = _KINDS.get(item["kind"])
+        if kind is None:
+            raise ValueError(f"unknown query kind {item['kind']!r}")
         time = None if item["time"] == "never" else int(item["time"])
         entries.append(Entry(e=int(item["e"]), kind=kind, time=time,
                              k=_denum(item.get("k")), k_hi=_denum(item.get("k_hi"))))

@@ -50,7 +50,8 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import Configuration, FrontierUnresolved, parse_blocks
+from .space import (Configuration, FrontierUnresolved, iter_blocks,
+                    parse_blocks)
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ class ZoneEngine:
         if not complete and k == self.last:
             word = word.rstrip("1")
         heap = self.pending[k]
-        for i, l in parse_blocks(word):
+        for i, l in iter_blocks(word):
             tau = self._tau(l, k)
             if tau is not None:
                 heapq.heappush(heap, (max(tau, off + i + l), off + i, l))

@@ -7,10 +7,12 @@ seed on every materialization, so sharing across threads is safe.  Each
 cell a tail writes is one alphabet symbol, so ``materialize(n)`` always
 gives ``n`` symbols over the alphabet.
 
-``parse_blocks`` lists the maximal 1-runs of a finite word as
-``(start, length)`` tuples; the per-position maps, the attractor
-predicates and the limit measure read blocks through it.  A map raises
-``FrontierUnresolved`` when a finite word is too short to fix its image.
+``iter_blocks`` yields the maximal 1-runs of a finite word as
+``(start, length)`` tuples, and ``parse_blocks`` lists them; the
+per-position maps, the attractor predicates and the limit measure read
+blocks through it, and the π2 zone engine scans long zones lazily.  A
+map raises ``FrontierUnresolved`` when a finite word is too short to fix
+its image.
 """
 
 from __future__ import annotations
@@ -228,15 +230,21 @@ def distance_exponent(x: Configuration, y: Configuration, depth: int):
 _ONE_RUN = re.compile("1+")
 
 
-def parse_blocks(w: str) -> List[Tuple[int, int]]:
-    """The maximal 1-runs of ``w``, left to right, as ``(start, length)``.
+def iter_blocks(w: str) -> Iterator[Tuple[int, int]]:
+    """The maximal 1-runs of ``w``, left to right, as ``(start, length)``,
+    one at a time.
 
     Any other symbol (0 or S) ends a run.  A run is bounded on the left
     when ``start > 0`` (its left neighbour, at ``start - 1``, is the
     position the erasure rules key on) and on the right when
     ``start + length < len(w)``.
     """
-    return [(m.start(), m.end() - m.start()) for m in _ONE_RUN.finditer(w)]
+    return ((m.start(), m.end() - m.start()) for m in _ONE_RUN.finditer(w))
+
+
+def parse_blocks(w: str) -> List[Tuple[int, int]]:
+    """``iter_blocks(w)`` as a list."""
+    return list(iter_blocks(w))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -58,11 +59,17 @@ class ReferenceScheme:
 
 @functools.cache
 def reference_level_layout(scheme, n):
-    return scheme.level_layout(n)
+    """(child length, child-to-child stride) shared by all level-n I_w,
+    from the Fraction formula the integer recurrence replaced."""
+    length = scheme.level_measure(n) / F(scheme.k) ** n
+    b = scheme.contraction(n)
+    child = b * length / scheme.k
+    gap = (1 - b) * length / (scheme.k - 1)
+    return child, child + gap
 
 
 def reference_locate(scheme, y, depth):
-    """locate as a Fraction walk down ``scheme.level_layout``."""
+    """locate as a Fraction walk down ``reference_level_layout``."""
     y = F(y)
     if not 0 <= y <= 1:
         raise ValueError("point outside [0, 1]")
@@ -172,6 +179,70 @@ def _quadratic_measure(n):
     return F(1, 3) + F(2, 3) / (n + 1) ** 2
 
 
+def _triadic_measure(n):
+    return F(1, 2) + F(1, 2 * 3 ** n)
+
+
+_SCHEMES = {
+    "binary": lambda: CantorScheme(),
+    "ternary": lambda: CantorScheme(ALPHA_01S),
+    "custom-measure": lambda: CantorScheme(level_measure=_quadratic_measure,
+                                           limit=F(1, 3)),
+    "triadic-measure": lambda: CantorScheme(level_measure=_triadic_measure),
+}
+
+
+@pytest.mark.parametrize("make", _SCHEMES.values(), ids=_SCHEMES.keys())
+def test_level_table_matches_fraction_formula(make):
+    # every entry over D is the Fraction layout of its level, and D is the
+    # lcm of the reduced layout denominators: no larger than it must be
+    s = make()
+    den, levels = s._integer_layout(48)
+    assert len(levels) == 49
+    ref = [reference_level_layout(s, n) for n in range(49)]
+    for n, (stride, child) in enumerate(levels):
+        assert (F(child, den), F(stride, den)) == ref[n], n
+    assert den == math.lcm(*(x.denominator for row in ref for x in row))
+
+
+@pytest.mark.parametrize("make", _SCHEMES.values(), ids=_SCHEMES.keys())
+def test_level_table_is_the_same_however_grown(make):
+    deep = make()
+    deep._integer_layout(48)
+    stepwise = make()
+    for n in range(49):
+        stepwise._integer_layout(n)
+    by_descent = make()
+    locate(by_descent, F(0), 49)  # y = 0 stays in child 0 to the bottom
+    assert stepwise._grid == deep._grid == by_descent._grid
+
+
+@pytest.mark.parametrize("make", _SCHEMES.values(), ids=_SCHEMES.keys())
+def test_each_level_measure_is_read_once(make):
+    # the table reads c_n once per scheme, however it is grown: deep calls,
+    # one level at a time, descents that stop in gaps, endpoint queries
+    base = make()
+    reads = []
+
+    def counted(n):
+        reads.append(n)
+        return base._c(n)
+
+    s = CantorScheme(base.alphabet, counted, base.limit)
+    rng = random.Random(12)
+    for n in (3, 0, 5, 1, 9, 9):
+        s._integer_layout(n)
+    for depth in (12, 20, 30):
+        for _ in range(20):
+            locate(s, F(rng.randrange(2 ** 40), 2 ** 40), depth)
+    locate(s, F(0), 36)
+    s.interval_of_word(s.alphabet.symbols[-1] * 40)
+    s.gap("0" * 40, 0)
+    for n in range(40, 49):
+        s._integer_layout(n)
+    assert sorted(reads) == list(range(50))
+
+
 @pytest.mark.parametrize("make, depth", [
     (lambda: CantorScheme(), 8),
     (lambda: CantorScheme(ALPHA_01S), 5),
@@ -209,8 +280,8 @@ def test_distortion_implication(scheme):
     # nearest pair of intervals split before depth n is a level-<=n gap
     # apart, and every such gap beats the threshold
     for n in range(1, 13):
-        g = scheme.level_layout(n - 1)
-        gap_len = g[1] - g[0]
+        g = scheme.gap("0" * (n - 1), 0)
+        gap_len = g.b - g.a
         assert gap_len >= F(1, 2 ** n) * (1 - scheme.contraction(n - 1))
     for u in scheme.words(6):
         if len(u) != 6:

@@ -303,6 +303,17 @@ def test_malformed_oracle_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_unknown_query_kind_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"entries": [
+        {"e": 1, "kind": "empty", "time": 3},
+        {"e": 2, "kind": "some_out", "k": 1, "time": 4}]}))
+    code = main(["orbit", "--system", "pi1", "--oracle", str(bad),
+                 "--init", "tail:0", "--steps", "1", "--window", "4"])
+    assert code == 2
+    assert "unknown query kind 'some_out'" in capsys.readouterr().err
+
+
 def test_bad_descriptor_is_usage_error(capsys, oracle_file):
     code, _ = run(capsys, "orbit", "--system", "pi1",
                   "--oracle", oracle_file, "--init", "tail:frob",

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from symdyn.space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet,
                           Configuration, Constant, Cylinder, Periodic, Sampler,
                           Scheduled, binary_config, config_from_json,
-                          config_to_json, distance_exponent, parse_blocks,
-                          rich_configuration)
+                          config_to_json, distance_exponent, iter_blocks,
+                          parse_blocks, rich_configuration)
 
 WORKED = "1001011100101100"
 
@@ -74,6 +74,13 @@ def test_parse_blocks_worked_example():
 
 def test_parse_blocks_empty():
     assert parse_blocks("") == []
+
+
+def test_iter_blocks_is_lazy():
+    runs = iter_blocks("011" + "0" * 10 + "1S1")
+    assert not isinstance(runs, list)
+    assert next(runs) == (1, 2)
+    assert list(runs) == [(13, 1), (15, 1)]
 
 
 def test_parse_blocks_s_positions():
