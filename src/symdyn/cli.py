@@ -1,7 +1,10 @@
 """Command-line front end: reproducible experiments over the library.
 
 Every run is fully determined by its arguments (system, oracle file,
-initial-configuration descriptor, seeds); there is no hidden state.
+initial-configuration descriptor, seeds).  The only state kept between
+calls in one process is the default ``CantorScheme`` of the ``interval``
+commands, a pure cache whose level table gives the same values however
+far it has grown.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Argument
 checks raise ``UsageError``; any other exception is a fault in the
 program and ends the run with its traceback.
@@ -63,10 +66,8 @@ def parse_descriptor(text: str, alphabet: Alphabet,
     if tail_spec in alphabet.symbols:
         tail = Constant(tail_spec)
     elif tail_spec.startswith("period="):
-        word = tail_spec[len("period="):]
-        _need(word != "" and set(word) <= set(alphabet.symbols),
-              f"bad periodic tail {tail_spec!r}")
-        tail = Periodic(word)
+        # Configuration checks the word against the alphabet
+        tail = Periodic(tail_spec[len("period="):])
     elif tail_spec.startswith("bernoulli="):
         body = tail_spec[len("bernoulli="):]
         seed = default_seed
@@ -81,8 +82,7 @@ def parse_descriptor(text: str, alphabet: Alphabet,
             raise UsageError(f"bad bernoulli tail {tail_spec!r}")
         _need(0 <= p <= 1, f"bernoulli weight outside [0, 1]: {tail_spec!r}")
         p = float(p)
-        if len(alphabet.symbols) != 2:
-            raise UsageError("bernoulli tails are for two-symbol alphabets")
+        # Configuration refuses the two weights on a larger alphabet
         tail = Sampler(alphabet.symbols, (1 - p, p), seed)
     elif tail_spec.startswith("rich="):
         # Configuration checks the enumerator and the symbols it writes
@@ -148,6 +148,12 @@ def out_stream(path):
             yield fh
 
 
+def _write_json(fh, doc) -> None:
+    """Write ``doc`` as one JSON document: two-space indent, then a newline."""
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
+
+
 def _frac(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
@@ -195,10 +201,9 @@ def cmd_omega(args) -> int:
             for w in sorted(prof.words):
                 fh.write(w + "\n")
         else:
-            json.dump({"depth": prof.depth, "burn_in": prof.burn_in,
-                       "horizon": prof.horizon,
-                       "words": sorted(prof.words)}, fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, {"depth": prof.depth, "burn_in": prof.burn_in,
+                             "horizon": prof.horizon,
+                             "words": sorted(prof.words)})
     return 0
 
 
@@ -211,9 +216,8 @@ def cmd_measure(args) -> int:
                                    start=args.start)
     with out_stream(args.out) as fh:
         if args.format == "json":
-            json.dump({"depth": m.depth, "total": m.total,
-                       "counts": dict(sorted(m.counts.items()))}, fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, {"depth": m.depth, "total": m.total,
+                             "counts": dict(sorted(m.counts.items()))})
         else:
             m.write_csv(fh)
     return 0
@@ -269,13 +273,11 @@ def cmd_tilde_mu(args) -> int:
                 est = table[w]
                 fh.write(f"{w},{_frac(est.lower)},{_frac(est.upper)}\n")
         else:
-            json.dump({"p": _frac(p), "truncation": args.truncation,
-                       "kind": args.kind,
-                       "entries": {w: {"lower": _frac(e.lower),
-                                       "upper": _frac(e.upper)}
-                                   for w, e in sorted(table.items())}},
-                      fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, {"p": _frac(p), "truncation": args.truncation,
+                             "kind": args.kind,
+                             "entries": {w: {"lower": _frac(e.lower),
+                                             "upper": _frac(e.upper)}
+                                         for w, e in sorted(table.items())}})
     return 0
 
 
@@ -290,12 +292,11 @@ def cmd_realm(args) -> int:
     witness = analysis.realm_visit_check(sys_spec, seeds, target,
                                          args.match_depth,
                                          args.t_from, args.t_to)
+    doc = {"found": witness is not None}
+    if witness is not None:
+        doc.update(t=witness.t, seed_index=witness.seed_index)
     with out_stream(args.out) as fh:
-        doc = {"found": witness is not None}
-        if witness is not None:
-            doc.update(t=witness.t, seed_index=witness.seed_index)
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        _write_json(fh, doc)
     return 0
 
 
@@ -304,20 +305,17 @@ def cmd_interval_eval(args) -> int:
     point = parse_fraction(args.point)
     _need(0 <= point <= 1, "--point must lie in [0, 1]")
     _need_nonnegative(args, "precision")
-    sch = cantor.CantorScheme()
-    enc = cantor.f_eval(sch, sys_spec, point, args.precision)
+    enc = cantor.f_eval(_scheme(), sys_spec, point, args.precision)
     with out_stream(args.out) as fh:
-        json.dump({"lower": _frac(enc.lower), "upper": _frac(enc.upper),
-                   "width": float(enc.width)}, fh, indent=2)
-        fh.write("\n")
+        _write_json(fh, {"lower": _frac(enc.lower), "upper": _frac(enc.upper),
+                         "width": float(enc.width)})
     return 0
 
 
 def cmd_interval_export(args) -> int:
     _need_nonnegative(args, "depth")
-    sch = cantor.CantorScheme()
     with out_stream(args.out) as fh:
-        cantor.export_intervals(sch, args.depth, fh)
+        cantor.export_intervals(_scheme(), args.depth, fh)
     return 0
 
 
@@ -325,12 +323,10 @@ def cmd_interval_escape(args) -> int:
     _need(args.samples >= 1, "--samples must be >= 1")
     _need_nonnegative(args, "iterations", "depth")
     sys_spec = build_binary_system(args)
-    sch = cantor.CantorScheme()
-    res = cantor.escape_fraction(sch, sys_spec, args.iterations,
+    res = cantor.escape_fraction(_scheme(), sys_spec, args.iterations,
                                  args.samples, args.seed, args.depth)
     with out_stream(args.out) as fh:
-        json.dump(res.to_json(), fh, indent=2)
-        fh.write("\n")
+        _write_json(fh, res.to_json())
     return 0
 
 
@@ -342,8 +338,7 @@ def cmd_verify(args) -> int:
             for c in report.checks:
                 fh.write(f"{c.name},{c.status},{c.measured},{c.expected}\n")
         else:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+            _write_json(fh, report.to_json())
     if args.out is not None or args.format == "json":
         print(f"{sum(c.status == 'pass' for c in report.checks)}/"
               f"{len(report.checks)} checks passed", file=sys.stderr)
@@ -354,12 +349,16 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, oracle=True, fmt="csv"):
+def _add_common(p, oracle=True, seed=False, fmt=None):
+    """``--out``, and ``--oracle``, ``--seed`` and ``--format`` (default
+    ``fmt``) for the commands that read them."""
     if oracle:
         p.add_argument("--oracle", help="oracle table JSON file")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default=fmt)
+    if fmt:
+        p.add_argument("--format", choices=["csv", "json"], default=fmt)
 
 
 def _add_system(p, init=True):
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--start", type=int, default=0)
-    _add_common(p)
+    _add_common(p, seed=True, fmt="csv")
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("omega", help="set of windows visited after burn-in")
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    _add_common(p, fmt="json")
+    _add_common(p, seed=True, fmt="json")
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("measure", help="empirical window measure of an orbit")
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--start", type=int, default=0)
-    _add_common(p)
+    _add_common(p, seed=True, fmt="csv")
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("meets",
@@ -411,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,
                    help="step budget for enumerated oracles")
-    _add_common(p, fmt="json")
+    _add_common(p)
     p.set_defaults(fn=cmd_meets)
 
     p = sub.add_parser("tilde-mu",
@@ -436,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="neighbourhood depth k")
     p.add_argument("--from", dest="t_from", type=int, required=True)
     p.add_argument("--to", dest="t_to", type=int, required=True)
-    _add_common(p, fmt="json")
+    _add_common(p, seed=True)
     p.set_defaults(fn=cmd_realm)
 
     p = sub.add_parser("interval", help="fat-Cantor interval embedding")
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system(q, init=False)
     q.add_argument("--point", required=True, help="rational in [0,1]")
     q.add_argument("--precision", type=int, default=20)
-    _add_common(q, fmt="json")
+    _add_common(q)
     q.set_defaults(fn=cmd_interval_eval)
 
     q = isub.add_parser("export", help="endpoint tree as CSV")
@@ -459,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--iterations", type=int, required=True)
     q.add_argument("--samples", type=int, default=10_000)
     q.add_argument("--depth", type=int, default=16)
-    _add_common(q, fmt="json")
+    _add_common(q, seed=True)
     q.set_defaults(fn=cmd_interval_escape)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -475,6 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept for the process."""
     return build_parser()
+
+
+@functools.cache
+def _scheme() -> cantor.CantorScheme:
+    """The default scheme of the ``interval`` commands, kept for the
+    process so its level table is grown once."""
+    return cantor.CantorScheme()
 
 
 def main(argv=None) -> int:

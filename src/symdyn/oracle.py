@@ -104,9 +104,6 @@ def encode_machine(spec: TMSpec) -> int:
     return e + sum(_block_size(s) for s in range(1, spec.states))
 
 
-HALT_IMMEDIATELY = decode_machine(0)
-
-
 def simulate_tm(spec: TMSpec, input_word: str, max_steps: int):
     """Run ``spec`` on ``input_word`` (over {0,1}) for at most ``max_steps``.
 

@@ -223,10 +223,7 @@ class _WakeTree:
     """
 
     def __init__(self, zones: int):
-        n = 4
-        while n < zones:
-            n *= 2
-        self.n = n
+        self.n = n = max(4, 1 << (zones - 1).bit_length())
         self.mn = [_NO_KEY] * (2 * n)
         self.add = [0] * (2 * n)
 
@@ -347,33 +344,21 @@ class ZoneEngine:
             self.u0 = None         # S-free horizon: the map acts as the shift
             self._shift_word = w
             return
-        self.u0 = deque(w[:first_s])
-        self.ones = sum(1 for c in self.u0 if c == "1")
-        self.trailing = 0
-        for c in reversed(self.u0):
-            if c != "1":
-                break
-            self.trailing += 1
+        u0 = w[:first_s]
+        self.u0 = deque(u0)
+        self.ones = u0.count("1")
+        self.trailing = len(u0) - len(u0.rstrip("1"))
 
-        self.zones: List = [None, deque()]   # zones[k] holds u_k
-        self.base: List[int] = [0, first_s]  # initial position of S_k
-        self.pending: List[list] = [None, None]  # (threshold, start, len) heaps
-        self.parsed: List[int] = [0, 0]
-        rest = w[first_s:]
-        idx = rest.find("S", 1)
-        while idx >= 0:
-            nxt = rest.find("S", idx + 1)
-            seg = rest[idx + 1: nxt if nxt >= 0 else len(rest)]
-            if len(self.base) == 2:
-                self.zones[1].extend(rest[1:idx])
-            self.base.append(first_s + idx)
-            self.zones.append(list(seg))
-            self.pending.append([])
-            self.parsed.append(0)
-            idx = nxt
-        if len(self.base) == 2:
-            self.zones[1].extend(rest[1:])
-        self.last = len(self.base) - 1
+        segs = w[first_s + 1:].split("S")    # u_1, u_2, ..., u_last
+        self.last = len(segs)
+        # zones[k] holds u_k; base[k] is the initial position of S_k
+        self.zones: List = [None, deque(segs[0]), *map(list, segs[1:])]
+        self.base: List[int] = [0, first_s]
+        for seg in segs[:-1]:
+            self.base.append(self.base[-1] + len(seg) + 1)
+        # (threshold, start, len) heaps of the zones scanned for excisions
+        self.pending: List[list] = [None, None] + [[] for _ in segs[1:]]
+        self.parsed: List[int] = [0] * (self.last + 1)
         self._wake = _WakeTree(self.last + 1)
         self._dep_last = 0                   # dep[last], a running total
         for k in range(2, self.last + 1):
@@ -396,15 +381,11 @@ class ZoneEngine:
         return self.base[k] + self.pushes - self._wake.total_add(k)
 
     def s_positions(self) -> List[int]:
-        """Current positions of S_2 .. S_last, each read off the tree (the
-        first S sits at ``len(u0)``)."""
+        """Current positions of S_2 .. S_last (the first S sits at
+        ``len(u0)``)."""
         if self.u0 is None:
             return []
-        return [self.base[k] + self.pushes - self._wake.total_add(k)
-                for k in range(2, self.last + 1)]
-
-    def _tau(self, l: int, k: int) -> Optional[int]:
-        return self.oracle.all_below_time(l, k)
+        return [self._pos(k) for k in range(2, self.last + 1)]
 
     def _rekey(self, k: int):
         heap = self.pending[k]
@@ -427,7 +408,7 @@ class ZoneEngine:
             word = word.rstrip("1")
         heap = self.pending[k]
         for i, l in iter_blocks(word):
-            tau = self._tau(l, k)
+            tau = self.oracle.all_below_time(l, k)
             if tau is not None:
                 heapq.heappush(heap, (max(tau, off + i + l), off + i, l))
         self.parsed[k] = off + len(word)
@@ -507,7 +488,7 @@ class ZoneEngine:
             if k - 1 >= 2:
                 for piece in pieces:
                     l = len(piece) - 1
-                    tau = self._tau(l, k - 1)
+                    tau = self.oracle.all_below_time(l, k - 1)
                     if tau is not None:
                         heapq.heappush(self.pending[k - 1],
                                        (max(tau, off + l + 1), off + 1, l))

@@ -1,10 +1,14 @@
 """End-to-end command-line behaviour: formats, descriptors, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from symdyn import cli
 from symdyn.analysis import empirical_measure
+from symdyn.cantor import CantorScheme
 from symdyn.cli import main, parse_descriptor
 from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
@@ -262,6 +266,20 @@ def test_interval_export(capsys):
                                 ",0,1,1,1", "0,0,1,3,8", "1,5,8,1,1"]
 
 
+def test_interval_queries_share_one_scheme(capsys, monkeypatch):
+    argv = ("interval", "eval", "--system", "shift", "--point", "3/7",
+            "--precision", "20")
+    cli._scheme.cache_clear()
+    code, first = run(capsys, *argv)
+    grid = cli._scheme()._grid
+    assert code == 0 and grid[1]
+    code, second = run(capsys, *argv)
+    assert code == 0 and second == first
+    assert cli._scheme()._grid is grid         # no level grown or rebuilt
+    monkeypatch.setattr(cli, "_scheme", CantorScheme)
+    assert run(capsys, *argv) == (0, second)
+
+
 def test_interval_escape(capsys, oracle_file):
     code, out = run(capsys, "interval", "escape", "--system", "pi1",
                     "--oracle", oracle_file, "--iterations", "2",
@@ -396,6 +414,58 @@ _BAD_ARGUMENTS = [
     ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
      "--position", "-1", "--match-depth", "1", "--from", "0", "--to", "2"),
 ]
+
+
+# each command declares only the options it reads: these exit 2 in argparse
+_REMOVED_OPTIONS = [
+    ("meets", "--system", "pi1", "--oracle", "{prog}", "--cylinder", "01",
+     "--seed", "3"),
+    ("meets", "--system", "pi1", "--oracle", "{prog}", "--cylinder", "01",
+     "--format", "csv"),
+    ("tilde-mu", "--oracle", "{prog}", "--word", "01", "--seed", "3"),
+    ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
+     "--match-depth", "1", "--from", "0", "--to", "2", "--format", "csv"),
+    ("interval", "eval", "--system", "shift", "--point", "1/2",
+     "--seed", "3"),
+    ("interval", "eval", "--system", "shift", "--point", "1/2",
+     "--format", "csv"),
+    ("interval", "export", "--depth", "1", "--seed", "3"),
+    ("interval", "export", "--depth", "1", "--format", "json"),
+    ("interval", "escape", "--system", "shift", "--iterations", "1",
+     "--samples", "3", "--format", "csv"),
+    ("verify", "--suite", "worked-example", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _REMOVED_OPTIONS)
+def test_removed_options_exit_2(capsys, oracle_file, argv):
+    argv = [a.format(prog=oracle_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+
+def _quick_start_commands():
+    """The ``symdyn`` command lines of the README's CLI quick start."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Quick start (CLI)", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("symdyn ")]
+
+
+def test_readme_quick_start_runs(capsys, tmp_path, monkeypatch):
+    (tmp_path / "table.json").write_text(
+        table_to_json(worked_example_oracle()))
+    monkeypatch.chdir(tmp_path)
+    commands = _quick_start_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", _BAD_ARGUMENTS)
