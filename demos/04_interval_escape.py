@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from symdyn import (CantorScheme, binary_config, escape_fraction, f_eval,
                     worked_example_oracle, locate, phi_point, pi1_system)
+from symdyn.space import Constant
 
 sch = CantorScheme()
 sys = pi1_system(worked_example_oracle())
@@ -23,8 +24,6 @@ for w in ("", "0", "1", "01", "0110"):
     lo, hi = sch.interval_of_word(w)
     print(f"  I_{w or 'eps':6s} = [{lo}, {hi}]   length {hi - lo}")
 print()
-
-from symdyn.space import Constant
 
 x = binary_config("0110", Constant("0"))
 enc = phi_point(sch, x, 30)

@@ -23,20 +23,20 @@ c_n and c_{n+1} alone: the child length is c_{n+1}/k^{n+1} and the
 stride (k c_n - c_{n+1}) / ((k-1) k^{n+1}).  c_n is read back off the
 table (it is k^n times the level-(n-1) child length), so growing the
 table reads the level measure once per level, as an integer pair.  That
-table is the scheme's one cache, pure and grown lazily only as deep as a
-call reaches; a descent that runs past it stores the grown table once,
-on the way out, so growth costs no rescale of older levels per level.
-Endpoints and gaps are digit sums over it: I_w starts at the sum of
-index(w_i) times the level-i stride, over D.  ``locate`` unpacks y = p/q
-once into floor(y*D) and a flag for y*D not being an integer, then
-descends with one floor division per level.  Because every table entry
+table is the scheme's one cache, pure and grown lazily, in one place,
+only as deep as a call reaches; a descent that runs past it grows it by
+the one level it reads next.  Endpoints and gaps are digit sums over
+it: I_w starts at the sum of index(w_i) times the level-i stride, over
+D.  ``locate`` unpacks y = p/q once into floor(y*D) and a flag for y*D
+not being an integer, then descends with one floor division per level.  Because every table entry
 is an integer over D, floor(y*D) picks the same child as y itself, and
 "y strictly inside the gap" (y*D > N for the integer N = gap start
 times D) holds exactly when ceil(y*D) > N, so every comparison is still
-exact.  A ``GapMap`` evaluates each of its three affine pieces as one
-integer expression (u*p + v*q) / (w*q), and ``escape_fraction`` carries
-that (numerator, denominator) pair, unreduced, from one step to the
-next.
+exact.  A ``GapMap`` scales its six values to one denominator and
+evaluates each of its three affine pieces as one integer expression
+(u*p + v*q) / (w*q); ``escape_fraction`` descends once per step, builds
+a missing gap map from that descent, and carries the (numerator,
+denominator) pair, unreduced, from one step to the next.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ def default_level_measure(n: int) -> Fraction:
 class CantorScheme:
     """Immutable k-ary fat-Cantor interval scheme.
 
-    Endpoints and gaps are read from the integer level table
-    (``_integer_layout``), a pure cache grown lazily by one integer
-    recurrence per level (``_grow``), with one read of c_n per level: a
-    fresh scheme returns the same values, so concurrent readers at worst
-    rebuild levels another has built.  A level measure that stops
-    strictly decreasing is refused when the table reaches that level.
+    Endpoints and gaps are read from the integer level table, a pure
+    cache that only ``_integer_layout`` grows, lazily, by one integer
+    recurrence per level, with one read of c_n per level: a fresh scheme
+    returns the same values, so concurrent readers at worst rebuild
+    levels another has built.  A level measure that stops strictly
+    decreasing is refused when the table reaches that level.
     """
 
     def __init__(self,
@@ -131,22 +131,27 @@ class CantorScheme:
         b = self.interval_of_word(w + syms[j + 1])[0]
         return GapLocation(w, j, a, b)
 
-    def _grow(self, den: int, levels: tuple) -> Iterator[tuple]:
-        """Yield the levels after ``levels`` (a table over ``den``) one at
-        a time, as (D, stride * D, child * D), D the running lcm of the
-        layout denominators.
+    def _integer_layout(self, n: int):
+        """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n,
+        grown lazily only as deep as n.
 
         Level m reads the measure once, at m + 1.  With c_m = a/b (read
         back off the last child, or c_0 = 1) and c_{m+1} = p/q, over
         E = b q (k-1) k^{m+1} the child is p b (k-1) and the stride
         k a q - p b.  E/g, for g their gcd with E, is the lcm of the two
         reduced denominators, so D = lcm(D, E/g) is as small as the
-        layout allows.
+        layout allows.  Every row is rescaled to the last D once, and the
+        pair is replaced whole, so a reader holding an older pair still
+        has a consistent one.
         """
-        k, m = self.k, len(levels)
-        km = k ** m
-        a, b = (levels[-1][1] * km, den) if levels else (1, 1)
-        while True:
+        base, levels = self._grid
+        if n < len(levels):
+            return self._grid
+        k, den = self.k, base
+        km = k ** len(levels)
+        a, b = (levels[-1][1] * km, base) if levels else (1, 1)
+        new = []
+        for m in range(len(levels), n + 1):
             p, q = self._c(m + 1).as_integer_ratio()
             if not 0 < p * b < a * q:
                 raise ValueError(
@@ -157,32 +162,14 @@ class CantorScheme:
             g = math.gcd(child, stride, e)
             e //= g
             den = math.lcm(den, e)
-            yield den, stride // g * (den // e), child // g * (den // e)
-            a, b, m = p, q, m + 1
-
-    def _store(self, den: int, levels: tuple, new: list) -> tuple:
-        """Replace the table by ``levels`` (over ``den``) and the ``new``
-        (D, stride * D, child * D) rows after them, all over the last D.
-
-        The pair is replaced whole, so a reader holding an older pair
-        still has a consistent one.
-        """
-        top = new[-1][0]
-        r = top // den
+            r = den // e
+            new.append((den, stride // g * r, child // g * r))
+            a, b = p, q
+        r = den // base
         rows = [(s * r, c * r) for s, c in levels]
-        rows += [(s * (top // d), c * (top // d)) for d, s, c in new]
-        self._grid = (top, tuple(rows))
+        rows += [(s * (den // d), c * (den // d)) for d, s, c in new]
+        self._grid = (den, tuple(rows))
         return self._grid
-
-    def _integer_layout(self, n: int):
-        """(D, levels): levels[i] = (stride_i * D, child_i * D), i <= n,
-        grown lazily only as deep as n."""
-        den, levels = self._grid
-        if n < len(levels):
-            return self._grid
-        grow = self._grow(den, levels)
-        return self._store(den, levels,
-                           [next(grow) for _ in range(n + 1 - len(levels))])
 
     def _word_at(self, n: int, index: int) -> str:
         """The level-n word whose base-k digits (first letter most
@@ -267,35 +254,37 @@ def _descend(scheme: CantorScheme, p: int, q: int, depth: int):
     [lo, hi].  Since lo*D and the layout entries are integers, the child
     index floor((y - lo) / stride) equals t // stride, and y lies right
     of child j (strictly inside the gap after it) exactly when
-    t + [y*D is not an integer] > child * D.
+    t + [y*D is not an integer] > child * D.  A walk that runs past the
+    table grows it by the one level it reads next.
     """
-    base, levels = scheme._grid
-    den = base
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    den, levels = scheme._grid
     yd, rem = divmod(p * den, q)
     t, frac = yd, rem != 0
-    k, index, new = scheme.k, 0, []
-    try:
-        for n in range(depth):
-            if n < len(levels):
-                stride, child = levels[n]
-            else:  # past the table: grow it a level, store it on the way out
-                if not new:
-                    grow = scheme._grow(den, levels)
-                new.append(next(grow))
-                d, stride, child = new[-1]
-                lo = (yd - t) * (d // den)
-                den = d
-                yd, rem = divmod(p * den, q)
-                t, frac = yd - lo, rem != 0
-            j, t = divmod(t, stride)
-            if t + frac > child:  # strictly inside the gap right of child j
-                start = yd - t
-                return n, index, j, start + child, start + stride, den
-            index = index * k + j
-        return depth, index, None, 0, 0, den
-    finally:
-        if new:
-            scheme._store(base, levels, new)
+    k, index = scheme.k, 0
+    for n in range(depth):
+        if n == len(levels):
+            lo = yd - t
+            d, levels = scheme._integer_layout(n)
+            lo *= d // den
+            den = d
+            yd, rem = divmod(p * den, q)
+            t, frac = yd - lo, rem != 0
+        stride, child = levels[n]
+        j, t = divmod(t, stride)
+        if t + frac > child:  # strictly inside the gap right of child j
+            start = yd - t
+            return n, index, j, start + child, start + stride, den
+        index = index * k + j
+    return depth, index, None, 0, 0, den
+
+
+def _gap_at(scheme: CantorScheme, n: int, index: int, j: int,
+            a: int, b: int, den: int) -> GapLocation:
+    """The gap a ``_descend`` that stopped in one names."""
+    return GapLocation(scheme._word_at(n, index), j, Fraction(a, den),
+                       Fraction(b, den))
 
 
 def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
@@ -308,12 +297,10 @@ def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
     y = Fraction(y)
     if not ZERO <= y <= ONE:
         raise ValueError("point outside [0, 1]")
-    n, index, j, a, b, den = _descend(scheme, y.numerator, y.denominator,
-                                      depth)
-    w = scheme._word_at(n, index)
-    if j is None:
-        return InLevelInterval(w)
-    return InGap(GapLocation(w, j, Fraction(a, den), Fraction(b, den)))
+    found = _descend(scheme, y.numerator, y.denominator, depth)
+    if found[2] is None:
+        return InLevelInterval(scheme._word_at(depth, found[1]))
+    return InGap(_gap_at(scheme, *found))
 
 
 def _word_depth_for(scheme: CantorScheme, precision: int) -> int:
@@ -371,23 +358,6 @@ def _require_embeddable(scheme: CantorScheme, sys: SystemSpec):
         raise ValueError("scheme alphabet must match the system alphabet")
 
 
-def _exact_image_point(scheme: CantorScheme, sys: SystemSpec,
-                       prefix: str, tail_symbol: str) -> Fraction:
-    """phi(T(prefix . tail^inf)) for an extremal constant tail.
-
-    The binary maps preserve extremal tails: an unbounded trailing
-    1-run is never a closed block (so never erased) and a trailing
-    0^inf stays 0^inf, hence the image word settles to the same
-    constant and its phi-value is an outer interval endpoint.
-    """
-    d = len(prefix) + 8
-    w = prefix + tail_symbol * (sys.lookahead(d) - len(prefix))
-    v = step_prefix(sys, w, d)
-    u = v.rstrip(tail_symbol)
-    lo, hi = scheme.interval_of_word(u)
-    return lo if tail_symbol == scheme.alphabet.symbols[0] else hi
-
-
 @dataclass(frozen=True)
 class GapMap:
     """f restricted to a gap [a, b]: three linear pieces.
@@ -415,20 +385,28 @@ class GapMap:
     @cached_property
     def _integer_form(self):
         """(g, breakpoints, pieces): the breakpoints a, q1, q3, b times g,
-        as integers, and for each piece (u, v, w) with f(y) = (u*y + v)/w."""
-        q1, q3 = self.q1, self.q3
+        and for each piece (u, v, w) in lowest terms with
+        f(y) = (u*y + v)/w.
+
+        g = 4 lcm of the six denominators makes every breakpoint and
+        value times g an integer.  With X, V those integers, the piece
+        from (x0, v0) to (x1, v1) is
+        f(y) = (g(V1-V0) y + V0(X1-X0) - (V1-V0)X0) / (g(X1-X0)).
+        """
+        vals = (self.a, self.b, self.fa, self.fb, self.target_lo,
+                self.target_hi)
+        g = 4 * math.lcm(*(x.denominator for x in vals))
+        a, b, fa, fb, lo, hi = (x.numerator * (g // x.denominator)
+                                for x in vals)
+        q1, q3 = a + (b - a) // 4, a + 3 * (b - a) // 4
         pieces = []
-        for x0, x1, v0, v1 in ((self.a, q1, self.fa, self.target_lo),
-                               (q1, q3, self.target_lo, self.target_hi),
-                               (q3, self.b, self.target_hi, self.fb)):
-            slope = (v1 - v0) / (x1 - x0)
-            icpt = v0 - slope * x0
-            w = math.lcm(slope.denominator, icpt.denominator)
-            pieces.append((slope.numerator * (w // slope.denominator),
-                           icpt.numerator * (w // icpt.denominator), w))
-        xs = (self.a, q1, q3, self.b)
-        g = math.lcm(*(x.denominator for x in xs))
-        return g, tuple(x.numerator * (g // x.denominator) for x in xs), pieces
+        for x0, x1, v0, v1 in ((a, q1, fa, lo), (q1, q3, lo, hi),
+                               (q3, b, hi, fb)):
+            dv, dx = v1 - v0, x1 - x0
+            u, v, w = g * dv, v0 * dx - dv * x0, g * dx
+            r = math.gcd(u, v, w)
+            pieces.append((u // r, v // r, w // r))
+        return g, (a, q1, q3, b), pieces
 
     def _image(self, p: int, q: int):
         """f(p/q) as an unnormalized (numerator, denominator) pair."""
@@ -446,21 +424,31 @@ class GapMap:
 
 
 def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
-    """Build the three-piece extension of f across ``gap``."""
+    """Build the three-piece extension of f across ``gap``.
+
+    The binary maps preserve extremal tails: an unbounded trailing
+    1-run is never a closed block (so never erased) and a trailing 0^inf
+    stays 0^inf.  So the image word of a = phi(left child . top^inf)
+    settles to top^inf, and f(a) is the right end of the interval of
+    its stripped image word; f(b) is the left end for the right child
+    and bottom^inf.  Both gap endpoints extend the parent word w, so
+    their images agree to depth m = modulus(|w|) <= |w|, and the first m
+    of the |w| + 9 letters of a's image word give the target interval I'.
+    """
     _require_embeddable(scheme, sys)
+    syms = scheme.alphabet.symbols
+    bot, top = syms[0], syms[-1]
     w = gap.parent
-    bot, top = scheme.alphabet.symbols[0], scheme.alphabet.symbols[-1]
-    left_child = w + scheme.alphabet.symbols[gap.index]
-    right_child = w + scheme.alphabet.symbols[gap.index + 1]
-    fa = _exact_image_point(scheme, sys, left_child, top)
-    fb = _exact_image_point(scheme, sys, right_child, bot)
+    images = []
+    for child, tail in ((w + syms[gap.index], top),
+                        (w + syms[gap.index + 1], bot)):
+        d = len(child) + 8
+        images.append(step_prefix(
+            sys, child + tail * (sys.lookahead(d) - len(child)), d))
+    fa = scheme.interval_of_word(images[0].rstrip(top))[1]
+    fb = scheme.interval_of_word(images[1].rstrip(bot))[0]
     m = sys.modulus(len(w))
-    if m == 0:
-        t_lo, t_hi = ZERO, ONE
-    else:
-        # both gap endpoints extend w, so their images agree to depth m
-        src = left_child + top * (sys.lookahead(m) - len(left_child))
-        t_lo, t_hi = scheme.interval_of_word(step_prefix(sys, src, m))
+    t_lo, t_hi = scheme.interval_of_word(images[0][:m])
     return GapMap(gap.a, gap.b, fa, fb, t_lo, t_hi)
 
 
@@ -518,6 +506,8 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     _require_embeddable(scheme, sys)
     rng = np.random.default_rng(master_seed)
     den = 2 ** 53
@@ -526,17 +516,17 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     for _ in range(samples):
         p, q = int(rng.integers(0, den)), den
         for step in range(iterations + 1):
-            n, index, j = _descend(scheme, p, q, depth)[:3]
-            if j is None:
+            found = _descend(scheme, p, q, depth)
+            if found[2] is None:
                 break                      # absorbed
             if step == iterations:
                 escaped += 1
                 break
-            key = (n, index, j)
+            key = found[:3]
             gm = cache.get(key)
             if gm is None:
-                gap = locate(scheme, Fraction(p, q), depth).gap
-                gm = cache[key] = gap_map(scheme, sys, gap)
+                gm = cache[key] = gap_map(scheme, sys,
+                                          _gap_at(scheme, *found))
             p, q = gm._image(p, q)
     frac = Fraction(escaped, samples)
     p = float(frac)

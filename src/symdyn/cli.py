@@ -108,8 +108,12 @@ def load_oracle(path) -> OracleTable:
 
 
 def build_system(args) -> SystemSpec:
+    """The system named by ``--system``.  The shift reads no table, but a
+    given ``--oracle`` is still loaded, so a bad path or file exits 2."""
     sid = SystemId(args.system)
     if sid is SystemId.SHIFT:
+        if args.oracle is not None:
+            load_oracle(args.oracle)
         return systems.shift_system()
     oracle = load_oracle(args.oracle)
     _need(sid.erase is not None or oracle.programmed,

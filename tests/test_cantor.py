@@ -9,16 +9,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symdyn import cantor
 from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
                            escape_fraction, export_intervals, f_eval, gap_map,
                            locate, phi_point)
-from symdyn.oracle import OracleTable
+from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.space import (ALPHA_01S, Constant, Periodic, Sampler,
                           binary_config)
-from symdyn.systems import pi1_system, pi2_system, shift_system
+from symdyn.systems import pi1_system, pi2_system, shift_system, sigma2_system
 
 F = Fraction
 NEVER = OracleTable.programmed_table([])
+SOME_IN = OracleTable.programmed_table([
+    Entry(e=1, kind=QueryKind.SOME_IN, k=0, k_hi=2, time=3),
+    Entry(e=2, kind=QueryKind.SOME_IN, k=1, k_hi=3, time=2),
+    Entry(e=3, kind=QueryKind.SOME_IN, k=2, k_hi=INF, time=5)])
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +101,25 @@ def reference_gap_eval(gm, y):
     if y <= q3:
         return gm.target_lo + (y - q1) / (q3 - q1) * (gm.target_hi - gm.target_lo)
     return gm.target_hi + (y - q3) / (gm.b - q3) * (gm.fb - gm.target_hi)
+
+
+def reference_integer_form(gm):
+    """The gap map's integer form built piece by piece from ``Fraction``
+    slopes and intercepts, as before the six values shared one
+    denominator: (g, breakpoints times g, pieces (u, v, w))."""
+    q1, q3 = gm.q1, gm.q3
+    pieces = []
+    for x0, x1, v0, v1 in ((gm.a, q1, gm.fa, gm.target_lo),
+                           (q1, q3, gm.target_lo, gm.target_hi),
+                           (q3, gm.b, gm.target_hi, gm.fb)):
+        slope = (v1 - v0) / (x1 - x0)
+        icpt = v0 - slope * x0
+        w = math.lcm(slope.denominator, icpt.denominator)
+        pieces.append((slope.numerator * (w // slope.denominator),
+                       icpt.numerator * (w // icpt.denominator), w))
+    xs = (gm.a, q1, q3, gm.b)
+    g = math.lcm(*(x.denominator for x in xs))
+    return g, tuple(x.numerator * (g // x.denominator) for x in xs), pieces
 
 
 def reference_escaped(scheme, sys, iterations, samples, master_seed, depth):
@@ -215,6 +239,25 @@ def test_level_table_is_the_same_however_grown(make):
     by_descent = make()
     locate(by_descent, F(0), 49)  # y = 0 stays in child 0 to the bottom
     assert stepwise._grid == deep._grid == by_descent._grid
+
+
+def test_descent_grows_the_table_through_integer_layout(monkeypatch):
+    # one growth path: a descent past the table asks _integer_layout for
+    # each level it reads next, and for no deeper one
+    asked = []
+    layout = CantorScheme._integer_layout
+
+    def recorded(self, n):
+        asked.append(n)
+        return layout(self, n)
+
+    monkeypatch.setattr(CantorScheme, "_integer_layout", recorded)
+    s = CantorScheme()
+    assert locate(s, F(0), 12) == InLevelInterval("0" * 12)
+    assert asked == list(range(12)) and len(s._grid[1]) == 12
+    asked.clear()
+    assert isinstance(locate(s, F(1, 2), 20), InGap)  # level-0 gap
+    assert asked == []
 
 
 @pytest.mark.parametrize("make", _SCHEMES.values(), ids=_SCHEMES.keys())
@@ -380,6 +423,90 @@ def test_gap_map_matches_three_piece_formula(scheme, worked):
             for y in (gm.a - F(1, 2 ** 60), gm.b + F(1, 3 ** 30)):
                 with pytest.raises(ValueError):
                     gm(y)
+
+
+def _chosen_piece(form, p, q):
+    """The piece an integer form picks for y = p/q: the first whose right
+    breakpoint is at least ceil(y*g)."""
+    g, (_, q1, q3, _), _ = form
+    hi = -(-p * g // q)
+    return 0 if hi <= q1 else 1 if hi <= q3 else 2
+
+
+_BINARY_SYSTEMS = {
+    "shift": lambda worked: shift_system(),
+    "pi1": pi1_system,
+    "sigma2": lambda worked: sigma2_system(SOME_IN),
+}
+
+
+@pytest.mark.parametrize("name", _BINARY_SYSTEMS)
+def test_integer_form_matches_per_piece_fractions(scheme, worked, name):
+    # one shared denominator gives the pieces the Fraction slopes and
+    # intercepts gave, in lowest terms, and picks the same piece everywhere
+    sys = _BINARY_SYSTEMS[name](worked)
+    rng = random.Random(7)
+    for w in scheme.words(7):
+        gm = gap_map(scheme, sys, scheme.gap(w, 0))
+        ref = reference_integer_form(gm)
+        assert gm._integer_form[2] == ref[2], w
+        ys = [gm.a + i * (gm.b - gm.a) / 4 for i in range(5)]
+        ys += [gm.a + (gm.b - gm.a) * F(rng.randrange(10 ** 9 + 1), 10 ** 9)
+               for _ in range(4)]
+        for y in ys:
+            p, q = y.numerator, y.denominator
+            i = _chosen_piece(ref, p, q)
+            assert _chosen_piece(gm._integer_form, p, q) == i, (w, y)
+            u, v, w_ = ref[2][i]
+            assert F(*gm._image(p, q)) == F(u * p + v * q, w_ * q), (w, y)
+
+
+def test_gap_map_steps_two_image_words(scheme, worked, monkeypatch):
+    # f(a) and the target interval come from one left image word
+    calls, step_prefix = [], cantor.step_prefix
+
+    def counted(sys, w, n):
+        calls.append(n)
+        return step_prefix(sys, w, n)
+
+    monkeypatch.setattr(cantor, "step_prefix", counted)
+    for make in _BINARY_SYSTEMS.values():
+        sys = make(worked)
+        for w in scheme.words(5):
+            calls.clear()
+            gap_map(scheme, sys, scheme.gap(w, 0))
+            assert len(calls) == 2, (sys.id, w)
+
+
+# (seed, [escaped after n = 1, 2, 4 steps]) of 400 samples at depth 14
+_PINNED_ESCAPES = {
+    "shift": {5: [91, 32, 4], 6: [75, 23, 3]},
+    "pi1": {5: [91, 34, 8], 6: [79, 28, 4]},
+    "sigma2": {5: [97, 45, 8], 6: [83, 41, 10]},
+}
+
+
+@pytest.mark.parametrize("name", _BINARY_SYSTEMS)
+def test_escape_builds_gaps_from_its_own_descent(worked, monkeypatch, name):
+    def refused(*args):
+        raise AssertionError("escape_fraction called locate")
+
+    monkeypatch.setattr(cantor, "locate", refused)
+    sys = _BINARY_SYSTEMS[name](worked)
+    for seed, want in _PINNED_ESCAPES[name].items():
+        s = CantorScheme()
+        assert [escape_fraction(s, sys, n, 400, seed, 14).escaped
+                for n in (1, 2, 4)] == want, seed
+
+
+def test_negative_counts_are_refused(scheme):
+    sys = shift_system()
+    for kwargs in ({"iterations": -1, "depth": 8},
+                   {"iterations": 1, "depth": -1}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            escape_fraction(scheme, sys, samples=3, master_seed=0, **kwargs)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        locate(scheme, F(1, 3), -2)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

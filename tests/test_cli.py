@@ -413,6 +413,11 @@ _BAD_ARGUMENTS = [
      "--match-depth", "1", "--from", "-3", "--to", "2"),
     ("realm", "--system", "shift", "--init", "tail:0", "--target", "0",
      "--position", "-1", "--match-depth", "1", "--from", "0", "--to", "2"),
+    # the shift reads no table, but a given one must load
+    ("orbit", "--system", "shift", "--oracle", "{missing}", "--init", "tail:0",
+     "--steps", "1", "--window", "4"),
+    ("interval", "eval", "--system", "shift", "--oracle", "{malformed}",
+     "--point", "1/2"),
 ]
 
 
@@ -473,7 +478,11 @@ def test_argument_errors_are_usage_errors(capsys, tmp_path, oracle_file,
                                           argv):
     enum = tmp_path / "enumerated.json"
     enum.write_text(table_to_json(OracleTable.enumerated()))
-    argv = [a.format(prog=oracle_file, enum=str(enum)) for a in argv]
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"entries": [')
+    argv = [a.format(prog=oracle_file, enum=str(enum),
+                     missing=str(tmp_path / "missing.json"),
+                     malformed=str(malformed)) for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
