@@ -29,9 +29,10 @@ everything to its right.
 ``step_prefix`` applies one step to a finite word exactly.  ``ZoneEngine``
 runs long orbits; it tracks every S inside a finite materialized horizon
 and extends the frontier whenever a scan or window read reaches it.  S
-positions are kept lazily: one min-tree over the zone index holds each
-zone's insertion displacement and its next excision wake-up, so an
-excision costs O(log zones) however many S's sit to its right.  This is
+positions are kept lazily in two flat lists over the zone index, each
+zone's insertion displacement and its next excision wake-up.  All the
+excisions of one step (a wave) cost O(zones) C-level list work plus
+Python work per fired zone, however many S's sit to their right.  This is
 exact whenever no excision cascade originates beyond the horizon
 (influence on a fixed window can in principle reach exponentially far for
 adversarial oracle tables); the engine counts the frontier checks that
@@ -45,6 +46,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -206,98 +208,7 @@ def step_prefix(sys, w, n: int):
 # ---------------------------------------------------------------------------
 
 _CHUNK = 4096
-_NO_KEY = 1 << 62          # leaf value of a zone with nothing pending
-
-
-class _WakeTree:
-    """Least wake key over the zone index, with lazy suffix adds.
-
-    Leaf k holds ``thr[k] - base[k] - dep[k]``, where ``thr[k]`` is the
-    least pending excision threshold of zone k (``_NO_KEY`` when nothing
-    is pending) and ``dep[k]`` its insertion displacement; zone k is due
-    once its leaf is <= ``pushes``.  ``add[i]`` is what has been added to
-    the whole subtree of node i and ``mn[i]`` the subtree's minimum with
-    ``add[i]`` included, so a displacement of S_k .. S_last is one suffix
-    add.  Slots past the last zone take the same adds: a zone appended
-    later starts at the displacement of the last one.
-    """
-
-    def __init__(self, zones: int):
-        self.n = n = max(4, 1 << (zones - 1).bit_length())
-        self.mn = [_NO_KEY] * (2 * n)
-        self.add = [0] * (2 * n)
-
-    def set_key(self, k: int, key: int):
-        """Set leaf k to ``key`` minus its displacement."""
-        mn, add = self.mn, self.add
-        i = self.n + k
-        mn[i] = key + add[i]
-        i >>= 1
-        while i:
-            a, b = mn[2 * i], mn[2 * i + 1]
-            v = (a if a < b else b) + add[i]
-            if mn[i] == v:          # nothing above changes either
-                return
-            mn[i] = v
-            i >>= 1
-
-    def add_suffix(self, k: int, v: int):
-        """Add ``v`` to every leaf from k on."""
-        mn, add = self.mn, self.add
-        i, hi = self.n + k, 2 * self.n
-        while i < hi:
-            if i & 1:
-                mn[i] += v
-                add[i] += v
-                i += 1
-            i >>= 1
-            hi >>= 1
-        # every node above the nodes just added to is an ancestor of leaf k
-        i = (self.n + k) >> 1
-        while i:
-            a, b = mn[2 * i], mn[2 * i + 1]
-            mn[i] = (a if a < b else b) + add[i]
-            i >>= 1
-
-    def total_add(self, k: int) -> int:
-        """Everything added to leaf k, i.e. ``-dep[k]``."""
-        add = self.add
-        i, s = self.n + k, 0
-        while i:
-            s += add[i]
-            i >>= 1
-        return s
-
-    def due(self, limit: int) -> List[Tuple[int, int]]:
-        """(k, total_add(k)) for every leaf <= ``limit``, ascending in k."""
-        mn, add, n = self.mn, self.add, self.n
-        out = []
-        stack = [(1, 0)]
-        while stack:
-            i, above = stack.pop()
-            if mn[i] + above > limit:
-                continue
-            above += add[i]
-            if i >= n:
-                out.append((i - n, above))
-            else:
-                stack.append((2 * i + 1, above))
-                stack.append((2 * i, above))
-        return out
-
-    def grow(self):
-        """Double the slots; the new ones share the adds of the last."""
-        n, mn, add = self.n, self.mn, self.add
-        for i in range(1, n):            # push every add down to the leaves
-            for c in (2 * i, 2 * i + 1):
-                add[c] += add[i]
-                mn[c] += add[i]
-        last = add[2 * n - 1]
-        self.n = m = 2 * n
-        self.add = [0] * m + add[n:] + [last] * n
-        self.mn = [0] * m + mn[n:] + [_NO_KEY + last] * n
-        for i in range(m - 1, 0, -1):
-            self.mn[i] = min(self.mn[2 * i], self.mn[2 * i + 1])
+_NO_KEY = 1 << 62          # wake key of a zone with nothing pending
 
 
 class ZoneEngine:
@@ -305,16 +216,23 @@ class ZoneEngine:
 
     Requires a programmed oracle (excision times must be computable in
     advance).  Zone k content sits in ``zones[k]``; the position of the
-    k-th S is ``base[k] + pushes + dep[k]``, where the insertion
-    displacement ``dep[k]`` lives in a lazy min-tree over the zone index
-    (``_WakeTree``) that also yields the zones due to excise.  A
-    displacement and a wake-up cost O(log zones), ``dep`` of the last S
-    is kept as a running total, and idle zones cost nothing per step.
+    k-th S is ``base[k] + pushes + dep[k]``.  Two flat lists over the zone
+    index hold the bookkeeping: ``dep[k]``, the insertion displacement of
+    S_k, and ``key[k]``, zone k's least pending excision threshold minus
+    ``base[k]`` (``_NO_KEY`` when nothing is pending).  Zone k is due
+    once ``key[k] - dep[k] <= pushes``; the least such value is cached,
+    so a step with nothing due costs O(1).  A step with zones due (a
+    wave) costs O(zones) C-level list work, one scan for the due zones
+    and one prefix sum that applies all the wave's displacements, plus
+    Python work per fired zone.  ``dep`` of the last S is also kept as a
+    running total, and idle zones cost nothing per step.
     ``s_positions()`` reads every position from the second S on.
 
     ``cap_hits`` counts the frontier checks that stopped at the
     materialization cap while the last S's scan prefix reached past the
     materialized cells; past that point results can be inexact.
+    ``waves`` counts the steps on which some zone was due, and
+    ``displacements`` the zones that fired on them.
     """
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
@@ -331,9 +249,12 @@ class ZoneEngine:
         self.src = len(w)          # next unread index of the initial layer 1
         self.cap = len(w)          # excision-scan materialization cap
         self.cap_hits = 0
+        self.waves = 0
+        self.displacements = 0
         self.excisable = oracle.default_halts or any(
             ent.kind is QueryKind.ALL_BELOW and ent.time is not None
             for ent in oracle.entries)
+        self._tau = {}             # (l, k) -> oracle.all_below_time(l, k)
         self.t = 0
         self.pushes = 0            # +1 per first-S push step
         self.completed_crossings = 0
@@ -359,7 +280,9 @@ class ZoneEngine:
         # (threshold, start, len) heaps of the zones scanned for excisions
         self.pending: List[list] = [None, None] + [[] for _ in segs[1:]]
         self.parsed: List[int] = [0] * (self.last + 1)
-        self._wake = _WakeTree(self.last + 1)
+        self.key: List[int] = [_NO_KEY] * (self.last + 1)
+        self.dep: List[int] = [0] * (self.last + 1)
+        self._least = _NO_KEY                # min(key[k] - dep[k])
         self._dep_last = 0                   # dep[last], a running total
         for k in range(2, self.last + 1):
             self._absorb_runs(k, complete=(k < self.last))
@@ -378,7 +301,7 @@ class ZoneEngine:
     def _pos(self, k: int) -> int:
         if k == self.last:
             return self.base[k] + self.pushes + self._dep_last
-        return self.base[k] + self.pushes - self._wake.total_add(k)
+        return self.base[k] + self.pushes + self.dep[k]
 
     def s_positions(self) -> List[int]:
         """Current positions of S_2 .. S_last (the first S sits at
@@ -387,9 +310,13 @@ class ZoneEngine:
             return []
         return [self._pos(k) for k in range(2, self.last + 1)]
 
-    def _rekey(self, k: int):
-        heap = self.pending[k]
-        self._wake.set_key(k, heap[0][0] - self.base[k] if heap else _NO_KEY)
+    def _all_below_time(self, l: int, k: int) -> Optional[int]:
+        # the table is immutable, and dense orbits ask few distinct pairs
+        try:
+            return self._tau[l, k]
+        except KeyError:
+            tau = self._tau[l, k] = self.oracle.all_below_time(l, k)
+            return tau
 
     def _absorb_runs(self, k: int, complete: bool):
         """Parse unparsed cells of zone k into pending excision candidates.
@@ -408,12 +335,15 @@ class ZoneEngine:
             word = word.rstrip("1")
         heap = self.pending[k]
         for i, l in iter_blocks(word):
-            tau = self.oracle.all_below_time(l, k)
+            tau = self._all_below_time(l, k)
             if tau is not None:
                 heapq.heappush(heap, (max(tau, off + i + l), off + i, l))
         self.parsed[k] = off + len(word)
         if heap:
-            self._rekey(k)
+            # pushes only lower the least threshold, and so the wake key
+            key = self.key[k] = heap[0][0] - self.base[k]
+            if key - self.dep[k] < self._least:
+                self._least = key - self.dep[k]
 
     def _extend_frontier(self, needed: int):
         """Materialize layer 1 until the last zone holds ``needed`` cells.
@@ -433,10 +363,14 @@ class ZoneEngine:
                 if self.last >= 2:
                     self._absorb_runs(self.last, complete=True)
                 # a new S enters the tracked region; everything right of
-                # every tracked S shares all pushes and displacements
+                # every tracked S shares all pushes and displacements.  In
+                # a wave, dep holds the pre-wave displacements and the
+                # wave's prefix sum reaches the new zone too.
                 self.base.append(self.src + cut)
-                if self.last + 1 == self._wake.n:
-                    self._wake.grow()
+                dep = self.dep[self.last]
+                self.dep.append(dep)
+                self.key.append(_NO_KEY)
+                self._least = min(self._least, _NO_KEY - dep)
                 self.zones.append([])
                 self.pending.append([])
                 self.parsed.append(0)
@@ -459,47 +393,64 @@ class ZoneEngine:
     # -- stepping -----------------------------------------------------------
 
     def _fire_excisions(self):
-        if self._wake.mn[1] > self.pushes:
+        pushes = self.pushes
+        if self._least > pushes:
             return
-        # snapshot the due zones in ascending order, with their pre-step
+        key, dep, base = self.key, self.dep, self.base
+        pending, zones = self.pending, self.zones
+        # the due zones in ascending order, judged against the pre-step
         # displacements: all excisions of one step are judged against the
         # pre-step S positions, a block deposited into zone k-1 is not
         # rescanned before the next application of the map, and same-step
-        # displacements must not widen a later scan
-        for k, shift in self._wake.due(self.pushes):
-            heap = self.pending[k]
-            pos = self.base[k] + self.pushes - shift
+        # displacements must not widen a later scan.  dep changes only
+        # once the wave is done.
+        due = list(itertools.compress(
+            itertools.count(), map(pushes.__ge__, map(sub, key, dep))))
+        moved = []
+        for k in due:
+            heap = pending[k]
+            pos = base[k] + pushes + dep[k]
             fired = []
             while heap and heap[0][0] <= pos:
                 fired.append(heapq.heappop(heap))
-            self._rekey(k)
-            if not fired:
-                continue
+            key[k] = heap[0][0] - base[k] if heap else _NO_KEY
             fired.sort(key=lambda e: e[1])
-            zone = self.zones[k]
-            pieces = []
+            # zero the fired runs and deposit 0 1^l for each, in order,
+            # at the end of zone k-1
+            zone, tgt = zones[k], zones[k - 1]
+            off = start_off = len(tgt)
+            heap = pending[k - 1] if k > 2 else None
             for _, start, l in fired:
-                zone[start:start + l] = ["0"] * l
-                pieces.append("0" + "1" * l)
-            w = "".join(pieces)
-            tgt = self.zones[k - 1]
-            off = len(tgt)
-            tgt.extend(w)
-            if k - 1 >= 2:
-                for piece in pieces:
-                    l = len(piece) - 1
-                    tau = self.oracle.all_below_time(l, k - 1)
+                zone[start:start + l] = "0" * l
+                tgt.extend("0" + "1" * l)
+                if heap is not None:
+                    tau = self._all_below_time(l, k - 1)
                     if tau is not None:
-                        heapq.heappush(self.pending[k - 1],
+                        heapq.heappush(heap,
                                        (max(tau, off + l + 1), off + 1, l))
-                    off += len(piece)
-                self._rekey(k - 1)
-            self._displace(k, len(w))
+                off += l + 1
+            if heap is not None:
+                key[k - 1] = heap[0][0] - base[k - 1] if heap else _NO_KEY
+            # S_k .. S_last move right by what was deposited
+            moved.append((k, off - start_off))
+            self._dep_last += off - start_off
+            last = self.last
+            if (base[last] + pushes + self._dep_last + _CHUNK // 2
+                    > len(zones[last])):
+                self._check_frontier()
+        diff = [0] * len(dep)
+        for k, amount in moved:
+            diff[k] = amount
+        self.dep = dep = list(map(add, dep, itertools.accumulate(diff)))
+        self._least = min(map(sub, key, dep))
+        self.waves += 1
+        self.displacements += len(moved)
 
-    def _displace(self, k: int, amount: int):
-        """Record that S_k .. S_last moved right by ``amount``."""
-        self._wake.add_suffix(k, -amount)
+    def _displace_all(self, amount: int):
+        """Record that S_2 .. S_last moved right by ``amount``."""
+        self.dep[2:] = map(amount.__add__, self.dep[2:])
         self._dep_last += amount
+        self._least -= amount
         self._check_frontier()
 
     def _check_frontier(self):
@@ -548,7 +499,7 @@ class ZoneEngine:
             if self._gate_ok(len(self.u0)):
                 word = _insertion_word(len(self.u0))
                 self.zones[1].extend(word)
-                self._displace(2, len(word))
+                self._displace_all(len(word))
 
         u1 = self.zones[1]
         if not u1 and self.last == 1:

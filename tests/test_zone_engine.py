@@ -1,19 +1,21 @@
-"""The wake-tree ``ZoneEngine`` against the heap engine it replaced.
+"""The flat-list ``ZoneEngine`` against the heap engine it replaced.
 
-``HeapZoneEngine`` below is the engine as it stood before the lazy
-min-tree: every displacement added to ``dep[j]`` for each later zone and
-rebuilt the whole wake heap.  It stays here as the reference.  Both
+``HeapZoneEngine`` below is an earlier engine: every displacement added
+to ``dep[j]`` for each later zone and rebuilt the whole wake heap.  It
+stays here as the reference.  Both
 engines run in lockstep, and before every step their windows, S positions
 (second S on), push counts and completed crossings must agree, on dense
-and sparse inputs, on all three zone systems, with deep excision cascades
-and with trees of many sizes.  The tree itself is checked against a plain
-list model, unoccupied slots and growth included.
+and sparse inputs, on all three zone systems, with deep excision cascades,
+with many zones and with zones found in the middle of a wave.  After every
+step the engine's flat ``dep`` list must equal the reference's, and its
+cached least wake key must equal one computed from scratch.
 """
 
 import heapq
 import itertools
 import random
 from collections import deque
+from operator import sub
 from typing import List, Optional
 
 import numpy as np
@@ -23,14 +25,13 @@ from hypothesis import strategies as st
 
 from symdyn import verify
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
-from symdyn.pi2 import (_CHUNK, _NO_KEY, ZoneEngine, _insertion_word,
-                        _WakeTree)
+from symdyn.pi2 import _CHUNK, ZoneEngine, _insertion_word
 from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
 from symdyn.systems import SystemId
 
 
 class HeapZoneEngine:
-    """The heap engine the wake tree replaced, kept as the reference.
+    """The heap engine the flat lists replaced, kept as the reference.
 
     Iterates the zone automaton with lazy position bookkeeping.
 
@@ -383,20 +384,31 @@ def cfg(prefix, period="0"):
     return Configuration(ALPHA_01S, prefix, Periodic(period))
 
 
-def lockstep(sysid, oracle, layer1, layer2, steps, window, horizon=None):
+def same_bookkeeping(new, ref):
+    """The flat lists against the reference's per-zone displacements."""
+    if ref.u0 is None:
+        return True
+    return (new.dep == ref.dep
+            and new._least == min(map(sub, new.key, new.dep)))
+
+
+def lockstep(sysid, oracle, layer1, layer2, steps, window, horizon=None,
+             engine=ZoneEngine):
     """Run both engines ``steps`` steps; compare before every step."""
     if sysid is not SystemId.PI2 and layer2 is None:
         layer2 = Configuration(ALPHA_AB, "", Constant("a"))
     horizon = steps if horizon is None else horizon
-    new = ZoneEngine(sysid, oracle, layer1, layer2, horizon, window)
+    new = engine(sysid, oracle, layer1, layer2, horizon, window)
     ref = HeapZoneEngine(sysid, oracle, layer1, layer2, horizon, window)
     for t in range(steps):
         assert new.window_word() == ref.window_word(), t
         assert new.s_positions() == ref.s_positions(), t
         assert new.pushes == ref.pushes, t
         assert new.completed_crossings == ref.completed_crossings, t
+        assert same_bookkeeping(new, ref), t
         new.step()
         ref.step()
+    assert same_bookkeeping(new, ref)
     return new, ref
 
 
@@ -450,17 +462,17 @@ def test_deep_cascade(sysid, prefix, period):
     assert displaced(ref) > 0
 
 
-@pytest.mark.parametrize("zones,slots", [(5, 8), (20, 32), (70, 128)])
-def test_tree_sizes(zones, slots):
-    # S-rich prefixes over an S-free tail: the tree holds every zone from
-    # the start, past 4, 16 and 64 slots
+@pytest.mark.parametrize("zones", [5, 20, 70])
+def test_zone_counts(zones):
+    # S-rich prefixes over an S-free tail: the lists hold every zone from
+    # the start
     rng = random.Random(zones)
     prefix = "0" + "".join("S" + "".join(rng.choice("0011")
                                          for _ in range(rng.randint(1, 4)))
                            for _ in range(zones))
     for oracle in (TOTALITY, CASCADE, MIXED):
         new, _ = lockstep(SystemId.PI2, oracle, cfg(prefix), None, 300, 10)
-        assert new.last == zones and new._wake.n == slots
+        assert new.last == zones
 
 
 @pytest.mark.parametrize("prefix", [
@@ -472,7 +484,7 @@ def test_tree_sizes(zones, slots):
 def test_zone_appended_after_displacements(prefix):
     # a small horizon puts an S just past the materialization cap; the
     # first displacement reaches for it, so the new zone must start with
-    # the displacement of the last one
+    # the last one's pre-wave displacement and then take the wave's too
     layer1 = cfg(prefix, "0" * 120 + "S0110")
     new, ref = lockstep(SystemId.PI2, CASCADE, layer1, None, 200, 6,
                         horizon=10)
@@ -493,40 +505,55 @@ def test_drawn_prefixes(sysid, oracle, prefix, period, period2, window):
 
 
 # ---------------------------------------------------------------------------
-# The tree against a list model
+# Waves
 # ---------------------------------------------------------------------------
 
-def test_wake_tree_matches_list_model():
-    rng = random.Random(7)
-    for _ in range(60):
-        tree = _WakeTree(rng.randint(1, 9))
-        key = [_NO_KEY] * tree.n       # what set_key stored, per slot
-        tot = [0] * tree.n             # everything added, per slot
-        last = rng.randrange(tree.n)
-        for _ in range(150):
-            op = rng.random()
-            if op < 0.35:
-                k = rng.randint(0, last)
-                key[k] = rng.choice([_NO_KEY, rng.randint(-50, 400)])
-                tree.set_key(k, key[k])
-            elif op < 0.8:
-                k, v = rng.randint(0, last), -rng.randint(0, 30)
-                tree.add_suffix(k, v)
-                for j in range(k, len(tot)):
-                    tot[j] += v
-            elif last + 1 < 200:
-                last += 1              # a zone is appended
-                if last == tree.n:
-                    tree.grow()
-                    key += [_NO_KEY] * len(key)
-                    tot += [tot[-1]] * len(tot)
-            assert tree.n == len(key)
-            assert [tree.total_add(k) for k in range(tree.n)] == tot
-            vals = [a + b for a, b in zip(key, tot)]
-            assert tree.mn[1] == min(vals)
-            limit = rng.randint(-100, 300)
-            assert tree.due(limit) == [(k, tot[k]) for k in range(tree.n)
-                                       if vals[k] <= limit]
+class WaveProbe(ZoneEngine):
+    """Counts the waves during which the frontier check found a new S."""
+
+    found_in_wave = 0
+
+    def _fire_excisions(self):
+        last = self.last
+        super()._fire_excisions()
+        self.found_in_wave += self.last > last
+
+
+def test_new_zone_found_in_a_wave():
+    # dense input, small horizon: a displacement in the middle of a wave
+    # pulls the last S's scan prefix past its zone, and the frontier check
+    # appends a zone before the wave's displacements are applied
+    x = verify.bernoulli_product(5)
+    new, ref = lockstep(SystemId.PI2, TOTALITY, x.layer1, None, 300, 8,
+                        horizon=20, engine=WaveProbe)
+    assert new.found_in_wave >= 1 and new.last > 10
+    assert displaced(ref) > 0
+
+
+def test_dense_insertions_over_many_zones():
+    # criterion 09's dense first layer under an all-a second layer, whose
+    # gate is always open (the product's own second layer never opens it
+    # here): every step displaces S_2 .. S_last at once, between waves of
+    # excisions over more than a hundred zones
+    x = verify.bernoulli_product(5)
+    new, ref = lockstep(SystemId.WILD_T_SECOND, TOTALITY, x.layer1, None,
+                        600, 4)
+    assert new.last > 100 and new.waves > 100
+    assert displaced(ref) > 600
+
+
+@pytest.mark.parametrize("steps,waves,displacements", [
+    (2_500, 497, 35_006),
+    (5_000, 1_012, 119_308),
+])
+def test_dense_pi2_wave_counts(steps, waves, displacements):
+    # criterion 09's dense product under pi2: the counts of the engine
+    # that applied each displacement on its own
+    x = verify.bernoulli_product(5)
+    eng = ZoneEngine(SystemId.PI2, TOTALITY, x.layer1, None, steps, 8)
+    for _ in range(steps - 1):
+        eng.step()
+    assert (eng.waves, eng.displacements) == (waves, displacements)
 
 
 # ---------------------------------------------------------------------------
