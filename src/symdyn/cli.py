@@ -2,9 +2,10 @@
 
 Every run is fully determined by its arguments (system, oracle file,
 initial-configuration descriptor, seeds).  The only state kept between
-calls in one process is the default ``CantorScheme`` of the ``interval``
-commands, a pure cache whose level table gives the same values however
-far it has grown.
+calls in one process is two pure caches: the default ``CantorScheme`` of the
+``interval`` commands, whose level table gives the same values however
+far it has grown, and the oracle tables parsed from the last 16 file
+texts read, keyed by the text, so a rewritten file is parsed afresh.
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Argument
 checks raise ``UsageError``; any other exception is a fault in the
 program and ends the run with its traceback.
@@ -95,12 +96,19 @@ def parse_descriptor(text: str, alphabet: Alphabet,
         raise UsageError(str(ex))
 
 
+@functools.lru_cache(maxsize=16)
+def _table(text: str) -> OracleTable:
+    """The table a file's text parses to, kept per text (tables are
+    immutable); a text that fails to parse raises again each time."""
+    return table_from_json(text)
+
+
 def load_oracle(path) -> OracleTable:
     if path is None:
         raise UsageError("this system needs --oracle <file>")
     try:
         with open(path) as fh:
-            return table_from_json(fh.read())
+            return _table(fh.read())
     except OSError as ex:
         raise UsageError(f"cannot read oracle file: {ex}")
     except (ValueError, KeyError, TypeError) as ex:

@@ -196,7 +196,9 @@ class OracleTable:
 
     A programmed table indexes ``entries`` once, in ``_facts``: each listed
     machine maps to its timed entries by kind, least time first.  ``answer``
-    and the five table predicates each read it through :meth:`_least_time`.
+    and the five table predicates each read it through :meth:`_least_time`;
+    :meth:`timed_facts` hands out one machine's facts of one kind to readers
+    that decide many queries at once.
     A listed machine answers from its own facts alone; an unlisted one halts
     at time 1 under ``halt1`` (``default_halts``) and never otherwise.
     """
@@ -231,6 +233,14 @@ class OracleTable:
     def listed_machines(self):
         """Indices of the machines with any entry, by their first entry."""
         return list(self._facts)
+
+    def timed_facts(self, e: int, kind: QueryKind):
+        """The ``kind`` facts of ``e`` that carry a time, least time first,
+        as a tuple; None when ``e`` is unlisted."""
+        if not self.programmed:
+            raise ValueError("programmed table required")
+        facts = self._facts.get(e)
+        return None if facts is None else tuple(facts.get(kind, ()))
 
     def _least_time(self, e: int, kind: QueryKind, fits=None) -> Optional[int]:
         """Least time of the ``kind`` facts of ``e`` that ``fits`` accepts

@@ -4,8 +4,9 @@ A configuration is a finite prefix plus a tail descriptor (constant,
 periodic, seeded Bernoulli sampler, or a scheduled word stream).  All
 values are immutable; sampler tails rebuild their PRNG stream from the
 seed on every materialization, so sharing across threads is safe.  Each
-cell a tail writes is one alphabet symbol, so ``materialize(n)`` always
-gives ``n`` symbols over the alphabet.
+cell a tail writes is one alphabet symbol, and each symbol is one
+character, so ``materialize(n)`` always gives ``n`` symbols over the
+alphabet.
 
 ``iter_blocks`` yields the maximal 1-runs of a finite word as
 ``(start, length)`` tuples, and ``parse_blocks`` lists them; the
@@ -36,6 +37,9 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols or len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be nonempty and distinct")
+        if any(not isinstance(c, str) or len(c) != 1 for c in self.symbols):
+            raise ValueError(f"alphabet symbols must be single characters, "
+                             f"got {self.symbols!r}")
 
     def __contains__(self, s):
         return s in self.symbols
@@ -94,11 +98,18 @@ class Sampler(Tail):
     weights: tuple
     seed: int
 
+    def __post_init__(self):
+        # generate writes one UTF-32 code unit per draw
+        if any(not isinstance(c, str) or len(c) != 1 for c in self.alphabet):
+            raise ValueError(f"sampler symbols must be single characters, "
+                             f"got {self.alphabet!r}")
+
     def generate(self, n):
         rng = np.random.Generator(np.random.PCG64(self.seed))
         p = np.asarray(self.weights, dtype=float)
         idx = rng.choice(len(self.alphabet), size=n, p=p / p.sum())
-        return "".join(np.array(self.alphabet, dtype=object)[idx].tolist())
+        codes = np.array(self.alphabet, "U1").view(np.uint32)
+        return codes[idx].tobytes().decode("utf-32-le")
 
 
 # Named word enumerators for scheduled tails.  An enumerator is a function

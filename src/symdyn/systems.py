@@ -1,26 +1,15 @@
 """The constructed symbolic maps, packaged as prefix-step functions.
 
 Each map is exposed two ways: ``step_prefix`` applies the literal
-per-position rule to a finite word (exact, used for small inputs and as
-the reference implementation), and ``orbit`` runs a long simulation with
-frontier bookkeeping.  For the block-erasure maps one rule,
-:func:`erases_now`, decides whether a step erases a block, and serves both
-the per-position map and the long-orbit engine; the engine exploits that a
-block's erasure condition only gets harder as it shifts toward the origin,
-so each block is erased at the first step it exists or never.  It
-materializes the input only up to where the 1-run at the horizon closes,
-keeps runs as plain tuples and turns them into one static word plus
-per-step patches (the erased runs).  :func:`orbit_windows` yields each
-window as a slice of that word, patched at the steps that have patches;
-:func:`orbit_window_counts` counts the windows as integer codes over the
-same data and builds no window string.  The test suite checks the engine
-against the per-position map and against a slower reference engine, and
-the counter against counting the generated windows.  The limit rule,
-:func:`block_fate`, serves the erasure maps in the limit, the attractor
-predicates and the limit measure in :mod:`symdyn.analysis`.
-
-Each ``SystemId`` member carries the facts that fix its system; the zone
-systems run in :mod:`symdyn.pi2`.
+per-position rule to a finite word (exact; the reference implementation),
+and ``orbit`` runs a long simulation.  The block-erasure maps read one
+per-step rule, :func:`erases_now`, and its array form
+:func:`_erased_blocks`: the long-orbit engine decides every block of the
+input in one array pass, loops in Python only over the rebirth chains and
+masks the erased runs out of the input's cells.  The limit rule,
+:func:`block_fate`, serves the erasure maps in the limit and
+:mod:`symdyn.analysis`.  Each ``SystemId`` member carries the facts that
+fix its system; the zone systems run in :mod:`symdyn.pi2`.
 """
 
 from __future__ import annotations
@@ -29,12 +18,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from . import pi2
-from .oracle import Answer, HaltQuery, OracleTable, QueryKind
+from .oracle import INF, Answer, HaltQuery, OracleTable, QueryKind
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
                     FrontierUnresolved, parse_blocks)
 
@@ -148,6 +137,44 @@ def erases_now(oracle: OracleTable, kind: EraseKind):
             return (l <= j1 and oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1))
                     is Answer.YES)
     return erased
+
+
+_FAR = 1 << 62   # past every j1 and gap; profiles are clipped to it
+_SOME_SIZE = HaltQuery(QueryKind.SOME_IN, _FAR, k=0, k_hi=_FAR)   # any range
+
+
+def _erased_blocks(oracle: OracleTable, kind: EraseKind, l, j1, gap):
+    """:func:`erases_now` over int64 arrays of blocks (``gap`` -1 for None),
+    as one bool array.  A programmed table is read per call into a profile
+    over the candidates' distinct lengths, indexed by ``np.searchsorted``:
+    M_l's facts as (k, need), a block erased when one has k >= gap and
+    need <= j1 (phi: (inf, t_l); phi': each finite-range SOME_IN fact, need
+    = max(k_hi, time)).  An enumerated table is asked block by block."""
+    cand = (l <= j1) if kind is EraseKind.PHI else (gap >= 0) & (l < j1)
+    if not oracle.programmed:
+        erased, out = erases_now(oracle, kind), cand.copy()
+        out[cand] = [erased(n, j, None if g < 0 else g) for n, j, g
+                     in zip(*(v[cand].tolist() for v in (l, j1, gap)))]
+        return out
+    machines, profile = sorted(set(l[cand].tolist())), []
+    for e in machines:
+        facts = []
+        if kind is EraseKind.PHI:
+            t = oracle.empty_halt_time(e)
+            facts = [] if t is None else [(_FAR, t)]
+        # as answer reads it: an unlisted machine halts at 1 under halt1
+        elif oracle.answer(e, _SOME_SIZE) is Answer.YES:
+            facts = oracle.timed_facts(e, QueryKind.SOME_IN)
+            facts = [(_FAR, 1)] if facts is None else [
+                (f.k, max(f.k_hi, f.time)) for f in facts
+                if f.k is not INF and f.k_hi is not INF]
+        profile.append([(min(max(k, -1), _FAR), min(need, _FAR))
+                        for k, need in facts])
+    at, hit = np.searchsorted(np.array(machines, np.int64), l), False
+    for rank in itertools.zip_longest(*profile, [], fillvalue=(-1, _FAR)):
+        k, need = np.array(rank, np.int64).T[:, at]
+        hit = hit | (k >= gap) & (need <= j1)
+    return cand & hit
 
 
 def block_fate(oracle: OracleTable, kind: EraseKind,
@@ -271,10 +298,9 @@ def _materialize_closed(x: Configuration, horizon: int) -> str:
 
     The word ends just after the first 0 at or past ``horizon``; no later
     run reaches a window.  A run still open at 4·horizon + 8 symbols is
-    longer than any position it borders, so the erasure conditions
-    (l <= j1, resp. l < j1) never fire on it: it is left open, a survivor.
-    Each extension regenerates the word, so the look-ahead starts at 64
-    symbols and grows eightfold.
+    longer than any position it borders, so the erasure conditions never
+    fire on it: it is left open, a survivor.  Each extension regenerates
+    the word, so the look-ahead starts at 64 symbols and grows eightfold.
     """
     cap = 4 * horizon + 8
     size, step = min(horizon + 65, cap), 512
@@ -288,75 +314,50 @@ def _materialize_closed(x: Configuration, horizon: int) -> str:
         size, step = min(size + step, cap), 8 * step
 
 
-def _one_runs(w: str):
-    """(starts, ends) of maximal 1-runs, via numpy for long words."""
-    ones = np.frombuffer(b"0" + w.encode("ascii") + b"0", np.uint8) == ord("1")
-    edges = np.flatnonzero(ones[1:] != ones[:-1])
-    return edges[0::2].tolist(), edges[1::2].tolist()
-
-
-def _erasure_visibles(x: Configuration, erased, extent: int):
-    """The 1-runs of the whole orbit, as (survivors, erased) lists.
-
-    Positions are absolute (config_t position = abs - t).  A survivor is
-    ``(start, length)``; an erased run is ``(start, length, step)`` and
-    lives at that one step.  A block's erasure condition only gets harder
-    as it shifts toward the origin (j1 and the budget shrink, the gap
-    never does), so each block is erased at the first step it exists or
-    never.  A survivor born after step 0 is a length-1 block reborn in the
-    cell its erased forebears hold at every earlier step, so it can be
-    shown from step 0 on.
-    """
-    w = _materialize_closed(x, extent)
-    starts, ends = _one_runs(w)
-    survivors: List[Tuple[int, int]] = []
-    gone: List[Tuple[int, int, int]] = []
-    # (abs leading-0 pos, length, birth, gap); a reborn block keeps its
-    # parent's gap, which only phi' would read and phi' never rebirths
-    queue: List[Tuple[int, int, int, Optional[int]]] = []
-    prev_end = None  # end of the previous 1-run
-    for a, b in zip(starts, ends):
-        if a == 0 or b == len(w):
-            survivors.append((a, b - a))
-        else:
-            queue.append((a - 1, b - a, 0,
-                          None if prev_end is None else a - prev_end))
-        prev_end = b
-    while queue:
-        p, l, s, gap = queue.pop()
-        j1 = p - s  # position of the leading 0 in config_s
-        if erased(l, j1, gap):
-            gone.append((p + 1, l, s))
-            if l == j1 and j1 >= 1:
-                # position j1 escapes the j2 <= 2i bound and inherits the
-                # block's first 1; a fresh length-1 block is born
-                queue.append((p, 1, s + 1, gap))
-        else:
-            survivors.append((p + 1, l))
-    return survivors, gone
-
-
 def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
                     L: int):
     """The erasure orbit's windows in [t0, t1) as one static word plus patches.
 
-    ``static`` is a 0/1 uint8 array over absolute positions [0, t1 + L + 1)
-    holding every survivor.  config_t[0:L] is ``static[t:t + L]`` with the
-    cells [lo, hi) of each patch ``(step, lo, hi)`` set to 1 at t == step:
-    an erased run clipped to the window of the one step it lives at.  The
-    patches come as three columns.
+    A block's erasure condition only gets harder as it shifts toward the
+    origin (j1 and the budget shrink, the gap never does), so each block is
+    erased at the first step it exists or never.  ``static`` is the input's
+    0/1 cells over absolute positions [0, t1 + L + 1), the runs
+    :func:`_erased_blocks` erases zeroed.  An erased block with l == j1
+    leaves its first 1 as a fresh 0 1 0 a step later, which the scalar rule
+    judges in a Python loop; a survivor shows from step 0 on, in the cell
+    its forebears hold.  config_t[0:L] is ``static[t:t + L]`` with the cells
+    [lo, hi) of each patch ``(step, lo, hi)``, an erased run clipped to the
+    window of its one step, set to 1 at t == step; in three columns.
     """
-    survivors, gone = _erasure_visibles(
-        x, erases_now(sys.oracle, sys.id.erase), t1 + L + 1)
-    static = np.zeros(t1 + L + 1, dtype=np.uint8)
-    for start, length in survivors:
-        static[start:start + length] = 1
-    start, length, step = np.fromiter(
-        itertools.chain.from_iterable(gone), dtype=np.int64,
-        count=3 * len(gone)).reshape(-1, 3).T
-    lo, hi = np.maximum(start, step), np.minimum(start + length, step + L)
-    keep = (t0 <= step) & (step < t1) & (lo < hi)
-    return static, (step[keep], lo[keep], hi[keep])
+    oracle, kind, extent = sys.oracle, sys.id.erase, t1 + L + 1
+    w = _materialize_closed(x, extent)
+    ones = np.frombuffer(b"0" + w.encode("ascii") + b"0", np.uint8) - ord("0")
+    # each 1-run is w[a:b]; a run at the origin (j1 = -1) or open at the
+    # end of w (longer than any j1, see above) is never erased
+    a, b = np.flatnonzero(ones[1:] != ones[:-1]).reshape(-1, 2).T
+    gap = np.concatenate(([-1], a[1:] - b[:-1]))[:len(a)]   # -1: none
+    l, j1 = b - a, a - 1
+    er = _erased_blocks(oracle, kind, l, j1, gap)
+    ea, eb = a[er], b[er]
+    d = np.zeros(len(w), np.uint8)   # erased runs open +1, close -1 mod 256
+    d[ea], d[eb] = 1, 255
+    static = ones[1:extent + 1] - np.cumsum(d[:extent], dtype=np.uint8)
+    # (step, start, end) of the erased runs some window can show
+    seen = int(np.searchsorted(ea, L))
+    rows = [(0, *run) for run in zip(ea[:seen].tolist(), eb[:seen].tolist())]
+    erased = erases_now(oracle, kind)
+    for p in j1[er & (l == j1)].tolist():   # phi alone rebirths; no gap read
+        s = 1   # 0 1 0 at j1 = p - s in config_s
+        while erased(1, p - s, None):
+            rows.append((s, p + 1, p + 2))
+            if p - s != 1:
+                break
+            s += 1
+        else:
+            static[p + 1:p + 2] = 1
+    patches = [(s, max(lo, s), min(hi, s + L)) for s, lo, hi in rows
+               if t0 <= s < t1 and max(lo, s) < min(hi, s + L)]
+    return static, tuple(np.array(patches, np.int64).reshape(-1, 3).T)
 
 
 def _patched_windows(static, patches, t0: int, t1: int,
@@ -453,11 +454,10 @@ def orbit_window_counts(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     """How often each window of :func:`orbit_windows` occurs, as
     ``Counter(map(_window_key, orbit_windows(...)))`` would count it.
 
-    For the block-erasure maps no window string is built: the windows are
-    counted as integer codes over the static word of
-    :func:`_erasure_layout`.  The shift, pi2, the products and windows
-    wider than 64 count the generated windows.
-    Raises ValueError at once where :func:`orbit_windows` would.
+    For the block-erasure maps the windows are counted as integer codes
+    over :func:`_erasure_layout`, and no window string is built.  The shift,
+    pi2, the products and windows wider than 64 count the generated
+    windows.  Raises ValueError at once where :func:`orbit_windows` would.
     """
     _check_orbit_args(sys, x, t0, window)
     if sys.id.erase is not None and window <= 64:

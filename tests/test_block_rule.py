@@ -6,8 +6,10 @@ The limit predicates the rule replaced are kept below as the reference
 per-character parser kept in ``test_run_scanner.py``.
 """
 
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +17,10 @@ from symdyn.analysis import NO, UNKNOWN, YES, MeetsVerdict, attractor_meets
 from symdyn.oracle import Answer, Entry, HaltQuery, OracleTable, QueryKind
 from symdyn.space import Constant, Cylinder, Periodic, binary_config
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
-                            block_fate, erase_map_prefix, erases_now, orbit,
-                            pi1_system, sigma2_system, step_prefix)
+                            _erased_blocks, block_fate, erase_map_prefix,
+                            erases_now, orbit, pi1_system, sigma2_system,
+                            step_prefix)
+from symdyn.verify import parity_oracle, worked_example_oracle
 
 from test_run_scanner import ref_parse_blocks, tables
 from test_systems import reference_orbit
@@ -124,6 +128,73 @@ def test_orbit_matches_reference_enumerated(data):
                       Constant("0"))
     window = data.draw(st.integers(1, 4))
     assert orbit(sys, x, 1, window) == reference_orbit(sys, x, 1, window)
+
+
+# ---------------------------------------------------------------------------
+# Per-step rule: the array reader against the scalar rule
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _blocks(max_l, max_j1, kind):
+    """Every (l, j1, gap) with l, j1 <= the bounds and gap in {None, 0..64},
+    as a list and as the reader's three int64 columns (gap -1 for None).
+
+    phi' keeps gap <= j1: a real block's gap never exceeds its j1 (the run
+    before it ends at 1 or later), and past that its scalar rule asks for
+    an empty size range, which HaltQuery refuses.
+    """
+    blocks = [(l, j1, gap) for l in range(max_l + 1)
+              for j1 in range(max_j1 + 1) for gap in (None, *range(65))
+              if kind is EraseKind.PHI or gap is None or gap <= j1]
+    return blocks, [np.array([-1 if v is None else v for v in col], np.int64)
+                    for col in zip(*blocks)]
+
+
+def assert_readers_agree(orc, kinds=tuple(EraseKind), max_l=64, max_j1=64):
+    for kind in kinds:
+        blocks, columns = _blocks(max_l, max_j1, kind)
+        erased = erases_now(orc, kind)
+        got = _erased_blocks(orc, kind, *columns)
+        assert got.dtype == bool
+        assert got.tolist() == [erased(*blk) for blk in blocks], kind
+
+
+SOME_IN_HALT1 = OracleTable.programmed_table(
+    [Entry(3, QueryKind.SOME_IN, k=2, k_hi=6, time=5),
+     Entry(5, QueryKind.EMPTY, time=4)], default="halt1")
+FAR_MACHINE = OracleTable.programmed_table(
+    [Entry(10 ** 9, QueryKind.EMPTY, time=3),
+     Entry(10 ** 9, QueryKind.SOME_IN, k=1, k_hi=10 ** 9, time=2),
+     Entry(4, QueryKind.SOME_IN, k=1, k_hi=10 ** 12, time=10 ** 15),
+     Entry(4, QueryKind.SOME_IN, k=0, k_hi=9, time=7)])
+
+
+@pytest.mark.parametrize("orc", [
+    worked_example_oracle(), parity_oracle(), SOME_IN_HALT1, FAR_MACHINE,
+    OracleTable.programmed_table([]),
+    OracleTable.programmed_table([], default="halt1")],
+    ids=["worked", "parity", "halt1", "machine_1e9", "empty", "empty_halt1"])
+def test_array_reader_matches_scalar_rule(orc):
+    assert_readers_agree(orc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(tables)
+def test_array_reader_matches_scalar_rule_drawn_tables(orc):
+    assert_readers_agree(orc)
+
+
+def test_array_reader_matches_scalar_rule_enumerated():
+    assert_readers_agree(OracleTable.enumerated(), kinds=(EraseKind.PHI,),
+                         max_l=12, max_j1=12)
+
+
+@pytest.mark.parametrize("kind", list(EraseKind))
+def test_array_reader_on_no_blocks(kind):
+    none = np.zeros(0, np.int64)
+    for orc in (parity_oracle(), OracleTable.programmed_table([]),
+                OracleTable.enumerated()):
+        assert _erased_blocks(orc, kind, none, none, none).tolist() == []
 
 
 # ---------------------------------------------------------------------------

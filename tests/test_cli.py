@@ -321,6 +321,31 @@ def test_malformed_oracle_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_rewritten_oracle_file_is_read_afresh(capsys, tmp_path):
+    # the parsed table is kept per file text, so a rewrite is seen at once
+    path = tmp_path / "table.json"
+    argv = ("orbit", "--system", "pi1", "--oracle", str(path),
+            "--init", "prefix:00010,tail:0", "--steps", "1", "--window", "4")
+    path.write_text(table_to_json(OracleTable.programmed_table([])))
+    assert run(capsys, *argv) == (0, "0,0001\n1,0010\n")
+    path.write_text(table_to_json(OracleTable.programmed_table(
+        [Entry(1, QueryKind.EMPTY, time=1)])))
+    assert run(capsys, *argv) == (0, "0,0001\n1,0000\n")
+
+
+def test_malformed_oracle_exits_2_on_every_call(capsys, tmp_path):
+    # a text that fails to parse is not cached: each call fails again
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\"entries\": [{\"e\": 1}]}")
+    argv = ("orbit", "--system", "pi1", "--oracle", str(bad),
+            "--init", "tail:0", "--steps", "1", "--window", "4")
+    for _ in range(2):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "malformed oracle file" in captured.err
+
+
 def test_unknown_query_kind_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"entries": [

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from symdyn.analysis import derived_seed, empirical_measure, omega_profile
 from symdyn.oracle import Entry, OracleTable, QueryKind
 from symdyn.space import Constant, Periodic, Sampler, binary_config
-from symdyn.systems import (_materialize_closed, erases_now,
+from symdyn.systems import (_erasure_layout, _materialize_closed, erases_now,
                             orbit_window_counts, orbit_windows, pi1_system,
                             shift_system, sigma2_system)
 from symdyn.verify import parity_oracle
@@ -107,7 +107,37 @@ def ref_orbit_windows(sys, x, t0, t1, L):
     return ref_windows(vis, t0, t1, L)
 
 
+def ref_layout(sys, x, t0, t1, L):
+    """``_erasure_layout``'s static word and its set of patches, read off
+    the reference visibles."""
+    N = t1 + L + 1
+    static, patches = np.zeros(N, dtype=np.uint8), set()
+    for v in ref_visibles(x, erases_now(sys.oracle, sys.id.erase), N):
+        if v.t_until is None:
+            static[v.start:v.start + v.length] = 1
+            continue
+        s = v.t_from
+        lo, hi = max(v.start, s), min(v.start + v.length, s + L)
+        if t0 <= s < t1 and lo < hi:
+            patches.add((s, lo, hi))
+    return static, patches
+
+
+def assert_layout_matches_reference(sys, x, t0, t1, L):
+    """The static word and the patches agree with the reference; returns
+    both, the patches as a set of (step, lo, hi)."""
+    static, patches = _erasure_layout(sys, x, t0, t1, L)
+    want_static, want_patches = ref_layout(sys, x, t0, t1, L)
+    assert static.dtype == np.uint8
+    assert np.array_equal(static, want_static)
+    got = list(zip(*(col.tolist() for col in patches)))
+    assert len(got) == len(set(got))
+    assert set(got) == want_patches
+    return want_static, want_patches
+
+
 def assert_matches_reference(sys, x, t0, t1, L):
+    assert_layout_matches_reference(sys, x, t0, t1, L)
     want = ref_orbit_windows(sys, x, t0, t1, L)
     got = list(orbit_windows(sys, x, t0, t1, L))
     assert all(type(w) is str for w in got)
@@ -189,6 +219,36 @@ def test_reborn_survivor_sits_under_its_erased_forebears(t0):
     x = binary_config("0010001", Constant("0"))
     assert list(orbit_windows(sys, x, 0, 3, 4)) == ["0010", "0100", "1000"]
     assert_matches_reference(sys, x, t0, 6, 5)
+
+
+@pytest.mark.parametrize("make", [lambda: pi1_system(parity_oracle()),
+                                  lambda: sigma2_system(SIGMA2_TABLE)],
+                         ids=["pi1", "sigma2"])
+def test_layout_matches_reference_on_the_criterion_07_input(make):
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(2024, 0)))
+    static, _ = assert_layout_matches_reference(make(), x, 0, 100_000, 3)
+    # the static word is the input with its erased runs masked out
+    cells = np.frombuffer(x.materialize(len(static)).encode(), np.uint8) - 48
+    assert (static <= cells).all() and static.sum() < cells.sum()
+
+
+def test_layout_matches_reference_on_rebirth_chains():
+    # A block 0 1^p 0 with its leading 0 at j1 = p is erased at step 0 when
+    # M_p halts by step p, and its first 1 is reborn as 0 1 0 at j1 = p - 1.
+    # At p = 2 (cells 3-4) the chain is three blocks long: erased at steps 0
+    # and 1, the last one surviving from step 2.  At p = 5 (cells 6-10) the
+    # reborn block shows at step 1 and is erased for good by the next step.
+    # The run at cells 20-23 survives: M_4 never halts.
+    orc = OracleTable.programmed_table(
+        [Entry(1, QueryKind.EMPTY, time=1), Entry(2, QueryKind.EMPTY, time=2),
+         Entry(5, QueryKind.EMPTY, time=5)])
+    sys = pi1_system(orc)
+    x = binary_config("000110111110" + "0" * 8 + "11110", Constant("0"))
+    _, patches = assert_layout_matches_reference(sys, x, 0, 40, 12)
+    assert {p for p in patches if p[0] >= 1} == {(1, 3, 4), (1, 6, 7)}
+    assert list(orbit_windows(sys, x, 0, 3, 12)) == [
+        "000110111110", "001001000000", "010000000000"]
+    assert_matches_reference(sys, x, 0, 40, 12)
 
 
 @given(straddling())

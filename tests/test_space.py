@@ -35,16 +35,30 @@ def ref_sampler_generate(t, n):
     return "".join(t.alphabet[i] for i in idx)
 
 
+def ref_sampler_object_array(t, n):
+    """The object-array join ``Sampler.generate`` replaced."""
+    rng = np.random.Generator(np.random.PCG64(t.seed))
+    p = np.asarray(t.weights, dtype=float)
+    idx = rng.choice(len(t.alphabet), size=n, p=p / p.sum())
+    return "".join(np.array(t.alphabet, dtype=object)[idx].tolist())
+
+
 @pytest.mark.parametrize("alphabet, weights", [
     (("0", "1"), (3, 1)),
+    (("0", "1"), (1, 1)),
     (("0", "1", "S"), (2, 2, 1)),
+    (("0", "1", "S"), (1, 0, 9)),
     (("a", "b"), (1, 5)),
+    (("é", "字", "😀"), (1, 2, 3)),
 ])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_sampler_matches_per_symbol_join(alphabet, weights, seed):
     t = Sampler(alphabet, weights, seed)
     for n in (0, 1, 17, 5000):
-        assert t.generate(n) == ref_sampler_generate(t, n)
+        got = t.generate(n)
+        assert got == ref_sampler_generate(t, n)
+        assert got.encode("utf-8") == \
+            ref_sampler_object_array(t, n).encode("utf-8")
     assert t.generate(200) == t.generate(5000)[:200]
 
 
@@ -150,6 +164,13 @@ def test_alphabet_validation():
         Alphabet(())
     with pytest.raises(ValueError):
         Alphabet(("0", "0"))
+    # each symbol is one character, the one cell a tail writes
+    for symbols in (("0", "10"), ("", "1"), ("0", 1), ("ab",)):
+        with pytest.raises(ValueError, match="single characters"):
+            Alphabet(symbols)
+    assert Alphabet(("é", "字")).symbols == ("é", "字")
+    with pytest.raises(ValueError, match="single characters"):
+        Sampler(("0", "11"), (1, 1), 0)
     with pytest.raises(ValueError):
         Configuration(ALPHA_01, "01S", Constant("0"))
 
@@ -171,6 +192,12 @@ def test_tail_symbols_checked_in_json():
     text = config_to_json(binary_config("01", Constant("0")))
     with pytest.raises(ValueError):
         config_from_json(text.replace('"symbol": "0"', '"symbol": "00"'))
+    # a sampler over a two-character alphabet would write two cells a draw
+    doc = json.loads(config_to_json(
+        binary_config("", Sampler(("0", "1"), (1, 1), 3))))
+    doc["alphabet"] = doc["tail"]["alphabet"] = ["0", "11"]
+    with pytest.raises(ValueError, match="single characters"):
+        config_from_json(json.dumps(doc))
 
 
 @given(st.text(alphabet="01", max_size=6), st.sampled_from("01"),
