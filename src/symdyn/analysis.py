@@ -5,11 +5,17 @@ whether a cylinder meets each of the four constructed attractors.  The
 statistical side provides visited-window profiles (the desk-scale
 surrogate for the omega-limit set), empirical measures along orbits and
 their Monte-Carlo averages, and the exact limit measure: a Bernoulli
-measure pushed through a block-erasure map, as exact rationals.
+measure pushed through a block-erasure map, as exact rationals.  The limit
+verdict is read once per table, at the cuts where it can change (the
+listed machines and the finite ``k_hi`` values), into maximal classes of
+constant verdict; each window's environments are summed over those
+classes in closed form, with integer masses, so the cost follows the
+number of verdict changes, not the size of the machine numbers.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -299,73 +305,134 @@ def _words(L: int):
     return map("".join, itertools.product("01", repeat=L))
 
 
+def _verdict_classes(oracle: OracleTable, kind: EraseKind):
+    """The limit verdict as a grid of maximal classes of constant verdict.
+
+    A block's verdict depends on its machine l and its gap.  All unlisted
+    machines share one verdict, and a gap moves it only where it crosses a
+    finite ``k_hi``, so :func:`block_fate` is read once at the lower end of
+    each cell cut by the listed machines and the finite ``k_hi`` values.
+    Adjacent rows and columns with equal verdicts are merged.  Returns
+    (l_cuts, g_cuts, verdicts): l-class i is [l_cuts[i], l_cuts[i + 1]),
+    the last one open-ended, gap classes likewise, and ``verdicts[i][j]``
+    the verdict of the cell.
+    """
+    fate = block_fate(oracle, kind)
+    l_cuts = sorted({0, *(c for m in oracle.listed_machines()
+                          for c in (m, m + 1) if c > 0)})
+    g_cuts = sorted({0, *(e.k_hi for e in oracle.entries
+                          if e.kind is QueryKind.SOME_IN
+                          and e.k_hi is not INF and e.k_hi > 0)})
+    grid = [[fate(l, g) for g in g_cuts] for l in l_cuts]
+    cols = [j for j in range(len(g_cuts))
+            if j == 0 or any(row[j] != row[j - 1] for row in grid)]
+    lows, verdicts = [], []
+    for l, row in zip(l_cuts, grid):
+        row = [row[j] for j in cols]
+        if not verdicts or row != verdicts[-1]:
+            lows.append(l)
+            verdicts.append(row)
+    return lows, [g_cuts[j] for j in cols], verdicts
+
+
 def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
                    kind: EraseKind) -> Dict[str, Fraction]:
     """The limit distribution of length-``L`` windows, as {word: mass}.
 
     The limit of the shifted pushforwards of the Bernoulli(p on 1) product
     measure through a block-erasure map makes the window distribution
-    stationary.  Each window's mass splits over environments: the 1-run
-    touching the window's left edge (length a), the 0-gap before it
-    (z extra zeros) and the extension of a right-open run (e); every
-    (window, environment) pair adds its mass to the bucket of its image.
-    Past T = max(l_big, k_big) -- an unlisted machine, a gap beyond every
-    finite k_hi -- each verdict is constant, so the index T + 1 stands for
-    the whole geometric tail and carries its closed-form mass.
+    stationary.  A window's image erases some of its 1-runs.  Its inner
+    runs have verdicts the window fixes; its first run reads the left
+    environment (the extension a of a run touching the left edge, and the
+    gap, which runs on over z zeros to the nearest 1 on the left) and a
+    right-open run reads the extension e.  a, e and z are geometric, so
+    over each class of :func:`_verdict_classes` a run's mass sums in closed
+    form (sum_{n0 <= n < n1} p^n q = p^n0 - p^n1; a + e, when one run spans
+    the window, has tail p^n (1 + n q)).  The left and right environments
+    are independent, so a window costs O(classes), whatever the machine
+    numbers are.  Masses are integers over pd^N for p = pn/pd; the
+    Fractions are built once, at the end.
     """
     if not oracle.programmed:
         raise ValueError("tilde_mu needs a programmed table")
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    q = 1 - p
-    l_big = max(oracle.listed_machines(), default=0) + 1
-    k_big = max((e.k_hi for e in oracle.entries
-                 if e.kind is QueryKind.SOME_IN and e.k_hi is not INF),
-                default=0) + 1
-    T = max(l_big, k_big)
-    fate = block_fate(oracle, kind)
+    pn, pd = p.numerator, p.denominator
+    qn = pd - pn
+    l_cuts, g_cuts, verdicts = _verdict_classes(oracle, kind)
+    HL, HG = l_cuts[-1] + 1, g_cuts[-1]   # scales: pd**HL, pd**HG
+    one = pd ** (HL + HG)
 
-    def geometric(r, s):
-        """P(n r-symbols, then an s-symbol); index T + 1 holds every n > T."""
-        return ([(n, r ** n * s) for n in range(T + 1)]
-                + [(T + 1, r ** (T + 1))])
+    def summed(cuts, x0, tail, vectors, full):
+        """For each vector v of per-class values, the sum over classes of
+        P(x0 + extension in the class) * v, times ``full``: the value of
+        x0's class, plus the change at each later cut times the tail
+        there (Abel summation); ``tail`` None means no extension."""
+        c = bisect.bisect_right(cuts, x0) - 1
+        steps = ([(i, tail(cuts[i] - x0)) for i in range(c + 1, len(cuts))]
+                 if tail else ())
+        return [full * v[c] + sum(t * (v[i] - v[i - 1]) for i, t in steps
+                                  if v[i] != v[i - 1])
+                for v in vectors]
 
-    # left contexts ... 1 0^{z+1} 1^a | window
-    gaps = geometric(q, p) if kind is EraseKind.PHI_PRIME else [(0, 1)]
-    contexts = [(a, z, pa * pz) for a, pa in geometric(p, q) for z, pz in gaps]
-    tails = geometric(p, q)
+    def gap_tail(m):
+        return qn ** m * pd ** (HG - m)
 
-    mass: Dict[str, Fraction] = defaultdict(Fraction)
+    def length_tail(ext):
+        """P(the run's extension >= n > 0), times pd**HL, as a function
+        of n: ext counts the sides the run extends past the window."""
+        if ext == 1:
+            return lambda n: pn ** n * pd ** (HL - n)
+        return lambda n: pn ** n * (pd + n * qn) * pd ** (HL - n - 1)
+
+    gap_rows = {}   # (g0, g_ext) -> per l-class P(an erasing gap), times pd**HG
+    erased_mass = {}   # (l0, l_ext, g0, g_ext) -> P(erased), times one
+
+    def erased(l0, l_ext, g0, g_ext):
+        key = (l0, l_ext, g0, g_ext)
+        if key not in erased_mass:
+            if (g0, g_ext) not in gap_rows:
+                gap_rows[g0, g_ext] = summed(
+                    g_cuts, g0, gap_tail if g_ext else None, verdicts, pd ** HG)
+            erased_mass[key], = summed(l_cuts, l0,
+                                       length_tail(l_ext) if l_ext else None,
+                                       [gap_rows[g0, g_ext]], pd ** HL)
+        return erased_mass[key]
+
+    # every window carries two environment factors over ``one``: one per
+    # run whose verdict is uncertain (at most the first and a right-open
+    # run), padded with ``one`` for the rest
+    pads = (one * one, one, 1)
+    mass: Dict[int, int] = defaultdict(int)
     for w in _words(L):
-        w_prob = p ** w.count("1") * q ** w.count("0")
-        runs = parse_blocks(w)
-        for a, z, ctx_prob in contexts:
-            base = ctx_prob * w_prob
-            img = list(w)
-            open_run = None
-            prev_one = -1 if a else -z - 2   # nearest 1 left of the next run
-            for start, l in runs:
-                l_tot = l + a if start == 0 else l
-                gap = z + 1 if start == 0 else start - 1 - prev_one
-                if start + l == L:
-                    open_run = (start, l_tot, gap)
-                    break
-                if fate(l_tot, gap):
-                    img[start:start + l] = "0" * l
-                prev_one = start + l - 1
-            kept = "".join(img)
-            if open_run is None:
-                mass[kept] += base
-                continue
-            start, l_tot, gap = open_run
-            erased = kept[:start] + "0" * (L - start)
-            for e, e_prob in tails:
-                mass[erased if fate(l_tot + e, gap) else kept] += base * e_prob
+        ones = w.count("1")
+        outcomes = [(int(w, 2) if L else 0, pn ** ones * qn ** (L - ones))]
+        prev_end, split = None, 0
+        for start, l in parse_blocks(w):
+            end = start + l
+            # the first run reads the left environment: the gap runs on
+            # past the window (at least 1 when a run touches the edge)
+            first = prev_end is None
+            t = erased(l, (first and start == 0) + (end == L),
+                       max(start, 1) if first else start - prev_end, first)
+            prev_end = end
+            zero = ~(((1 << l) - 1) << (L - end))
+            if t == one:
+                outcomes = [(i & zero, m) for i, m in outcomes]
+            elif t:
+                outcomes = [o for i, m in outcomes for o in (
+                    (i & zero, m * t), (i, m * (one - t)))]
+                split += 1
+        for i, m in outcomes:
+            mass[i] += m * pads[split]
 
-    if sum(mass.values()) != 1:
+    total = pd ** L * one * one
+    if sum(mass.values()) != total:
         raise AssertionError("environment decomposition lost mass")
-    return mass
+    return defaultdict(Fraction, {format(i, "b").zfill(L) if L else "":
+                                  Fraction(m, total)
+                                  for i, m in mass.items()})
 
 
 def tilde_mu(oracle: OracleTable, p: Fraction, u: str, truncation: int,

@@ -335,8 +335,15 @@ def _num(v):
     return "inf" if v is INF else v
 
 
-def _denum(v):
-    return INF if v == "inf" else v
+def _count(v, field, unbounded):
+    """A table field read from JSON: a non-negative int, or ``unbounded``
+    ("inf" for sizes, "never" for times), read as None."""
+    if v == unbounded:
+        return None
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError(f"{field} must be a non-negative integer or "
+                         f"{unbounded!r}, got {v!r}")
+    return v
 
 
 def table_to_json(table: OracleTable) -> str:
@@ -367,7 +374,10 @@ def table_from_json(text: str) -> OracleTable:
         kind = _KINDS.get(item["kind"])
         if kind is None:
             raise ValueError(f"unknown query kind {item['kind']!r}")
-        time = None if item["time"] == "never" else int(item["time"])
-        entries.append(Entry(e=int(item["e"]), kind=kind, time=time,
-                             k=_denum(item.get("k")), k_hi=_denum(item.get("k_hi"))))
+        # an omitted size reads as unbounded
+        entries.append(Entry(
+            e=int(item["e"]), kind=kind,
+            time=_count(item["time"], "time", "never"),
+            k=_count(item.get("k", "inf"), "k", "inf"),
+            k_hi=_count(item.get("k_hi", "inf"), "k_hi", "inf")))
     return OracleTable.programmed_table(entries, default=doc.get("default", "never"))

@@ -391,8 +391,10 @@ def _count_codes(static, patches, t0: int, t1: int,
     :func:`_patched_windows`, for t in [t0, t1), with L <= 64.
 
     Each window is packed into an L-bit code, first cell highest, in the
-    smallest unsigned dtype that holds it; the codes are counted and only
-    the distinct ones are formatted back to words.
+    smallest unsigned dtype that holds it; the codes are counted, with one
+    ``np.bincount`` pass when there are at least 2^L windows and by sorting
+    (``np.unique``) otherwise, and only the distinct ones are formatted
+    back to words, in ascending order.
     """
     dtype = next(d for bits, d in _CODE_TYPES if L <= bits)
     codes = np.zeros(max(t1 - t0, 0), dtype=dtype)
@@ -405,7 +407,12 @@ def _count_codes(static, patches, t0: int, t1: int,
     low = np.array([(1 << k) - 1 for k in range(L + 1)], dtype=dtype)
     masks = low[L - (lo - step)] - low[L - (hi - step)]
     np.bitwise_or.at(codes, step - t0, masks)
-    values, counts = np.unique(codes, return_counts=True)
+    if len(codes) >= 1 << L:
+        counts = np.bincount(codes, minlength=1 << L)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    else:
+        values, counts = np.unique(codes, return_counts=True)
     fmt = f"0{L}b"
     return {format(v, fmt) if L else "": c
             for v, c in zip(values.tolist(), counts.tolist())}

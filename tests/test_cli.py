@@ -443,6 +443,9 @@ _BAD_ARGUMENTS = [
      "--steps", "1", "--window", "4"),
     ("interval", "eval", "--system", "shift", "--oracle", "{malformed}",
      "--point", "1/2"),
+    # a size given as a string is malformed, not a fault on first read
+    ("orbit", "--system", "sigma2", "--oracle", "{string_k}",
+     "--init", "prefix:10001000,tail:0", "--steps", "2", "--window", "6"),
 ]
 
 
@@ -505,9 +508,13 @@ def test_argument_errors_are_usage_errors(capsys, tmp_path, oracle_file,
     enum.write_text(table_to_json(OracleTable.enumerated()))
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"entries": [')
+    string_k = tmp_path / "string_k.json"
+    string_k.write_text(json.dumps({"entries": [
+        {"e": 1, "kind": "some_in", "k": "0", "k_hi": 5, "time": 1}]}))
     argv = [a.format(prog=oracle_file, enum=str(enum),
                      missing=str(tmp_path / "missing.json"),
-                     malformed=str(malformed)) for a in argv]
+                     malformed=str(malformed), string_k=str(string_k))
+            for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -1,11 +1,16 @@
-"""The exact limit measure: one pass over windows and environments.
+"""The exact limit measure: verdict classes summed in closed form.
 
-The per-word enumeration the pass replaced is kept below as the reference
-(``ref_tilde_mu``): it reruns the whole window × environment sum for each
-word, with a sentinel index raised by ``truncation``, and reads runs
-through the per-character parser kept in ``test_run_scanner.py``.
+Two references are kept below, both reading runs through the
+per-character parser kept in ``test_run_scanner.py``.  ``ref_tilde_mu``
+is the per-word enumeration: it reruns the whole window × environment sum
+for each word, with a sentinel index raised by ``truncation``.
+``ref_limit_measure`` is the one-pass enumeration that replaced it: every
+window through every environment index up to the largest listed machine
+or finite ``k_hi``, with ``Fraction`` masses.
 """
 
+import hashlib
+from collections import defaultdict
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from symdyn.analysis import tilde_mu, tilde_mu_table
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.systems import EraseKind, block_fate
-from symdyn.verify import worked_example_oracle
+from symdyn.verify import parity_oracle, worked_example_oracle
 
 from test_run_scanner import ref_parse_blocks
 
@@ -108,6 +113,65 @@ def ref_tilde_mu(oracle, p, u, truncation, kind=EraseKind.PHI):
     return yes, yes
 
 
+# ---------------------------------------------------------------------------
+# Reference: the one-pass enumeration over every environment index
+# ---------------------------------------------------------------------------
+
+
+def ref_limit_measure(oracle, p, L, kind):
+    """{word: mass} of the length-``L`` windows: each (window, environment)
+    pair adds its mass to the bucket of its image, with the index T + 1
+    standing for the whole geometric tail past T."""
+    p = Fraction(p)
+    q = 1 - p
+    l_big = max(oracle.listed_machines(), default=0) + 1
+    k_big = max((e.k_hi for e in oracle.entries
+                 if e.kind is QueryKind.SOME_IN and e.k_hi is not INF),
+                default=0) + 1
+    T = max(l_big, k_big)
+    fate = block_fate(oracle, kind)
+
+    def geometric(r, s):
+        return ([(n, r ** n * s) for n in range(T + 1)]
+                + [(T + 1, r ** (T + 1))])
+
+    # left contexts ... 1 0^{z+1} 1^a | window
+    gaps = geometric(q, p) if kind is EraseKind.PHI_PRIME else [(0, 1)]
+    contexts = [(a, z, pa * pz) for a, pa in geometric(p, q) for z, pz in gaps]
+    tails = geometric(p, q)
+
+    mass = defaultdict(Fraction)
+    for w in words(L):
+        w_prob = p ** w.count("1") * q ** w.count("0")
+        runs = [(r.start, r.length) for r in ref_parse_blocks(w).runs
+                if r.symbol == "1"]
+        for a, z, ctx_prob in contexts:
+            base = ctx_prob * w_prob
+            img = list(w)
+            open_run = None
+            prev_one = -1 if a else -z - 2
+            for start, l in runs:
+                l_tot = l + a if start == 0 else l
+                gap = z + 1 if start == 0 else start - 1 - prev_one
+                if start + l == L:
+                    open_run = (start, l_tot, gap)
+                    break
+                if fate(l_tot, gap):
+                    img[start:start + l] = "0" * l
+                prev_one = start + l - 1
+            kept = "".join(img)
+            if open_run is None:
+                mass[kept] += base
+                continue
+            start, l_tot, gap = open_run
+            erased = kept[:start] + "0" * (L - start)
+            for e, e_prob in tails:
+                mass[erased if fate(l_tot + e, gap) else kept] += base * e_prob
+
+    assert sum(mass.values()) == 1
+    return mass
+
+
 def words(depth):
     if depth == 0:
         return [""]
@@ -119,17 +183,14 @@ def words(depth):
 # duplicate entries, halt-at-1 defaults
 # ---------------------------------------------------------------------------
 
-_size = st.integers(0, 4)
-
-
 @st.composite
-def _entry(draw):
-    e = draw(st.integers(0, 6))
+def _entry(draw, top_e=6, top_k=4):
+    e = draw(st.integers(0, top_e))
     kind = draw(st.sampled_from(list(QueryKind)))
     time = draw(st.one_of(st.none(), st.integers(0, 12)))
     if kind is QueryKind.EMPTY:
         return Entry(e, kind, time)
-    k = draw(_size)
+    k = draw(st.integers(0, top_k))
     if kind is QueryKind.ALL_BELOW:
         return Entry(e, kind, time, k=draw(st.sampled_from([k, INF])))
     k_hi = draw(st.one_of(st.just(INF), st.integers(k, k + 4)))
@@ -137,8 +198,8 @@ def _entry(draw):
 
 
 @st.composite
-def tables(draw):
-    entries = draw(st.lists(_entry(), max_size=6))
+def tables(draw, top_e=6, top_k=4):
+    entries = draw(st.lists(_entry(top_e, top_k), max_size=6))
     if entries and draw(st.booleans()):
         entries.append(draw(st.sampled_from(entries)))      # a duplicate
     return OracleTable.programmed_table(
@@ -206,3 +267,55 @@ def test_words_outside_the_alphabet_have_mass_zero():
     assert tilde_mu(worked_example_oracle(), Fraction(1, 2), "0S",
                     4).upper == 0
 
+
+
+# ---------------------------------------------------------------------------
+# Verdict classes against the one-pass enumeration
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(top_e=40, top_k=36), weights, st.integers(0, 4), kinds,
+       st.data())
+def test_classes_match_one_pass_reference(oracle, p, depth, kind, data):
+    """Machines up to 40 and finite k_hi up to 40 put the reference's
+    index T far above the window; both tilde_mu forms read the same mass."""
+    ref = ref_limit_measure(oracle, p, depth, kind)
+    table = tilde_mu_table(oracle, p, depth, 0, kind)
+    assert list(table) == words(depth)
+    assert {w: e.lower for w, e in table.items()} == {w: ref[w]
+                                                      for w in words(depth)}
+    assert all(e.lower == e.upper for e in table.values())
+    u = data.draw(st.sampled_from(words(depth)))
+    assert tilde_mu(oracle, p, u, 0, kind).lower == ref[u]
+
+
+def _digest(table):
+    return hashlib.sha256("".join(f"{w} {e.lower}\n" for w, e in
+                                  table.items()).encode()).hexdigest()
+
+
+def test_parity_tables_are_pinned():
+    """The parity tables whose enumeration took seconds, pinned to the
+    values that enumeration gave."""
+    half = Fraction(1, 2)
+    assert _digest(tilde_mu_table(parity_oracle(), half, 3, 24,
+                                  EraseKind.PHI_PRIME)) == (
+        "79a0f7d564a9d2f6193560278fbe61bb0c4b7d47389e56c39ac28234ea6ea8b1")
+    assert _digest(tilde_mu_table(parity_oracle(), half, 8, 24,
+                                  EraseKind.PHI)) == (
+        "9cf53618d26d2f22c9cc367c572871f68b0643dde99c8d8b7510997209f87cb2")
+
+
+def test_far_machine_moves_little_mass():
+    """A single halting machine at e = 10^4 erases only blocks of exactly
+    that length.  The tables differ only where such a run meets the window:
+    at most e + depth - 1 placements, each of mass q^2 p^e."""
+    e, depth, p = 10 ** 4, 3, Fraction(1, 2)
+    far = tilde_mu_table(OracleTable.programmed_table(
+        [Entry(e, QueryKind.EMPTY, time=5)]), p, depth, 0)
+    empty = tilde_mu_table(OracleTable.programmed_table([]), p, depth, 0)
+    assert sum(est.lower for est in far.values()) == 1
+    assert far != empty
+    tv = sum(abs(far[w].lower - empty[w].lower) for w in far) / 2
+    assert 0 < tv <= (e + depth - 1) * (1 - p) ** 2 * p ** e

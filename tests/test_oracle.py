@@ -129,6 +129,26 @@ def test_json_round_trip_bit_exact():
     assert again.default_halts == orc.default_halts
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", "0"), ("k", -1), ("k", 1.5), ("k", True), ("k", None),
+    ("k", "never"), ("k_hi", "5"), ("k_hi", -2), ("time", "5"),
+    ("time", -1), ("time", 2.0), ("time", "inf"), ("time", None)])
+def test_json_rejects_malformed_fields(field, value):
+    item = {"e": 1, "kind": "some_in", "k": 0, "k_hi": 5, "time": 1}
+    table_from_json(json.dumps({"entries": [item]}))
+    item[field] = value
+    with pytest.raises(ValueError, match=field):
+        table_from_json(json.dumps({"entries": [item]}))
+
+
+def test_json_omitted_sizes_read_unbounded():
+    orc = table_from_json(json.dumps({"entries": [
+        {"e": 1, "kind": "empty", "time": 3},
+        {"e": 2, "kind": "some_in", "time": "never"}]}))
+    assert orc.entries == (Entry(1, QueryKind.EMPTY, 3),
+                           Entry(2, QueryKind.SOME_IN, None, k=INF, k_hi=INF))
+
+
 def test_json_round_trip_enumerated():
     orc = OracleTable.enumerated(work_cap=1234)
     text = table_to_json(orc)

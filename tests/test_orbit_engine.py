@@ -317,6 +317,18 @@ def test_window_counts_patch_a_rebirth_chain(t0, t1, L):
     assert_counts_match(sys, x, t0, t1, L)
 
 
+@pytest.mark.parametrize("L", [0, 1, 3, 8, 16, 17])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_window_counts_on_both_sides_of_every_code(L, extra):
+    # 2^L + extra windows: at least 2^L are counted over every code, fewer
+    # by sorting; either way the words come out in ascending order
+    x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(5, L)))
+    sys, t1 = pi1_system(parity_oracle()), (1 << L) + extra
+    want = Counter(orbit_windows(sys, x, 0, t1, L))
+    assert list(orbit_window_counts(sys, x, 0, t1, L).items()) == sorted(
+        want.items())
+
+
 def test_window_counts_on_the_criterion_07_input():
     x = binary_config("", Sampler(("0", "1"), (1, 1), derived_seed(2024, 0)))
     assert_counts_match(pi1_system(parity_oracle()), x, 0, 100_000, 3)
