@@ -32,12 +32,18 @@ and extends the frontier whenever a scan or window read reaches it.  S
 positions are kept lazily in two flat lists over the zone index, each
 zone's insertion displacement and its next excision wake-up.  All the
 excisions of one step (a wave) cost O(zones) C-level list work plus
-Python work per fired zone, however many S's sit to their right.  This is
-exact whenever no excision cascade originates beyond the horizon
-(influence on a fixed window can in principle reach exponentially far for
-adversarial oracle tables); the engine counts the frontier checks that
-hit the materialization cap in ``cap_hits``.  It is cross-checked against
-``step_prefix`` and against the earlier heap engine in the test suite.
+Python work per fired zone, however many S's sit to their right.  Between
+waves a run of plain pushes only shifts u0, and ``orbit_windows`` applies
+such a run in one jump (``ZoneEngine.jump``): at most ``_JUMP`` steps,
+stopping before the next wave and before the step whose frontier check
+would act, with the run's windows read as slices of one string.
+
+The engine counts the frontier checks that hit the materialization cap in
+``cap_hits``, but a zero count does not make it exact: on criterion 08's
+input (``verify.two_zone_configuration``, horizon 3,000) S_2 departs from
+``_step_word`` at step 2,063 while ``cap_hits`` is 0.  The windows are
+cross-checked against ``step_prefix``, the engine against the earlier
+heap engine, and its jumps against single steps in the test suite.
 """
 
 from __future__ import annotations
@@ -209,6 +215,8 @@ def step_prefix(sys, w, n: int):
 
 _CHUNK = 4096
 _NO_KEY = 1 << 62          # wake key of a zone with nothing pending
+_JUMP = 1024               # most steps in one push-run jump
+_MIN_JUMP = 4              # fewer pushes are left to step()
 
 
 class ZoneEngine:
@@ -228,11 +236,23 @@ class ZoneEngine:
     running total, and idle zones cost nothing per step.
     ``s_positions()`` reads every position from the second S on.
 
+    ``step()`` is the one single-step path.  ``jump(limit)`` applies the
+    next run of plain pushes at once, when one of at least ``_MIN_JUMP``
+    steps is known in O(1): ``u0`` becomes ``(u0 + "0" * 2j)[j:]``,
+    ``pushes`` and ``t`` grow by j, and ``ones`` drops by the 1s popped.
+    The run ends where the rightmost 1 of ``u0`` pops out (every step
+    pushes while zone 1 is empty and a second S exists), before the next
+    wave (j <= ``_least - pushes``), before the step whose frontier check
+    would act (``_frontier_room``, which ``_check_frontier`` reads too)
+    and after ``_JUMP`` steps.  The inserting variant, the S-free engine
+    and windows longer than ``u0`` never jump.
+
     ``cap_hits`` counts the frontier checks that stopped at the
     materialization cap while the last S's scan prefix reached past the
     materialized cells; past that point results can be inexact.
-    ``waves`` counts the steps on which some zone was due, and
-    ``displacements`` the zones that fired on them.
+    ``waves`` counts the steps on which some zone was due,
+    ``displacements`` the zones that fired on them, and ``jumped`` the
+    steps applied by ``jump``.
     """
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
@@ -251,6 +271,7 @@ class ZoneEngine:
         self.cap_hits = 0
         self.waves = 0
         self.displacements = 0
+        self.jumped = 0
         self.excisable = oracle.default_halts or any(
             ent.kind is QueryKind.ALL_BELOW and ent.time is not None
             for ent in oracle.entries)
@@ -393,9 +414,8 @@ class ZoneEngine:
     # -- stepping -----------------------------------------------------------
 
     def _fire_excisions(self):
+        """Apply the wave of the zones due now (``_least <= pushes``)."""
         pushes = self.pushes
-        if self._least > pushes:
-            return
         key, dep, base = self.key, self.dep, self.base
         pending, zones = self.pending, self.zones
         # the due zones in ascending order, judged against the pre-step
@@ -434,9 +454,7 @@ class ZoneEngine:
             # S_k .. S_last move right by what was deposited
             moved.append((k, off - start_off))
             self._dep_last += off - start_off
-            last = self.last
-            if (base[last] + pushes + self._dep_last + _CHUNK // 2
-                    > len(zones[last])):
+            if self._frontier_room() < 0:
                 self._check_frontier()
         diff = [0] * len(dep)
         for k, amount in moved:
@@ -453,6 +471,21 @@ class ZoneEngine:
         self._least -= amount
         self._check_frontier()
 
+    def _frontier_room(self) -> int:
+        """Pushes left before ``_check_frontier`` must act; negative once
+        it must.
+
+        Below the materialization cap it extends the frontier when the
+        last zone holds fewer than ``_CHUNK // 2`` cells past the last S;
+        at the cap it counts a hit when the last S passes the zone's end.
+        """
+        last = self.last
+        if not self.excisable or last < 2:
+            return _NO_KEY
+        slack = _CHUNK // 2 if self.src <= self.cap else 0
+        return (len(self.zones[last]) - slack
+                - (self.base[last] + self.pushes + self._dep_last))
+
     def _check_frontier(self):
         """Keep the last S's scan prefix parsed for future excisions.
 
@@ -461,43 +494,26 @@ class ZoneEngine:
         stop while the scan prefix still reaches past the materialized
         cells counts in ``cap_hits``.
         """
-        if not self.excisable or self.last < 2:
-            return
-        while (self._pos(self.last) + _CHUNK // 2
-               > len(self.zones[self.last])):
+        while self._frontier_room() < 0:
             if self.src > self.cap:
-                if self._pos(self.last) > len(self.zones[self.last]):
-                    self.cap_hits += 1
+                self.cap_hits += 1
                 break
             prev = (self.last, self.src)
             self._extend_frontier(self._pos(self.last) + _CHUNK)
             if (self.last, self.src) == prev:
                 break
 
-    def _u0_popleft(self):
-        c = self.u0.popleft()
-        if c == "1":
-            if self.ones == len(self.u0) + 1:
-                self.trailing -= 1
-            self.ones -= 1
-
-    def _u0_append(self, c: str):
-        self.u0.append(c)
-        if c == "1":
-            self.ones += 1
-            self.trailing += 1
-        else:
-            self.trailing = 0
-
     def step(self):
-        if self.u0 is None:
+        u0 = self.u0
+        if u0 is None:
             self.t += 1
             return
-        self._fire_excisions()
+        if self._least <= self.pushes:
+            self._fire_excisions()
 
         if self.second_inserts and self.last >= 2:
-            if self._gate_ok(len(self.u0)):
-                word = _insertion_word(len(self.u0))
+            if self._gate_ok(len(u0)):
+                word = _insertion_word(len(u0))
                 self.zones[1].extend(word)
                 self._displace_all(len(word))
 
@@ -512,28 +528,80 @@ class ZoneEngine:
             c = "0"
         eat = self.ones == self.trailing
         if eat and c == "1" and (not self.gate_first
-                                 or self._gate_ok(len(self.u0))):
+                                 or self._gate_ok(len(u0))):
             u1.popleft()
-            self._u0_append("1")
+            u0.append("1")
+            self.ones += 1
+            self.trailing += 1
             self.crossing = True
-        elif eat and c == "0":
-            if u1:
-                u1.popleft()
-            self._u0_append("0")
-            if self.u0:
-                self._u0_popleft()
-            self._u0_append("0")
-            if self.crossing:
-                self.completed_crossings += 1
-                self.crossing = False
         else:
-            self._u0_append("0")
-            self._u0_popleft()
-            self._u0_append("0")
-            self.pushes += 1
-            self.crossing = False
-            self._check_frontier()
+            # u0 becomes (u0 + "0")[1:] + "0"; the appended 0 ends any
+            # trailing run, so the cell popped never belongs to it
+            u0.append("0")
+            if u0.popleft() == "1":
+                self.ones -= 1
+            u0.append("0")
+            self.trailing = 0
+            if eat and c == "0":
+                if u1:
+                    u1.popleft()
+                if self.crossing:
+                    self.completed_crossings += 1
+                    self.crossing = False
+            else:
+                self.pushes += 1
+                self.crossing = False
+                if self._frontier_room() < 0:
+                    self._check_frontier()
         self.t += 1
+
+    def jump(self, limit: int) -> Tuple[int, str]:
+        """Apply at once the next j <= ``limit`` steps, when all of them
+        are certain to be plain pushes; returns ``(j, text)`` with
+        ``text[s:s + window]`` the window before the s-th of them.
+
+        Returns ``(0, "")`` unless O(1) checks leave room for a run of
+        ``_MIN_JUMP`` or more pushes.  A step pushes when ``ones !=
+        trailing``; after a push ``trailing`` is 0, so a run lasts until
+        the rightmost 1 of ``u0`` pops out.  With zone 1 empty and a
+        second S, every step pushes.  A run stops before the next wave
+        and before the step whose frontier check would act, and never
+        covers more than ``_JUMP`` steps, so the cells joined per jump
+        stay bounded.  The inserting variant may insert on any step and
+        never jumps.  With zone 1 empty and one S, ``step()`` materializes
+        more of zone 1, so no jump starts there.
+        """
+        u0 = self.u0
+        if (u0 is None or self._least - self.pushes < _MIN_JUMP
+                or self.second_inserts or len(u0) < self.window):
+            return 0, ""
+        sticky = not self.zones[1]          # the first S reads S_2
+        if ((sticky and self.last == 1)
+                or (not sticky and self.ones == self.trailing)):
+            return 0, ""
+        bound = min(limit, _JUMP, self._least - self.pushes,
+                    self._frontier_room())
+        if bound < _MIN_JUMP:
+            return 0, ""
+        L = self.window
+        head = "".join(itertools.islice(u0, 0, bound + L))
+        j = bound
+        if not sticky and head.count("1", 0, bound) == self.ones:
+            # every 1 of u0 lies within reach: the run ends with the last
+            j = head.rfind("1", 0, bound) + 1
+        if len(head) < j + L:             # windows read the zeros pushed in
+            head += "0" * (j + L - len(head))
+        self.ones -= head.count("1", 0, j)
+        u0.extend("0" * (2 * j))
+        popleft = u0.popleft
+        for _ in range(j):
+            popleft()
+        self.trailing = 0
+        self.crossing = False
+        self.pushes += j
+        self.t += j
+        self.jumped += j
+        return j, head
 
     # -- observation --------------------------------------------------------
 
@@ -544,6 +612,8 @@ class ZoneEngine:
             if hi > len(self._shift_word):
                 self._shift_word = self.layer1.materialize(hi + _CHUNK)
             return self._shift_word[self.t:hi]
+        if len(self.u0) >= L:
+            return "".join(itertools.islice(self.u0, 0, L))
         out = list(itertools.islice(self.u0, 0, L))
         k = 1
         while len(out) < L and k <= self.last:
@@ -564,9 +634,18 @@ def orbit_windows(sys, x, t0: int, t1: int, window: int) -> Iterator:
     layer2 = x.layer2 if product else None
     eng = ZoneEngine(sys.id, sys.oracle, layer1, layer2, t1, window)
     g2 = layer2.materialize(t1 + window) if product else None
-    for t in range(t1):
+    t = 0
+    while t < t1:
+        j, text = eng.jump(t1 - 1 - t)
+        if j:
+            for s in range(max(t0 - t, 0), j):
+                w1 = text[s:s + window]
+                yield (w1, g2[t + s:t + s + window]) if product else w1
+            t += j
+            continue
         if t >= t0:
             w1 = eng.window_word()
             yield (w1, g2[t:t + window]) if product else w1
         if t + 1 < t1:
             eng.step()
+        t += 1

@@ -8,22 +8,30 @@ engines run in lockstep, and before every step their windows, S positions
 and sparse inputs, on all three zone systems, with deep excision cascades,
 with many zones and with zones found in the middle of a wave.  After every
 step the engine's flat ``dep`` list must equal the reference's, and its
-cached least wake key must equal one computed from scratch.
+cached least wake key must equal one computed from scratch.  Where a test
+lets it, the engine jumps over runs of pushes while the reference steps
+through them; each window inside a jump must match the reference's.
+
+``pi2.orbit_windows``, which jumps, is also checked against a driver that
+calls only ``step()`` and ``window_word()``: the same windows and the
+same final state.
 """
 
+import hashlib
 import heapq
 import itertools
 import random
 from collections import deque
 from operator import sub
 from typing import List, Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdyn import verify
+from symdyn import pi2, systems, verify
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import _CHUNK, ZoneEngine, _insertion_word
 from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
@@ -393,21 +401,36 @@ def same_bookkeeping(new, ref):
 
 
 def lockstep(sysid, oracle, layer1, layer2, steps, window, horizon=None,
-             engine=ZoneEngine):
-    """Run both engines ``steps`` steps; compare before every step."""
+             engine=ZoneEngine, jumps=False):
+    """Run both engines ``steps`` steps; compare before every step.
+
+    With ``jumps`` the engine jumps over runs of pushes where it can while
+    the reference steps; every window inside a jump is compared, the rest
+    at the end of the jump.
+    """
     if sysid is not SystemId.PI2 and layer2 is None:
         layer2 = Configuration(ALPHA_AB, "", Constant("a"))
     horizon = steps if horizon is None else horizon
     new = engine(sysid, oracle, layer1, layer2, horizon, window)
     ref = HeapZoneEngine(sysid, oracle, layer1, layer2, horizon, window)
-    for t in range(steps):
+    t = 0
+    while t < steps:
         assert new.window_word() == ref.window_word(), t
         assert new.s_positions() == ref.s_positions(), t
         assert new.pushes == ref.pushes, t
         assert new.completed_crossings == ref.completed_crossings, t
+        assert new.crossing == ref.crossing, t
         assert same_bookkeeping(new, ref), t
-        new.step()
-        ref.step()
+        j, text = new.jump(steps - t) if jumps else (0, "")
+        for s in range(j):
+            assert text[s:s + window] == ref.window_word(), (t, s)
+            ref.step()
+        if not j:
+            new.step()
+            ref.step()
+            j = 1
+        t += j
+    assert new.t == ref.t == steps
     assert same_bookkeeping(new, ref)
     return new, ref
 
@@ -426,9 +449,10 @@ def test_dense_bernoulli_product(sysid):
     # criterion 09's input: dense S, excision- and insertion-dominated
     x = verify.bernoulli_product(5)
     layer2 = None if sysid is SystemId.PI2 else x.layer2
-    new, ref = lockstep(sysid, TOTALITY, x.layer1, layer2, 300,
-                        8 if sysid is SystemId.PI2 else 4)
-    assert new.last > 40 and displaced(ref) > 0
+    for jumps in (False, True):
+        new, ref = lockstep(sysid, TOTALITY, x.layer1, layer2, 300,
+                            8 if sysid is SystemId.PI2 else 4, jumps=jumps)
+        assert new.last > 40 and displaced(ref) > 0
 
 
 @pytest.mark.parametrize("prefix,period", [
@@ -438,16 +462,19 @@ def test_dense_bernoulli_product(sysid):
     ("S11S", "01"),
 ])
 def test_sparse_two_zone(prefix, period):
-    new, _ = lockstep(SystemId.PI2, TOTALITY, cfg(prefix, period), None,
-                      1500, 5)
-    assert new.last <= 3
+    for jumps in (False, True):
+        new, _ = lockstep(SystemId.PI2, TOTALITY, cfg(prefix, period), None,
+                          1500, 5, jumps=jumps)
+        assert new.last <= 3
 
 
 def test_sparse_gated_crossing_member():
     m = verify.crossing_member()
-    new, _ = lockstep(SystemId.WILD_T_PRIME, NEVER, m.layer1, m.layer2,
-                      1000, 4)
-    assert new.completed_crossings >= 1
+    for jumps in (False, True):
+        new, _ = lockstep(SystemId.WILD_T_PRIME, NEVER, m.layer1, m.layer2,
+                          1000, 4, jumps=jumps)
+        assert new.completed_crossings >= 1
+        assert (new.jumped > 0) == jumps
 
 
 @pytest.mark.parametrize("sysid", SYSTEMS)
@@ -458,8 +485,10 @@ def test_sparse_gated_crossing_member():
 ])
 def test_deep_cascade(sysid, prefix, period):
     layer2 = Configuration(ALPHA_AB, "", Periodic("aab"))
-    _, ref = lockstep(sysid, CASCADE, cfg(prefix, period), layer2, 400, 8)
-    assert displaced(ref) > 0
+    for jumps in (False, True):
+        _, ref = lockstep(sysid, CASCADE, cfg(prefix, period), layer2, 400,
+                          8, jumps=jumps)
+        assert displaced(ref) > 0
 
 
 @pytest.mark.parametrize("zones", [5, 20, 70])
@@ -470,8 +499,10 @@ def test_zone_counts(zones):
     prefix = "0" + "".join("S" + "".join(rng.choice("0011")
                                          for _ in range(rng.randint(1, 4)))
                            for _ in range(zones))
-    for oracle in (TOTALITY, CASCADE, MIXED):
-        new, _ = lockstep(SystemId.PI2, oracle, cfg(prefix), None, 300, 10)
+    for oracle, jumps in itertools.product((TOTALITY, CASCADE, MIXED),
+                                           (False, True)):
+        new, _ = lockstep(SystemId.PI2, oracle, cfg(prefix), None, 300, 10,
+                          jumps=jumps)
         assert new.last == zones
 
 
@@ -486,10 +517,11 @@ def test_zone_appended_after_displacements(prefix):
     # first displacement reaches for it, so the new zone must start with
     # the last one's pre-wave displacement and then take the wave's too
     layer1 = cfg(prefix, "0" * 120 + "S0110")
-    new, ref = lockstep(SystemId.PI2, CASCADE, layer1, None, 200, 6,
-                        horizon=10)
-    assert new.last == ref.last == prefix.count("S") + 1
-    assert displaced(ref) > 0
+    for jumps in (False, True):
+        new, ref = lockstep(SystemId.PI2, CASCADE, layer1, None, 200, 6,
+                            horizon=10, jumps=jumps)
+        assert new.last == ref.last == prefix.count("S") + 1
+        assert displaced(ref) > 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -498,10 +530,13 @@ def test_zone_appended_after_displacements(prefix):
        st.text("0011S", min_size=1, max_size=40),
        st.sampled_from(["0", "010", "0S011", "S0110", "01100"]),
        st.sampled_from(["a", "ab", "aab", "b"]),
-       st.integers(2, 12))
-def test_drawn_prefixes(sysid, oracle, prefix, period, period2, window):
+       st.integers(2, 12),
+       st.booleans())
+def test_drawn_prefixes(sysid, oracle, prefix, period, period2, window,
+                        jumps):
     layer2 = Configuration(ALPHA_AB, "", Periodic(period2))
-    lockstep(sysid, oracle, cfg(prefix, period), layer2, 80, window)
+    lockstep(sysid, oracle, cfg(prefix, period), layer2, 80, window,
+             jumps=jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +560,7 @@ def test_new_zone_found_in_a_wave():
     # appends a zone before the wave's displacements are applied
     x = verify.bernoulli_product(5)
     new, ref = lockstep(SystemId.PI2, TOTALITY, x.layer1, None, 300, 8,
-                        horizon=20, engine=WaveProbe)
+                        horizon=20, engine=WaveProbe, jumps=True)
     assert new.found_in_wave >= 1 and new.last > 10
     assert displaced(ref) > 0
 
@@ -569,11 +604,169 @@ def test_cap_hits_counted_past_a_small_horizon():
 
 
 def test_cap_hits_zero_within_criterion_08_horizon():
-    # criterion 08's input at its benchmark horizon, over the first half
-    # of the run, where the last S's scan prefix stays materialized
+    """The ``cap_hits`` counter reads 0 over the first half of criterion
+    08's run at its benchmark horizon, where the last S's scan prefix
+    stays materialized.
+
+    This checks the counter, not the state: the engine's S_2 departs from
+    the word reference ``_step_word`` on this input while ``cap_hits`` is
+    still 0.
+    """
     eng = ZoneEngine(SystemId.PI2, TOTALITY, verify.two_zone_configuration(),
                      None, horizon=100_000, window=5)
     for _ in range(50_000):
         eng.window_word()
         eng.step()
     assert eng.cap_hits == 0
+
+
+# ---------------------------------------------------------------------------
+# Push-run jumps against single steps
+# ---------------------------------------------------------------------------
+
+def engine_state(eng):
+    """Everything a jump may touch, as plain values."""
+    if eng.u0 is None:
+        return eng.t
+    return ("".join(eng.u0), ["".join(z) for z in eng.zones[1:]],
+            eng.s_positions(), eng.pushes, eng.t, eng.ones, eng.trailing,
+            eng.cap_hits, eng.waves, eng.displacements,
+            eng.completed_crossings, eng.crossing)
+
+
+def stepped_windows(sys_, x, t0, t1, window):
+    """``pi2.orbit_windows`` through ``step()`` and ``window_word()``
+    only; returns the windows' digest and the engine."""
+    product = sys_.id.product
+    layer1, layer2 = (x.layer1, x.layer2) if product else (x, None)
+    eng = ZoneEngine(sys_.id, sys_.oracle, layer1, layer2, t1, window)
+    g2 = layer2.materialize(t1 + window) if product else None
+    digest = hashlib.sha256()
+    for t in range(t1):
+        if t >= t0:
+            digest.update(eng.window_word().encode())
+            if product:
+                digest.update(g2[t:t + window].encode())
+        if t + 1 < t1:
+            eng.step()
+    return digest.hexdigest(), eng
+
+
+def jumped_windows(sys_, x, t0, t1, window):
+    """``pi2.orbit_windows`` as it runs, with the engine it made."""
+    made = []
+
+    class Recorded(ZoneEngine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    digest = hashlib.sha256()
+    with mock.patch.object(pi2, "ZoneEngine", Recorded):
+        for w in pi2.orbit_windows(sys_, x, t0, t1, window):
+            for part in (w if sys_.id.product else (w,)):
+                digest.update(part.encode())
+    return digest.hexdigest(), made[0]
+
+
+def assert_jumps_match_steps(sys_, x, t0, t1, window):
+    want, ref = stepped_windows(sys_, x, t0, t1, window)
+    got, eng = jumped_windows(sys_, x, t0, t1, window)
+    assert got == want
+    assert engine_state(eng) == engine_state(ref)
+    return got, eng
+
+
+SPARSE = "0" * 20 + "1"      # far-apart runs: waves far apart
+MAKE_SYSTEM = {SystemId.PI2: systems.pi2_system,
+               SystemId.WILD_T_PRIME: systems.wild_t_prime_system,
+               SystemId.WILD_T_SECOND: systems.wild_t_second_system}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SYSTEMS),
+       st.sampled_from([NEVER, TOTALITY, CASCADE, MIXED]),
+       # S-free, one S, adjacent S's (an empty zone 1) and u0 shorter or
+       # longer than the window all occur
+       st.text("00011S", max_size=30),
+       st.sampled_from(["0", "01", "011", "0S011", "S0110", "01100", "1",
+                        SPARSE, "S" + SPARSE * 2]),
+       st.sampled_from(["a", "ab", "aab", "b"]),
+       st.integers(0, 12),
+       st.integers(0, 400),
+       st.integers(0, 400))
+def test_drawn_jumps_match_steps(sysid, oracle, prefix, period, period2,
+                                 window, t0, t1):
+    x = cfg(prefix, period)
+    if sysid is not SystemId.PI2:
+        x = pi2.ProductConfiguration(
+            x, Configuration(ALPHA_AB, "", Periodic(period2)))
+    assert_jumps_match_steps(MAKE_SYSTEM[sysid](oracle), x, min(t0, t1 + 1),
+                             t1, window)
+
+
+@pytest.mark.parametrize("oracle,prefix,period,t0,t1,window", [
+    (TOTALITY, "", "0110", 0, 2, 0),                  # S-free
+    (TOTALITY, "0S", "0110", 0, 1, 3),                # t1 <= 2
+    (TOTALITY, "0S", "0110", 3, 2, 3),                # t0 past t1
+    (TOTALITY, "00000S0110", "0110", 0, 300, 0),      # window 0
+    (NEVER, "0000SS011", "0110", 0, 3000, 3),         # zone 1 empty
+    (NEVER, "011SS", "0110", 0, 3000, 8),             # ... u0 < window
+    (TOTALITY, "01111100S011", "0110", 150, 300, 4),  # t0 > 0, in a run
+    # zone 1 empty until a wave deposits into it, so the first S stops
+    # pushing exactly when the wave fires
+    (MIXED, "00000SS", SPARSE, 0, 600, 4),
+    # past the cap every push counts a hit, so no jump passes one
+    (MIXED, "00000SS", "S" + SPARSE * 3, 0, 600, 4),
+    # zone 1 runs empty with one S: the step materializes more of it
+    (NEVER, "0" * 466 + "S", "0110", 0, 400, 5),
+    # the last jump stops inside u0's 1s
+    (NEVER, "0110111" * 10 + "S", "0", 0, 30, 3),
+    # a jump right after a crossing, into S_2: the crossing is over
+    (MIXED, "0S111S", SPARSE, 0, 400, 3),
+])
+def test_jumps_match_steps_on_edges(oracle, prefix, period, t0, t1,
+                                    window):
+    assert_jumps_match_steps(systems.pi2_system(oracle),
+                             cfg(prefix, period), t0, t1, window)
+
+
+@pytest.mark.parametrize("steps,window,digest,cap_hits,s2", [
+    (100_000, 5, "77bb8e3b09b604cb", 4_421, 161_230),     # the recurrence
+    (100_000, 40, "fe9476b3c6575fac", 4_386, 161_251),
+    (1_000_000, 5, "e02c3e45966a8eb1", 4_409, 1_601_218),  # criterion 08
+])
+def test_jumps_match_steps_on_the_recurrence(steps, window, digest,
+                                             cap_hits, s2):
+    sys_, x = systems.pi2_system(TOTALITY), verify.two_zone_configuration()
+    got, eng = assert_jumps_match_steps(sys_, x, 0, steps, window)
+    # the step-by-step engine's windows, cap hits and S_2, pinned: both
+    # paths above share step(), so a change to it shows here
+    assert got[:16] == digest
+    assert (eng.cap_hits, eng.s_positions()) == (cap_hits, [s2])
+    assert (eng.waves, eng.displacements) == (822, 822)
+    # a change that silently disables the jump fails here, not only later
+    # in a benchmark
+    assert eng.jumped >= 0.9 * steps
+
+
+@pytest.mark.parametrize("sysid", SYSTEMS)
+def test_jumps_match_steps_on_the_dense_product(sysid):
+    x = verify.bernoulli_product(5)
+    assert_jumps_match_steps(MAKE_SYSTEM[sysid](TOTALITY),
+                             x.layer1 if sysid is SystemId.PI2 else x,
+                             0, 600, 8)
+
+
+def test_jumps_match_steps_on_the_crossing_member():
+    _, eng = assert_jumps_match_steps(systems.wild_t_prime_system(NEVER),
+                                      verify.crossing_member(), 0, 100_000,
+                                      4)
+    assert eng.completed_crossings >= 3 and eng.jumped >= 0.9 * 100_000
+
+
+def test_inserting_variant_never_jumps():
+    # on the input where the gated variant jumps over almost every step
+    _, eng = assert_jumps_match_steps(systems.wild_t_second_system(NEVER),
+                                      verify.crossing_member(), 0, 2_000, 4)
+    assert eng.jumped == 0 and eng.pushes > 1_000
