@@ -26,9 +26,15 @@ the same condition at the first S's position i, and on success insert the
 word (01)(011)...(01^i)0 at its own position, pushing itself and
 everything to its right.
 
-``step_prefix`` applies one step to a finite word exactly.  ``ZoneEngine``
-runs long orbits; it tracks every S inside a finite materialized horizon
-and extends the frontier whenever a scan or window read reaches it.  S
+``step_prefix`` applies one step to a finite word exactly, with string
+operations: it finds only the S's within reach, reads each zone's 1-runs
+up to its scan prefix and builds a new string only around an excision or
+an insertion.  The list-based step it replaced is kept in the test suite
+as its reference.
+
+``ZoneEngine`` runs long orbits; it tracks every S inside a finite
+materialized horizon and extends the frontier whenever a scan or window
+read reaches it.  S
 positions are kept lazily in two flat lists over the zone index, each
 zone's insertion displacement and its next excision wake-up.  All the
 excisions of one step (a wave) cost O(zones) C-level list work plus
@@ -41,9 +47,10 @@ would act, with the run's windows read as slices of one string.
 The engine counts the frontier checks that hit the materialization cap in
 ``cap_hits``, but a zero count does not make it exact: on criterion 08's
 input (``verify.two_zone_configuration``, horizon 3,000) S_2 departs from
-``_step_word`` at step 2,063 while ``cap_hits`` is 0.  The windows are
-cross-checked against ``step_prefix``, the engine against the earlier
-heap engine, and its jumps against single steps in the test suite.
+``_step_word`` at step 2,063 while ``cap_hits`` is 0.  In the test suite
+the engine's windows are fuzz-checked against orbits of ``step_prefix``,
+the engine runs in lockstep with the earlier heap engine, and its jumps
+are checked against single steps.
 """
 
 from __future__ import annotations
@@ -57,9 +64,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .oracle import Answer, HaltQuery, OracleTable, QueryKind
-from .space import (Configuration, FrontierUnresolved, iter_blocks,
-                    parse_blocks)
+from .oracle import OracleTable, QueryKind
+from .space import _ONE_RUN, Configuration, FrontierUnresolved, iter_blocks
 
 
 @dataclass(frozen=True)
@@ -104,100 +110,99 @@ def _insertion_word(i: int) -> str:
 # One exact step on a finite word
 # ---------------------------------------------------------------------------
 
-def _all_below_yes(oracle: OracleTable, l: int, k: int, budget: int) -> bool:
-    q = HaltQuery(QueryKind.ALL_BELOW, budget, k=k)
-    return oracle.answer(l, q) is Answer.YES
-
-
 def _step_word(oracle: OracleTable, w1: str, n: int,
                w2: Optional[str] = None,
                gate_first: bool = False,
                second_inserts: bool = False) -> str:
-    if len(w1) < n + 1:
+    size = len(w1)
+    if size < n + 1:
         raise FrontierUnresolved("need one symbol past the window")
-    cells = list(w1)
-    s_pos = [i for i, c in enumerate(cells) if c == "S"]
+    s1 = w1.find("S")
+    if s1 < 0:
+        # no S within reach: the map shifts, unless a 1-run glued to an S
+        # just past the supplied word could freeze the window
+        body = w1.lstrip("0")
+        if body and size - len(body) < n and "0" not in body:
+            raise FrontierUnresolved(
+                "open 1-run may be glued to an S beyond the word")
+        return w1[1:n + 1]
+    if s1 + 1 >= size:
+        raise FrontierUnresolved(
+            "first S reads one symbol past the supplied word")
 
     # everything strictly right of this position cannot influence the window
     # (the first S reads the symbol to its right, which an excision at an
     # adjacent second S may rewrite)
-    reach = n if not s_pos else max(n, s_pos[0] + 2)
-
-    inserts: List[Tuple[int, int, str]] = []  # (position, tiebreak, word)
-    for k in range(2, len(s_pos) + 1):
-        i_k = s_pos[k - 1]
-        if i_k >= reach:
-            break
+    reach = max(n, s1 + 2)
+    # (lo, hi, text): replace w1[lo:hi] by text, left to right; excisions
+    # zero cells of their own zone only, so each zone reads as in w1
+    edits: List[Tuple[int, int, str]] = []
+    k, i_k = 2, w1.find("S", s1 + 1)
+    i_2 = i_k
+    while 0 <= i_k < reach:
         zone_lo = i_k + 1
-        zone_hi = s_pos[k] if k < len(s_pos) else len(cells)
+        zone_hi = w1.find("S", zone_lo)
         scan_hi = zone_lo + i_k
-        if zone_hi == len(cells) and scan_hi > len(cells):
-            raise FrontierUnresolved("scan prefix runs past the supplied word")
+        if zone_hi < 0:
+            zone_hi = size
+            if scan_hi > size:
+                raise FrontierUnresolved(
+                    "scan prefix runs past the supplied word")
         scan_hi = min(scan_hi, zone_hi)
-        # earlier excisions zeroed cells of other zones only, so the zone
-        # still reads as in w1
         excised = []
-        for start, l in parse_blocks(w1[zone_lo:zone_hi]):
-            start += zone_lo
-            if start + l <= scan_hi and _all_below_yes(oracle, l, k, i_k):
-                excised.append((start, l))
+        for run in _ONE_RUN.finditer(w1, zone_lo, zone_hi):
+            start, end = run.span()
+            if end > scan_hi:
+                break
+            tau = oracle.all_below_time(end - start, k)
+            if tau is not None and tau <= i_k:
+                excised.append((start, end, "0" * (end - start)))
         if excised:
-            for start, l in excised:
-                cells[start:start + l] = ["0"] * l
-            word = "".join("0" + "1" * l for _, l in excised)
-            inserts.append((i_k, 0, word))
+            word = "".join("0" + "1" * (end - start)
+                           for start, end, _ in excised)
+            edits.append((i_k, i_k, word))
+            edits += excised
+        k, i_k = k + 1, zone_hi if zone_hi < size else -1
 
-    if second_inserts and len(s_pos) >= 2 and s_pos[1] < reach:
-        if gate_allows(w2, s_pos[0]):
-            inserts.append((s_pos[1], 1, _insertion_word(s_pos[0])))
+    if second_inserts and 0 <= i_2 < reach and gate_allows(w2, s1):
+        # after the second zone's excised word, at the second S
+        word = _insertion_word(s1)
+        if edits and edits[0][0] == i_2:
+            edits[0] = (i_2, i_2, edits[0][2] + word)
+        else:
+            edits.insert(0, (i_2, i_2, word))
 
-    for pos, _, word in sorted(inserts, reverse=True):
-        cells[pos:pos] = list(word)
+    cells = w1
+    if edits:
+        parts, at = [], 0
+        for lo, hi, text in edits:
+            parts += (w1[at:lo], text)
+            at = hi
+        parts.append(w1[at:reach])
+        cells = "".join(parts)
 
-    s1 = s_pos[0] if s_pos else None
-    if s1 is None:
-        # no S within reach: the map shifts, unless a 1-run glued to an S
-        # just past the supplied word could freeze the window
-        i = 0
-        while i < len(cells) and cells[i] == "0":
-            i += 1
-        if i < n and i < len(cells) and all(c == "1" for c in cells[i:]):
-            raise FrontierUnresolved(
-                "open 1-run may be glued to an S beyond the word")
-        return "".join(cells[1:n + 1])
-    if s1 + 1 >= len(cells):
-        raise FrontierUnresolved(
-            "first S reads one symbol past the supplied word")
-
-    u0 = cells[:s1]
-    ones = sum(1 for c in u0 if c == "1")
-    trailing = 0
-    for c in reversed(u0):
-        if c != "1":
-            break
-        trailing += 1
+    u0 = w1[:s1]
+    eat = "1" not in u0.rstrip("1")   # every 1 of u0 is glued to the S
     c = cells[s1 + 1]
-    eat = ones == trailing
     if eat and c == "1" and (not gate_first or gate_allows(w2, s1)):
-        cells[s1], cells[s1 + 1] = "1", "S"
-        shift = False
-    elif eat and c == "0":
-        cells[s1], cells[s1 + 1] = "0", "S"
-        shift = True
-    else:
-        cells.insert(s1, "0")
-        shift = True
-    s1 += 1
-    if shift:
-        del cells[0]
-        s1 -= 1
-        cells.insert(s1, "0")
-    return "".join(cells[:n])
+        # the glued run extends over the 1; its left end stays fixed
+        return (u0 + "1S" + cells[s1 + 2:n])[:n]
+    # the leftmost zone shifts left one cell and two 0s precede the S
+    head = (u0 + "0")[1:] + "0S"
+    if eat and c == "0":
+        return (head + cells[s1 + 2:n])[:n]   # the S consumed the 0
+    return (head + cells[s1 + 1:n])[:n]       # the S pushed its right side
 
 
 def step_prefix(sys, w, n: int):
-    """One application of the zone automaton, restricted to [0, n)."""
+    """One application of the zone automaton, restricted to [0, n).
+
+    Raises ValueError unless the table is programmed: the excisions read
+    ``all_below_time``.
+    """
     sid = sys.id
+    if not sys.oracle.programmed:
+        raise ValueError("the zone step needs a programmed oracle table")
     if not sid.product:
         return _step_word(sys.oracle, w, n)
     w1, w2 = w

@@ -1,10 +1,13 @@
 """The constructed symbolic maps, packaged as prefix-step functions.
 
-Each map is exposed two ways: ``step_prefix`` applies the literal
-per-position rule to a finite word (exact; the reference implementation),
-and ``orbit`` runs a long simulation.  The block-erasure maps read one
-per-step rule, :func:`erases_now`, and its array form
-:func:`_erased_blocks`: the long-orbit engine decides every block of the
+Each map is exposed two ways: ``step_prefix`` applies one step to a finite
+word exactly, with string operations, and ``orbit`` runs a long
+simulation.  The list-based steps ``step_prefix`` replaced are kept in the
+test suite as its references; the orbit fuzz tests read ``step_prefix``.
+The block-erasure maps read one per-step rule, :func:`erases_now`, built
+once per :class:`SystemSpec`, and its array form :func:`_erased_blocks`;
+on a programmed table both read one profile per machine,
+:func:`_profile`.  The long-orbit engine decides every block of the
 input in one array pass, loops in Python only over the rebirth chains and
 masks the erased runs out of the input's cells.  The limit rule,
 :func:`block_fate`, serves the erasure maps in the limit and
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, Optional
 
@@ -26,6 +29,14 @@ from . import pi2
 from .oracle import INF, Answer, HaltQuery, OracleTable, QueryKind
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
                     FrontierUnresolved, parse_blocks)
+
+
+def _deleting(alphabet):
+    """A ``str.translate`` table that deletes the symbols of ``alphabet``."""
+    return str.maketrans("", "", "".join(alphabet.symbols))
+
+
+_FOREIGN_AB = _deleting(ALPHA_AB)
 
 
 class EraseKind(Enum):
@@ -38,7 +49,8 @@ class SystemId(Enum):
     ``alphabet``, its block-erasure rule ``erase`` (None for the shift and
     the zone systems), and for the products, which read a second layer,
     whether it gates the first S (``gate_first``) or lets the second S
-    insert (``second_inserts``); ``product`` is either flag."""
+    insert (``second_inserts``); ``product`` is either flag.  ``foreign``
+    is a ``str.translate`` table that deletes the alphabet's symbols."""
 
     SHIFT = ("shift", ALPHA_01, None)
     PI1 = ("pi1", ALPHA_01, EraseKind.PHI)
@@ -54,13 +66,26 @@ class SystemId(Enum):
         member.alphabet, member.erase = alphabet, erase
         member.gate_first, member.second_inserts = gate_first, second_inserts
         member.product = gate_first or second_inserts
+        member.foreign = _deleting(alphabet)
         return member
 
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """A system and its oracle table.  An erasure system builds its step
+    rule, :func:`erases_now`, once, in ``_erased``; it is not a field that
+    ``dataclasses.replace``, equality or hashing read."""
+
     id: SystemId
     oracle: Optional[OracleTable] = None
+    _erased: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        erase = self.id.erase
+        if erase is not None and self.oracle is None:
+            raise ValueError(f"{self.id.value} needs an oracle table")
+        object.__setattr__(self, "_erased", None if erase is None
+                           else erases_now(self.oracle, erase))
 
     def lookahead(self, n: int) -> int:
         if self.id is SystemId.SHIFT:
@@ -115,27 +140,32 @@ def erases_now(oracle: OracleTable, kind: EraseKind):
     nearest 1 to its left, or None when there is none.  phi erases when
     l <= j1 and M_l halts on the empty input within j1 steps; phi' when a
     1 precedes the block, l < j1 and M_l halts within j1 steps on some
-    input of size in [gap, j1].
+    input of size in [gap, j1].  A programmed table is read through the
+    profile :func:`_erased_blocks` reads, built once per machine and
+    rule; an enumerated one is asked block by block.
     """
-    if kind is EraseKind.PHI_PRIME:
-        def erased(l, j1, gap):
-            return (gap is not None and l < j1
-                    and oracle.answer(l, HaltQuery(QueryKind.SOME_IN, j1, k=gap,
-                                                   k_hi=j1)) is Answer.YES)
-    elif oracle.programmed:
-        halt_time = {}   # l -> least empty-input halting time, asked once
+    phi = kind is EraseKind.PHI
+    if not oracle.programmed:
+        if phi:
+            return lambda l, j1, gap: (
+                l <= j1 and oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1))
+                is Answer.YES)
+        return lambda l, j1, gap: (
+            gap is not None and l < j1
+            and oracle.answer(l, HaltQuery(QueryKind.SOME_IN, j1, k=gap,
+                                           k_hi=j1)) is Answer.YES)
+    profiles = {}   # l -> _profile(oracle, kind, l), read once
 
-        def erased(l, j1, gap):
-            if l > j1:
-                return False
-            if l not in halt_time:
-                halt_time[l] = oracle.empty_halt_time(l)
-            t = halt_time[l]
-            return t is not None and t <= j1
-    else:
-        def erased(l, j1, gap):
-            return (l <= j1 and oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1))
-                    is Answer.YES)
+    def erased(l, j1, gap):
+        if (l > j1) if phi else (gap is None or l >= j1):
+            return False
+        facts = profiles.get(l)
+        if facts is None:
+            facts = profiles[l] = _profile(oracle, kind, l)
+        for k, need in facts:
+            if need <= j1 and (gap is None or k >= gap):
+                return True
+        return False
     return erased
 
 
@@ -143,33 +173,37 @@ _FAR = 1 << 62   # past every j1 and gap; profiles are clipped to it
 _SOME_SIZE = HaltQuery(QueryKind.SOME_IN, _FAR, k=0, k_hi=_FAR)   # any range
 
 
+def _profile(oracle: OracleTable, kind: EraseKind, e: int):
+    """M_e's facts on a programmed table as (k, need) pairs: a block with
+    this l is erased when one pair has k >= gap and need <= j1 (phi:
+    (inf, t_l); phi': each finite-range SOME_IN fact, need = max(k_hi,
+    time)), both clipped to [-1, ``_FAR``]."""
+    facts = []
+    if kind is EraseKind.PHI:
+        t = oracle.empty_halt_time(e)
+        facts = [] if t is None else [(_FAR, t)]
+    # as answer reads it: an unlisted machine halts at 1 under halt1
+    elif oracle.answer(e, _SOME_SIZE) is Answer.YES:
+        facts = oracle.timed_facts(e, QueryKind.SOME_IN)
+        facts = [(_FAR, 1)] if facts is None else [
+            (f.k, max(f.k_hi, f.time)) for f in facts
+            if f.k is not INF and f.k_hi is not INF]
+    return [(min(max(k, -1), _FAR), min(need, _FAR)) for k, need in facts]
+
+
 def _erased_blocks(oracle: OracleTable, kind: EraseKind, l, j1, gap):
     """:func:`erases_now` over int64 arrays of blocks (``gap`` -1 for None),
-    as one bool array.  A programmed table is read per call into a profile
-    over the candidates' distinct lengths, indexed by ``np.searchsorted``:
-    M_l's facts as (k, need), a block erased when one has k >= gap and
-    need <= j1 (phi: (inf, t_l); phi': each finite-range SOME_IN fact, need
-    = max(k_hi, time)).  An enumerated table is asked block by block."""
+    as one bool array.  A programmed table is read per call into
+    :func:`_profile` over the candidates' distinct lengths, indexed by
+    ``np.searchsorted``.  An enumerated table is asked block by block."""
     cand = (l <= j1) if kind is EraseKind.PHI else (gap >= 0) & (l < j1)
     if not oracle.programmed:
         erased, out = erases_now(oracle, kind), cand.copy()
         out[cand] = [erased(n, j, None if g < 0 else g) for n, j, g
                      in zip(*(v[cand].tolist() for v in (l, j1, gap)))]
         return out
-    machines, profile = sorted(set(l[cand].tolist())), []
-    for e in machines:
-        facts = []
-        if kind is EraseKind.PHI:
-            t = oracle.empty_halt_time(e)
-            facts = [] if t is None else [(_FAR, t)]
-        # as answer reads it: an unlisted machine halts at 1 under halt1
-        elif oracle.answer(e, _SOME_SIZE) is Answer.YES:
-            facts = oracle.timed_facts(e, QueryKind.SOME_IN)
-            facts = [(_FAR, 1)] if facts is None else [
-                (f.k, max(f.k_hi, f.time)) for f in facts
-                if f.k is not INF and f.k_hi is not INF]
-        profile.append([(min(max(k, -1), _FAR), min(need, _FAR))
-                        for k, need in facts])
+    machines = sorted(set(l[cand].tolist()))
+    profile = [_profile(oracle, kind, e) for e in machines]
     at, hit = np.searchsorted(np.array(machines, np.int64), l), False
     for rank in itertools.zip_longest(*profile, [], fillvalue=(-1, _FAR)):
         k, need = np.array(rank, np.int64).T[:, at]
@@ -207,32 +241,31 @@ def block_fate(oracle: OracleTable, kind: EraseKind,
 # ---------------------------------------------------------------------------
 
 def _erasure_step_prefix(erased, w: str, n: int) -> str:
-    if len(w) < n + 1:
+    size = len(w)
+    if size < n + 1:
         raise FrontierUnresolved("need one symbol past the window")
-    runs = parse_blocks(w)
-    if runs:
-        start, l = runs[-1]
-        j1 = start - 1
-        # a right-open run closes at some j2 >= len(w); it can still matter
-        # when an erasable candidate (l <= j1, j2 <= 2i, i < n) remains
-        if (start > 0 and start + l == len(w) and j1 <= n - 1
-                and len(w) <= 2 * (n - 1) and len(w) <= 2 * j1 + 1):
-            raise FrontierUnresolved(f"1-run open at {start}")
+    # a right-open last run (start > 0) closes at some j2 >= len(w); it can
+    # still matter when an erasable candidate (l <= j1, j2 <= 2i, i < n)
+    # remains
+    start = len(w.rstrip("1"))
+    if (0 < start < size and start <= n and size <= 2 * (n - 1)
+            and size < 2 * start):
+        raise FrontierUnresolved(f"1-run open at {start}")
+    # the blocks with j1 < n are the runs of the word up to its first 0 at
+    # or past n; later blocks lie right of the window
+    cut = w.find("0", n)
     out = None
     prev_end = None   # end of the previous 1-run
-    for start, l in runs:
-        j1 = start - 1
-        if j1 >= n:
-            break   # the block and all later ones lie right of the window
-        gap = None if prev_end is None else start - prev_end
-        if start > 0 and start + l < len(w) and erased(l, j1, gap):
-            j2 = start + l
-            lo, hi = max(j1, (j2 + 1) // 2), min(j2, n)
+    for start, l in parse_blocks(w if cut < 0 else w[:cut]):
+        end = start + l
+        if start and end < size and erased(
+                l, start - 1, None if prev_end is None else start - prev_end):
+            lo, hi = max(start - 1, (end + 1) // 2), min(end, n)
             if lo < hi:
                 if out is None:
                     out = list(w[1:n + 1])
                 out[lo:hi] = "0" * (hi - lo)
-        prev_end = start + l
+        prev_end = end
     return w[1:n + 1] if out is None else "".join(out)
 
 
@@ -244,11 +277,24 @@ def step_prefix(sys: SystemSpec, w, n: int):
     always suffice.  For pi2 and the product systems they need not: an S
     near the end of the word can read past it (pi2 with n = 1 raises on
     ``'000S'``, "first S reads one symbol past the supplied word"), so
-    callers must be ready for FrontierUnresolved at any length.
+    callers must be ready for FrontierUnresolved at any length.  Raises
+    ValueError when ``n`` is negative or ``w`` holds a symbol outside the
+    system's alphabet; a product reads ``w`` as (layer 1, layer 2), the
+    second over {a, b}.
     """
-    if sys.id.erase is not None:
-        return _erasure_step_prefix(erases_now(sys.oracle, sys.id.erase), w, n)
-    if sys.id is not SystemId.SHIFT:
+    sid = sys.id
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if sid.product:
+        w1, w2 = w
+        bad = w1.translate(sid.foreign) + w2.translate(_FOREIGN_AB)
+    else:
+        bad = w.translate(sid.foreign)
+    if bad:
+        raise ValueError(f"{sid.value} does not read the symbol {bad[0]!r}")
+    if sys._erased is not None:
+        return _erasure_step_prefix(sys._erased, w, n)
+    if sid is not SystemId.SHIFT:
         return pi2.step_prefix(sys, w, n)
     if len(w) < n + 1:
         raise FrontierUnresolved("need one symbol past the window")
@@ -345,7 +391,7 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     # (step, start, end) of the erased runs some window can show
     seen = int(np.searchsorted(ea, L))
     rows = [(0, *run) for run in zip(ea[:seen].tolist(), eb[:seen].tolist())]
-    erased = erases_now(oracle, kind)
+    erased = sys._erased
     for p in j1[er & (l == j1)].tolist():   # phi alone rebirths; no gap read
         s = 1   # 0 1 0 at j1 = p - s in config_s
         while erased(1, p - s, None):

@@ -3,7 +3,10 @@ engine, the erasure maps in the limit and the attractor predicates.
 
 The limit predicates the rule replaced are kept below as the reference
 (``ref_*``), verdicts and witnesses alike; they read blocks through the
-per-character parser kept in ``test_run_scanner.py``.
+per-character parser kept in ``test_run_scanner.py``.  The per-step
+readers, scalar and array, are checked against ``ref_erases_now`` from
+``test_step_rules.py``, which reads no profile (phi' asks ``answer`` once
+per block).
 """
 
 import functools
@@ -23,6 +26,7 @@ from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
 from symdyn.verify import parity_oracle, worked_example_oracle
 
 from test_run_scanner import ref_parse_blocks, tables
+from test_step_rules import SOME_IN_HALT1, ref_erases_now
 from test_systems import reference_orbit
 
 # ---------------------------------------------------------------------------
@@ -151,17 +155,17 @@ def _blocks(max_l, max_j1, kind):
 
 
 def assert_readers_agree(orc, kinds=tuple(EraseKind), max_l=64, max_j1=64):
+    # both readers of the profile against the rule that reads none
     for kind in kinds:
         blocks, columns = _blocks(max_l, max_j1, kind)
-        erased = erases_now(orc, kind)
+        ref, erased = ref_erases_now(orc, kind), erases_now(orc, kind)
+        want = [ref(*blk) for blk in blocks]
         got = _erased_blocks(orc, kind, *columns)
         assert got.dtype == bool
-        assert got.tolist() == [erased(*blk) for blk in blocks], kind
+        assert got.tolist() == want, kind
+        assert [erased(*blk) for blk in blocks] == want, kind
 
 
-SOME_IN_HALT1 = OracleTable.programmed_table(
-    [Entry(3, QueryKind.SOME_IN, k=2, k_hi=6, time=5),
-     Entry(5, QueryKind.EMPTY, time=4)], default="halt1")
 FAR_MACHINE = OracleTable.programmed_table(
     [Entry(10 ** 9, QueryKind.EMPTY, time=3),
      Entry(10 ** 9, QueryKind.SOME_IN, k=1, k_hi=10 ** 9, time=2),
