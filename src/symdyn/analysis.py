@@ -6,16 +6,17 @@ statistical side provides visited-window profiles (the desk-scale
 surrogate for the omega-limit set), empirical measures along orbits and
 their Monte-Carlo averages, and the exact limit measure: a Bernoulli
 measure pushed through a block-erasure map, as exact rationals.  The limit
-verdict is read once per table, at the cuts where it can change (the
-listed machines and the finite ``k_hi`` values), into maximal classes of
-constant verdict; each window's environments are summed over those
-classes in closed form, with integer masses, so the cost follows the
-number of verdict changes, not the size of the machine numbers.
+verdict is read once per table, at the cuts where the table's rule object
+says it can change, into maximal classes of constant verdict; each
+window's environments are summed over those classes in closed form, with
+integer masses, so the cost follows the number of verdict changes, not
+the size of the machine numbers.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 from collections import Counter, defaultdict
@@ -25,7 +26,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .oracle import OracleTable, QueryKind, INF
+from .oracle import OracleTable
 from .space import Configuration, Cylinder, parse_blocks
 from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
                       orbit_window_counts, orbit_windows)
@@ -308,21 +309,15 @@ def _words(L: int):
 def _verdict_classes(oracle: OracleTable, kind: EraseKind):
     """The limit verdict as a grid of maximal classes of constant verdict.
 
-    A block's verdict depends on its machine l and its gap.  All unlisted
-    machines share one verdict, and a gap moves it only where it crosses a
-    finite ``k_hi``, so :func:`block_fate` is read once at the lower end of
-    each cell cut by the listed machines and the finite ``k_hi`` values.
-    Adjacent rows and columns with equal verdicts are merged.  Returns
-    (l_cuts, g_cuts, verdicts): l-class i is [l_cuts[i], l_cuts[i + 1]),
-    the last one open-ended, gap classes likewise, and ``verdicts[i][j]``
-    the verdict of the cell.
+    A block's verdict depends on its machine l and its gap, and changes
+    only at the rule's ``cuts()``, so :func:`block_fate` is read once at the
+    lower end of each cell.  Adjacent rows and columns with equal verdicts
+    are merged.  Returns (l_cuts, g_cuts, verdicts): l-class i is
+    [l_cuts[i], l_cuts[i + 1]), the last one open-ended, gap classes
+    likewise, and ``verdicts[i][j]`` the verdict of the cell.
     """
     fate = block_fate(oracle, kind)
-    l_cuts = sorted({0, *(c for m in oracle.listed_machines()
-                          for c in (m, m + 1) if c > 0)})
-    g_cuts = sorted({0, *(e.k_hi for e in oracle.entries
-                          if e.kind is QueryKind.SOME_IN
-                          and e.k_hi is not INF and e.k_hi > 0)})
+    l_cuts, g_cuts = fate.cuts()
     grid = [[fate(l, g) for g in g_cuts] for l in l_cuts]
     cols = [j for j in range(len(g_cuts))
             if j == 0 or any(row[j] != row[j - 1] for row in grid)]
@@ -376,9 +371,6 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
                                   if v[i] != v[i - 1])
                 for v in vectors]
 
-    def gap_tail(m):
-        return qn ** m * pd ** (HG - m)
-
     def length_tail(ext):
         """P(the run's extension >= n > 0), times pd**HL, as a function
         of n: ext counts the sides the run extends past the window."""
@@ -386,19 +378,17 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
             return lambda n: pn ** n * pd ** (HL - n)
         return lambda n: pn ** n * (pd + n * qn) * pd ** (HL - n - 1)
 
-    gap_rows = {}   # (g0, g_ext) -> per l-class P(an erasing gap), times pd**HG
-    erased_mass = {}   # (l0, l_ext, g0, g_ext) -> P(erased), times one
+    @functools.cache
+    def gap_row(g0, g_ext):
+        """Per l-class P(an erasing gap), times pd**HG."""
+        tail = (lambda m: qn ** m * pd ** (HG - m)) if g_ext else None
+        return summed(g_cuts, g0, tail, verdicts, pd ** HG)
 
+    @functools.cache
     def erased(l0, l_ext, g0, g_ext):
-        key = (l0, l_ext, g0, g_ext)
-        if key not in erased_mass:
-            if (g0, g_ext) not in gap_rows:
-                gap_rows[g0, g_ext] = summed(
-                    g_cuts, g0, gap_tail if g_ext else None, verdicts, pd ** HG)
-            erased_mass[key], = summed(l_cuts, l0,
-                                       length_tail(l_ext) if l_ext else None,
-                                       [gap_rows[g0, g_ext]], pd ** HL)
-        return erased_mass[key]
+        """P(the run is erased), times ``one``."""
+        return summed(l_cuts, l0, length_tail(l_ext) if l_ext else None,
+                      [gap_row(g0, g_ext)], pd ** HL)[0]
 
     # every window carries two environment factors over ``one``: one per
     # run whose verdict is uncertain (at most the first and a right-open

@@ -6,9 +6,10 @@ calls in one process is two pure caches: the default ``CantorScheme`` of the
 ``interval`` commands, whose level table gives the same values however
 far it has grown, and the oracle tables parsed from the last 16 file
 texts read, keyed by the text, so a rewritten file is parsed afresh.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Argument
-checks raise ``UsageError``; any other exception is a fault in the
-program and ends the run with its traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an orbit
+the input leaves undetermined.  Argument checks raise ``UsageError``, an
+undetermined orbit ``FrontierUnresolved``; any other exception is a fault
+in the program and ends the run with its traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from . import analysis, cantor, systems, verify
 from .oracle import OracleTable, table_from_json
 from .pi2 import ProductConfiguration
 from .space import (ALPHA_01, ALPHA_AB, Alphabet, Configuration, Constant,
-                    Cylinder, Periodic, Sampler, Scheduled)
+                    Cylinder, FrontierUnresolved, Periodic, Sampler,
+                    Scheduled)
 from .systems import EraseKind, SystemId, SystemSpec
 
 
@@ -499,7 +501,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, OSError) as ex:
+    except (UsageError, OSError, FrontierUnresolved) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

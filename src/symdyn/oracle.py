@@ -201,6 +201,8 @@ class OracleTable:
     that decide many queries at once.
     A listed machine answers from its own facts alone; an unlisted one halts
     at time 1 under ``halt1`` (``default_halts``) and never otherwise.
+    ``work_cap`` bounds the simulated steps of an enumerated table; a
+    programmed one never reads it.
     """
 
     programmed: bool
@@ -220,9 +222,9 @@ class OracleTable:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def programmed_table(entries, default="never", work_cap=DEFAULT_WORK_CAP):
+    def programmed_table(entries, default="never"):
         return OracleTable(programmed=True, entries=tuple(entries),
-                           default_halts=(default == "halt1"), work_cap=work_cap)
+                           default_halts=(default == "halt1"))
 
     @staticmethod
     def enumerated(work_cap=DEFAULT_WORK_CAP):

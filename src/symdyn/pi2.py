@@ -34,7 +34,8 @@ as its reference.
 
 ``ZoneEngine`` runs long orbits; it tracks every S inside a finite
 materialized horizon and extends the frontier whenever a scan or window
-read reaches it.  S
+read reaches it.  An S-free horizon runs as the shift, once it is read on
+past any open 1-run an S beyond it could glue (``_past_glued_run``).  S
 positions are kept lazily in two flat lists over the zone index, each
 zone's insertion displacement and its next excision wake-up.  All the
 excisions of one step (a wave) cost O(zones) C-level list work plus
@@ -90,13 +91,13 @@ def gate_allows(w2: str, i: int) -> bool:
     """
     if i == 0:
         return True
-    c1_hi, c2_hi = 3 * i, 3 * i + 2
-    if len(w2) >= c1_hi and all(c == "a" for c in w2[i:c1_hi]):
-        return True
-    if len(w2) >= c2_hi and all(c == "a" for c in w2[i + 1:c2_hi]):
-        return True
-    for hi, lo in ((c1_hi, i), (c2_hi, i + 1)):
-        if len(w2) < hi and all(c == "a" for c in w2[lo:]):
+    size, runs = len(w2), ((i, 3 * i), (i + 1, 3 * i + 2))
+    for lo, hi in runs:
+        if size >= hi and w2.count("a", lo, hi) == hi - lo:
+            return True
+    for lo, hi in runs:
+        # the supplied part of a run is all a's, so it may still hold
+        if size < hi and w2.count("a", lo) == max(size - lo, 0):
             raise FrontierUnresolved("second layer too short for the gate")
     return False
 
@@ -224,6 +225,31 @@ _JUMP = 1024               # most steps in one push-run jump
 _MIN_JUMP = 4              # fewer pushes are left to step()
 
 
+def _past_glued_run(layer1: Configuration, reach: int) -> str:
+    """Materialize ``reach + 64`` cells, and more while they hold no S and
+    end in an open run 0^p 1^r with p < ``reach``.
+
+    Such a run may be glued to an S beyond the word; that S would eat and
+    freeze the window, so the S-free engine may not shift.  The word grows
+    until the run closes, an S appears or the rest of the input is a tail
+    that writes no S; past 8 times its first size plus ``_CHUNK`` the orbit
+    is left undetermined and FrontierUnresolved is raised.
+    """
+    size = reach + 64
+    cap = 8 * size + _CHUNK
+    while True:
+        w = layer1.materialize(size)
+        body = w.lstrip("0")
+        if (not body or body.lstrip("1") or len(w) - len(body) >= reach
+                or (len(w) >= len(layer1.prefix)
+                    and not layer1.tail.writes("S"))):
+            return w
+        if size == cap:
+            raise FrontierUnresolved(
+                "open 1-run may be glued to an S beyond the materialized word")
+        size = min(2 * size, cap)
+
+
 class ZoneEngine:
     """Iterates the zone automaton with lazy position bookkeeping.
 
@@ -270,7 +296,7 @@ class ZoneEngine:
         self.gate_first = sysid.gate_first
         self.second_inserts = sysid.second_inserts
 
-        w = layer1.materialize(horizon + window + 64)
+        w = _past_glued_run(layer1, horizon + window)
         self.src = len(w)          # next unread index of the initial layer 1
         self.cap = len(w)          # excision-scan materialization cap
         self.cap_hits = 0

@@ -72,6 +72,10 @@ class Tail:
     def generate(self, n: int) -> str:
         raise NotImplementedError
 
+    def writes(self, symbol: str) -> bool:
+        """Whether ``symbol`` can occur in the tail; True unless known not."""
+        return True
+
 
 @dataclass(frozen=True)
 class Constant(Tail):
@@ -79,6 +83,9 @@ class Constant(Tail):
 
     def generate(self, n):
         return self.symbol * n
+
+    def writes(self, symbol):
+        return symbol == self.symbol
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,9 @@ class Periodic(Tail):
     def generate(self, n):
         reps = -(-n // len(self.word))
         return (self.word * reps)[:n]
+
+    def writes(self, symbol):
+        return symbol in self.word
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,10 @@ class Sampler(Tail):
         idx = rng.choice(len(self.alphabet), size=n, p=p / p.sum())
         codes = np.array(self.alphabet, "U1").view(np.uint32)
         return codes[idx].tobytes().decode("utf-32-le")
+
+    def writes(self, symbol):
+        return any(c == symbol and w > 0
+                   for c, w in zip(self.alphabet, self.weights))
 
 
 # Named word enumerators for scheduled tails.  An enumerator is a function
@@ -167,6 +181,9 @@ class Scheduled(Tail):
             if size >= n:
                 break
         return "".join(parts)[:n]
+
+    def writes(self, symbol):
+        return symbol == self.filler or symbol in BINARY
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,18 @@ Each map is exposed two ways: ``step_prefix`` applies one step to a finite
 word exactly, with string operations, and ``orbit`` runs a long
 simulation.  The list-based steps ``step_prefix`` replaced are kept in the
 test suite as its references; the orbit fuzz tests read ``step_prefix``.
-The block-erasure maps read one per-step rule, :func:`erases_now`, built
-once per :class:`SystemSpec`, and its array form :func:`_erased_blocks`;
-on a programmed table both read one profile per machine,
-:func:`_profile`.  The long-orbit engine decides every block of the
-input in one array pass, loops in Python only over the rebirth chains and
-masks the erased runs out of the input's cells.  The limit rule,
-:func:`block_fate`, serves the erasure maps in the limit and
-:mod:`symdyn.analysis`.  Each ``SystemId`` member carries the facts that
-fix its system; the zone systems run in :mod:`symdyn.pi2`.
+The block-erasure rule of a table is one object, a :class:`_Rule`, built
+once per :class:`SystemSpec`: the one-step verdict, the same over block
+arrays (the long-orbit engine decides every block in one pass), the limit
+verdict (for the maps in the limit and :mod:`symdyn.analysis`) and the
+cuts where it can change; a programmed table is read once per machine.
+Each ``SystemId`` member carries the facts that fix its system; the zone
+systems run in :mod:`symdyn.pi2`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -72,8 +71,8 @@ class SystemId(Enum):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A system and its oracle table.  An erasure system builds its step
-    rule, :func:`erases_now`, once, in ``_erased``; it is not a field that
+    """A system and its oracle table.  An erasure system builds its rule
+    object, a :class:`_Rule`, once, in ``_erased``; it is not a field that
     ``dataclasses.replace``, equality or hashing read."""
 
     id: SystemId
@@ -85,7 +84,7 @@ class SystemSpec:
         if erase is not None and self.oracle is None:
             raise ValueError(f"{self.id.value} needs an oracle table")
         object.__setattr__(self, "_erased", None if erase is None
-                           else erases_now(self.oracle, erase))
+                           else _rule(self.oracle, erase))
 
     def lookahead(self, n: int) -> int:
         if self.id is SystemId.SHIFT:
@@ -104,136 +103,159 @@ class SystemSpec:
         return max((n - 2) // 2, 0)
 
 
-def shift_system() -> SystemSpec:
-    return SystemSpec(SystemId.SHIFT)
-
-
-def pi1_system(oracle: OracleTable) -> SystemSpec:
-    return SystemSpec(SystemId.PI1, oracle)
-
-
-def sigma2_system(oracle: OracleTable) -> SystemSpec:
-    return SystemSpec(SystemId.SIGMA2, oracle)
-
-
-def pi2_system(oracle: OracleTable) -> SystemSpec:
-    return SystemSpec(SystemId.PI2, oracle)
-
-
-def wild_t_prime_system(oracle: OracleTable) -> SystemSpec:
-    return SystemSpec(SystemId.WILD_T_PRIME, oracle)
-
-
-def wild_t_second_system(oracle: OracleTable) -> SystemSpec:
-    return SystemSpec(SystemId.WILD_T_SECOND, oracle)
+# one constructor per system: pi1_system(oracle) is SystemSpec(SystemId.PI1,
+# oracle), shift_system() is SystemSpec(SystemId.SHIFT)
+shift_system = functools.partial(SystemSpec, SystemId.SHIFT)
+pi1_system = functools.partial(SystemSpec, SystemId.PI1)
+sigma2_system = functools.partial(SystemSpec, SystemId.SIGMA2)
+pi2_system = functools.partial(SystemSpec, SystemId.PI2)
+wild_t_prime_system = functools.partial(SystemSpec, SystemId.WILD_T_PRIME)
+wild_t_second_system = functools.partial(SystemSpec, SystemId.WILD_T_SECOND)
 
 
 # ---------------------------------------------------------------------------
 # The block-erasure rule (phi / phi')
 # ---------------------------------------------------------------------------
 
-def erases_now(oracle: OracleTable, kind: EraseKind):
-    """The per-step rule, as ``erased(l, j1, gap) -> bool``.
-
-    One application of the map erases the closed block 0 1^l 0 whose
-    leading 0 sits at ``j1``; ``gap`` is ``j1`` minus the position of the
-    nearest 1 to its left, or None when there is none.  phi erases when
-    l <= j1 and M_l halts on the empty input within j1 steps; phi' when a
-    1 precedes the block, l < j1 and M_l halts within j1 steps on some
-    input of size in [gap, j1].  A programmed table is read through the
-    profile :func:`_erased_blocks` reads, built once per machine and
-    rule; an enumerated one is asked block by block.
-    """
-    phi = kind is EraseKind.PHI
-    if not oracle.programmed:
-        if phi:
-            return lambda l, j1, gap: (
-                l <= j1 and oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1))
-                is Answer.YES)
-        return lambda l, j1, gap: (
-            gap is not None and l < j1
-            and oracle.answer(l, HaltQuery(QueryKind.SOME_IN, j1, k=gap,
-                                           k_hi=j1)) is Answer.YES)
-    profiles = {}   # l -> _profile(oracle, kind, l), read once
-
-    def erased(l, j1, gap):
-        if (l > j1) if phi else (gap is None or l >= j1):
-            return False
-        facts = profiles.get(l)
-        if facts is None:
-            facts = profiles[l] = _profile(oracle, kind, l)
-        for k, need in facts:
-            if need <= j1 and (gap is None or k >= gap):
-                return True
-        return False
-    return erased
-
-
 _FAR = 1 << 62   # past every j1 and gap; profiles are clipped to it
 _SOME_SIZE = HaltQuery(QueryKind.SOME_IN, _FAR, k=0, k_hi=_FAR)   # any range
 
 
-def _profile(oracle: OracleTable, kind: EraseKind, e: int):
-    """M_e's facts on a programmed table as (k, need) pairs: a block with
-    this l is erased when one pair has k >= gap and need <= j1 (phi:
-    (inf, t_l); phi': each finite-range SOME_IN fact, need = max(k_hi,
-    time)), both clipped to [-1, ``_FAR``]."""
-    facts = []
-    if kind is EraseKind.PHI:
-        t = oracle.empty_halt_time(e)
-        facts = [] if t is None else [(_FAR, t)]
-    # as answer reads it: an unlisted machine halts at 1 under halt1
-    elif oracle.answer(e, _SOME_SIZE) is Answer.YES:
-        facts = oracle.timed_facts(e, QueryKind.SOME_IN)
-        facts = [(_FAR, 1)] if facts is None else [
-            (f.k, max(f.k_hi, f.time)) for f in facts
-            if f.k is not INF and f.k_hi is not INF]
-    return [(min(max(k, -1), _FAR), min(need, _FAR)) for k, need in facts]
+class _Rule:
+    """The phi or phi' rule of one table, asking an enumerated one per block.
+
+    A block 0 1^l 0 has its leading 0 at ``j1``; ``gap`` is ``j1`` minus
+    the position of the nearest 1 to its left, None (-1 in arrays) if none.
+    ``now(l, j1, gap)``: one step erases the block; under phi when l <= j1
+    and M_l halts on the empty input within j1 steps, under phi' when a 1
+    precedes the block, l < j1 and M_l halts within j1 steps on some input
+    of size in [gap, j1].  ``blocks``: ``now`` over int64 arrays.  Called
+    as ``fate(l, gap)``: the block is erased in the limit (here: a YES on
+    the empty input within ``budget``, else None).
+    """
+
+    def __init__(self, oracle: OracleTable, kind: EraseKind,
+                 budget: Optional[int] = None):
+        self.oracle, self.budget = oracle, budget
+        self.phi = kind is EraseKind.PHI
+        self._profiles = {}   # e -> M_e's profile, on a programmed table
+
+    def now(self, l, j1, gap) -> bool:
+        if (l > j1) if self.phi else (gap is None or l >= j1):
+            return False
+        return self._halts(l, j1, gap)
+
+    def _halts(self, l, j1, gap) -> bool:
+        return self.oracle.answer(l, HaltQuery(QueryKind.EMPTY, j1) if self.phi
+                                  else HaltQuery(QueryKind.SOME_IN, j1, k=gap,
+                                                 k_hi=j1)) is Answer.YES
+
+    def blocks(self, l, j1, gap):
+        return np.array([self.now(n, j, None if g < 0 else g) for n, j, g
+                         in zip(l.tolist(), j1.tolist(), gap.tolist())], bool)
+
+    def __call__(self, l, gap):
+        return (self.oracle.answer(l, HaltQuery(QueryKind.EMPTY, self.budget))
+                is Answer.YES) or None
 
 
-def _erased_blocks(oracle: OracleTable, kind: EraseKind, l, j1, gap):
-    """:func:`erases_now` over int64 arrays of blocks (``gap`` -1 for None),
-    as one bool array.  A programmed table is read per call into
-    :func:`_profile` over the candidates' distinct lengths, indexed by
-    ``np.searchsorted``.  An enumerated table is asked block by block."""
-    cand = (l <= j1) if kind is EraseKind.PHI else (gap >= 0) & (l < j1)
-    if not oracle.programmed:
-        erased, out = erases_now(oracle, kind), cand.copy()
-        out[cand] = [erased(n, j, None if g < 0 else g) for n, j, g
-                     in zip(*(v[cand].tolist() for v in (l, j1, gap)))]
-        return out
-    machines = sorted(set(l[cand].tolist()))
-    profile = [_profile(oracle, kind, e) for e in machines]
-    at, hit = np.searchsorted(np.array(machines, np.int64), l), False
-    for rank in itertools.zip_longest(*profile, [], fillvalue=(-1, _FAR)):
-        k, need = np.array(rank, np.int64).T[:, at]
-        hit = hit | (k >= gap) & (need <= j1)
-    return cand & hit
+class _TableRule(_Rule):
+    """The rule on a programmed table, read from M_e's profile ``(pairs,
+    infinite, top)``, built once per machine.  A step erases a block of
+    length e when a (k, need) pair, clipped to [-1, ``_FAR``], has k >= gap
+    and need <= j1: under phi (inf, t_e), t_e the least empty-input halting
+    time; under phi' one per finite-range SOME_IN fact, need = max(k_hi,
+    time), if ``answer`` finds any (an unlisted machine halts at 1 under
+    halt1).  The limit erases under phi when t_e exists (``infinite``),
+    under phi' when M_e's domain is infinite or its largest finite k_hi
+    (``top``, -1 if none) is above the gap.  So phi' reads it two ways:
+
+    - a step asks for a fact inside [gap, j1], in time (``pairs``);
+    - the limit asks for an infinite domain or any fact reaching past gap.
+
+    On the one-fact tables SOME_IN e=1 with (k, k_hi) = (1, 1), (1, inf)
+    or (0, 4) they disagree: sigma2's empirical measure stays at total
+    variation 0.14, 0.28 and 0.24 from the phi' limit measure.  Which one
+    the paper means is open; settling it moves the benchmark's sigma2
+    goldens (``erasure``'s ``sigma2_measure``, ``exact``'s ``meets
+    --system sigma2`` on the ``mixed`` table), so it waits for a change
+    that regenerates them.
+    """
+
+    def profile(self, e: int):
+        if e not in self._profiles:
+            self._profiles[e] = self._read(e)
+        return self._profiles[e]
+
+    def _read(self, e: int):
+        oracle = self.oracle
+        if self.phi:
+            t = oracle.empty_halt_time(e)
+            return (() if t is None else ((_FAR, min(t, _FAR)),),
+                    t is not None, -1)
+        facts, pairs = oracle.timed_facts(e, QueryKind.SOME_IN), ()
+        if oracle.answer(e, _SOME_SIZE) is Answer.YES:
+            pairs = ((_FAR, 1),) if facts is None else tuple(
+                (min(max(f.k, -1), _FAR), min(max(f.k_hi, f.time), _FAR))
+                for f in facts if f.k is not INF and f.k_hi is not INF)
+        top = max((f.k_hi for f in facts or () if f.k_hi is not INF),
+                  default=-1)
+        return pairs, not oracle.has_finite_domain(e), top
+
+    def _halts(self, l, j1, gap) -> bool:
+        for k, need in self.profile(l)[0]:
+            if need <= j1 and (gap is None or k >= gap):
+                return True
+        return False
+
+    def blocks(self, l, j1, gap):
+        # np.searchsorted maps each block to its machine's pairs, and one
+        # expression per pair rank decides every block
+        cand = (l <= j1) if self.phi else (gap >= 0) & (l < j1)
+        machines = sorted(set(l[cand].tolist()))
+        pairs = [self.profile(e)[0] for e in machines]
+        at, hit = np.searchsorted(np.array(machines, np.int64), l), False
+        for rank in itertools.zip_longest(*pairs, [], fillvalue=(-1, _FAR)):
+            k, need = np.array(rank, np.int64).T[:, at]
+            hit = hit | (k >= gap) & (need <= j1)
+        return cand & hit
+
+    def __call__(self, l, gap) -> bool:
+        _, infinite, top = self.profile(l)
+        return infinite or (gap is not None and gap < top)
+
+    def cuts(self):
+        """(l_cuts, g_cuts), sorted from 0, where the limit verdict can
+        change: unlisted machines share one profile, and a gap changes the
+        verdict only where it reaches a listed machine's ``top``."""
+        listed = self.oracle.listed_machines()
+        tops = (self.profile(m)[2] for m in listed)
+        return (sorted({0, *(c for m in listed for c in (m, m + 1) if c)}),
+                sorted({0, *(top for top in tops if top > 0)}))
+
+
+def _rule(oracle, kind, budget=None) -> _Rule:
+    return (_TableRule if oracle.programmed else _Rule)(oracle, kind, budget)
+
+
+def erases_now(oracle: OracleTable, kind: EraseKind):
+    """The per-step rule: ``now(l, j1, gap) -> bool`` of a new rule."""
+    return _rule(oracle, kind).now
 
 
 def block_fate(oracle: OracleTable, kind: EraseKind,
                budget: Optional[int] = None):
-    """The limit rule, as ``fate(l, gap) -> True / False / None``.
-
-    True when the block 0 1^l 0 (``gap`` as in :func:`erases_now`) is
-    erased in the limit, False when it survives, None when an enumerated
-    oracle gives no YES within ``budget``.  Raises ValueError at once when
-    the table cannot decide: phi' needs a programmed table, phi on an
-    enumerated one needs a budget.
-    """
-    if kind is EraseKind.PHI_PRIME:
-        if not oracle.programmed:
+    """The limit rule, a new :class:`_Rule` called as ``fate(l, gap)``:
+    True (erased), False (kept) or None (no YES within ``budget`` on an
+    enumerated table).  Raises ValueError at once when the table cannot
+    decide."""
+    if not oracle.programmed:
+        if kind is EraseKind.PHI_PRIME:
             raise ValueError("the finite-domain predicates need a programmed "
                              "table")
-        return lambda l, gap: (not oracle.has_finite_domain(l)
-                               or (gap is not None
-                                   and oracle.halts_on_size_above(l, gap)))
-    if oracle.programmed:
-        return lambda l, gap: oracle.empty_halt_time(l) is not None
-    if budget is None:
-        raise ValueError("enumerated oracles need a budget")
-    return lambda l, gap: (oracle.answer(l, HaltQuery(QueryKind.EMPTY, budget))
-                           is Answer.YES) or None
+        if budget is None:
+            raise ValueError("enumerated oracles need a budget")
+    return _rule(oracle, kind, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +315,7 @@ def step_prefix(sys: SystemSpec, w, n: int):
     if bad:
         raise ValueError(f"{sid.value} does not read the symbol {bad[0]!r}")
     if sys._erased is not None:
-        return _erasure_step_prefix(sys._erased, w, n)
+        return _erasure_step_prefix(sys._erased.now, w, n)
     if sid is not SystemId.SHIFT:
         return pi2.step_prefix(sys, w, n)
     if len(w) < n + 1:
@@ -368,14 +390,14 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     origin (j1 and the budget shrink, the gap never does), so each block is
     erased at the first step it exists or never.  ``static`` is the input's
     0/1 cells over absolute positions [0, t1 + L + 1), the runs
-    :func:`_erased_blocks` erases zeroed.  An erased block with l == j1
+    the rule's ``blocks`` erases zeroed.  An erased block with l == j1
     leaves its first 1 as a fresh 0 1 0 a step later, which the scalar rule
     judges in a Python loop; a survivor shows from step 0 on, in the cell
     its forebears hold.  config_t[0:L] is ``static[t:t + L]`` with the cells
     [lo, hi) of each patch ``(step, lo, hi)``, an erased run clipped to the
     window of its one step, set to 1 at t == step; in three columns.
     """
-    oracle, kind, extent = sys.oracle, sys.id.erase, t1 + L + 1
+    rule, extent = sys._erased, t1 + L + 1
     w = _materialize_closed(x, extent)
     ones = np.frombuffer(b"0" + w.encode("ascii") + b"0", np.uint8) - ord("0")
     # each 1-run is w[a:b]; a run at the origin (j1 = -1) or open at the
@@ -383,7 +405,7 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     a, b = np.flatnonzero(ones[1:] != ones[:-1]).reshape(-1, 2).T
     gap = np.concatenate(([-1], a[1:] - b[:-1]))[:len(a)]   # -1: none
     l, j1 = b - a, a - 1
-    er = _erased_blocks(oracle, kind, l, j1, gap)
+    er = rule.blocks(l, j1, gap)
     ea, eb = a[er], b[er]
     d = np.zeros(len(w), np.uint8)   # erased runs open +1, close -1 mod 256
     d[ea], d[eb] = 1, 255
@@ -391,10 +413,9 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     # (step, start, end) of the erased runs some window can show
     seen = int(np.searchsorted(ea, L))
     rows = [(0, *run) for run in zip(ea[:seen].tolist(), eb[:seen].tolist())]
-    erased = sys._erased
     for p in j1[er & (l == j1)].tolist():   # phi alone rebirths; no gap read
         s = 1   # 0 1 0 at j1 = p - s in config_s
-        while erased(1, p - s, None):
+        while rule.now(1, p - s, None):
             rows.append((s, p + 1, p + 2))
             if p - s != 1:
                 break
@@ -408,11 +429,8 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
 
 def _patched_windows(static, patches, t0: int, t1: int,
                      L: int) -> Iterator[str]:
-    """Yield config_t[0:L] for t in [t0, t1) from :func:`_erasure_layout`.
-
-    A window is a slice of the static word; only the steps with patches
-    build a patched copy.
-    """
+    """Yield config_t[0:L] for t in [t0, t1) from :func:`_erasure_layout`:
+    slices of the static word, copied only at the steps with patches."""
     add_at: dict = {}
     for s, lo, hi in zip(*(col.tolist() for col in patches)):
         add_at.setdefault(s, []).append((lo - s, hi - s))
@@ -427,22 +445,13 @@ def _patched_windows(static, patches, t0: int, t1: int,
             yield word[t:t + L]
 
 
-_CODE_TYPES = ((8, np.uint8), (16, np.uint16), (32, np.uint32),
-               (64, np.uint64))
-
-
 def _count_codes(static, patches, t0: int, t1: int,
                  L: int) -> Dict[str, int]:
     """Count the windows ``static[t:t + L]``, patched as in
-    :func:`_patched_windows`, for t in [t0, t1), with L <= 64.
-
-    Each window is packed into an L-bit code, first cell highest, in the
-    smallest unsigned dtype that holds it; the codes are counted, with one
-    ``np.bincount`` pass when there are at least 2^L windows and by sorting
-    (``np.unique``) otherwise, and only the distinct ones are formatted
-    back to words, in ascending order.
-    """
-    dtype = next(d for bits, d in _CODE_TYPES if L <= bits)
+    :func:`_patched_windows`, for t in [t0, t1), with L <= 64: each is
+    packed into an L-bit code, first cell highest, and only the distinct
+    codes are formatted back to words, in ascending order."""
+    dtype = np.min_scalar_type((1 << L) - 1)
     codes = np.zeros(max(t1 - t0, 0), dtype=dtype)
     for i in range(L):
         codes <<= 1

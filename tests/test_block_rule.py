@@ -11,18 +11,21 @@ per block).
 
 import functools
 import random
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdyn.analysis import NO, UNKNOWN, YES, MeetsVerdict, attractor_meets
-from symdyn.oracle import Answer, Entry, HaltQuery, OracleTable, QueryKind
-from symdyn.space import Constant, Cylinder, Periodic, binary_config
+from symdyn.analysis import (NO, UNKNOWN, YES, MeetsVerdict, attractor_meets,
+                             empirical_measure, omega_profile)
+from symdyn.oracle import INF, Answer, Entry, HaltQuery, OracleTable, QueryKind
+from symdyn.space import Constant, Cylinder, Periodic, Sampler, binary_config
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
-                            _erased_blocks, block_fate, erase_map_prefix,
-                            erases_now, orbit, pi1_system, sigma2_system,
-                            step_prefix)
+                            _rule, block_fate, erase_map_prefix, erases_now,
+                            orbit, pi1_system, sigma2_system, step_prefix)
 from symdyn.verify import parity_oracle, worked_example_oracle
 
 from test_run_scanner import ref_parse_blocks, tables
@@ -155,15 +158,16 @@ def _blocks(max_l, max_j1, kind):
 
 
 def assert_readers_agree(orc, kinds=tuple(EraseKind), max_l=64, max_j1=64):
-    # both readers of the profile against the rule that reads none
+    # the rule object's step readers, array and scalar, against the rule
+    # that reads no profile
     for kind in kinds:
         blocks, columns = _blocks(max_l, max_j1, kind)
-        ref, erased = ref_erases_now(orc, kind), erases_now(orc, kind)
+        ref, rule = ref_erases_now(orc, kind), _rule(orc, kind)
         want = [ref(*blk) for blk in blocks]
-        got = _erased_blocks(orc, kind, *columns)
+        got = rule.blocks(*columns)
         assert got.dtype == bool
         assert got.tolist() == want, kind
-        assert [erased(*blk) for blk in blocks] == want, kind
+        assert [rule.now(*blk) for blk in blocks] == want, kind
 
 
 FAR_MACHINE = OracleTable.programmed_table(
@@ -198,7 +202,56 @@ def test_array_reader_on_no_blocks(kind):
     none = np.zeros(0, np.int64)
     for orc in (parity_oracle(), OracleTable.programmed_table([]),
                 OracleTable.enumerated()):
-        assert _erased_blocks(orc, kind, none, none, none).tolist() == []
+        assert _rule(orc, kind).blocks(none, none, none).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# One rule object per SystemSpec reads each machine once
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def counted_reads(names=("empty_halt_time", "answer", "timed_facts",
+                         "has_finite_domain")):
+    """Count the calls of each table reader, by (reader, machine)."""
+    reads = Counter()
+
+    def counting(name):
+        read = getattr(OracleTable, name)
+
+        def counted(self, e, *args):
+            reads[name, e] += 1
+            return read(self, e, *args)
+        return counted
+
+    with mock.patch.multiple(OracleTable,
+                             **{name: counting(name) for name in names}):
+        yield reads
+
+
+SIGMA2_FACTS = OracleTable.programmed_table(
+    [Entry(e, QueryKind.SOME_IN, k=e % 3, k_hi=e % 3 + e % 5, time=e + 2)
+     for e in range(1, 16)]
+    + [Entry(2, QueryKind.SOME_IN, k=1, k_hi=INF, time=3),
+       Entry(5, QueryKind.ALL_BELOW, k=INF, time=1),
+       Entry(7, QueryKind.EMPTY, time=2)])
+
+
+@pytest.mark.parametrize("make, orc", [
+    (pi1_system, parity_oracle()), (pi1_system, worked_example_oracle()),
+    (sigma2_system, SIGMA2_FACTS), (sigma2_system, SOME_IN_HALT1)],
+    ids=["pi1_parity", "pi1_worked", "sigma2_facts", "sigma2_halt1"])
+def test_each_machine_is_read_once_per_rule(make, orc):
+    sys = make(orc)
+    x = binary_config("", Sampler(("0", "1"), (1, 1), 5))
+    words = [format(bits, "b").zfill(14) for bits in range(0, 1 << 14, 37)]
+    with counted_reads() as reads:
+        empirical_measure(sys, x, 3000, 3)
+        omega_profile(sys, x, 100, 3000, 4)
+        for _ in range(2):
+            for w in words:
+                step_prefix(sys, w, 6)
+    assert {e for _, e in reads} & set(orc.listed_machines())
+    assert max(reads.values()) == 1, reads.most_common(3)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +261,17 @@ def test_array_reader_on_no_blocks(kind):
 @settings(max_examples=200, deadline=None)
 @given(tables)
 def test_block_fate_matches_reference(orc):
+    # the limit reader, and the cuts it is constant between
     for kind in EraseKind:
         fate = block_fate(orc, kind)
+        l_cuts, g_cuts = fate.cuts()
         for l in range(9):
             for gap in range(1, 9):
-                assert fate(l, gap) == ref_phi_fate(orc, l, gap, kind)
+                want = ref_phi_fate(orc, l, gap, kind)
+                assert fate(l, gap) == want
+                lo = max(c for c in l_cuts if c <= l)
+                assert ref_phi_fate(orc, lo, max(c for c in g_cuts
+                                                 if c <= gap), kind) == want
     fate = block_fate(orc, EraseKind.PHI_PRIME)
     for l in range(9):
         assert fate(l, None) == (not orc.has_finite_domain(l))

@@ -1,10 +1,13 @@
 """Zone automaton: three-symbol map, product variants, long-orbit engine."""
 
+import itertools
 import random
 
 import pytest
 
-from symdyn.oracle import INF, Entry, OracleTable, QueryKind
+from symdyn import systems
+from symdyn.cli import main
+from symdyn.oracle import INF, Entry, OracleTable, QueryKind, table_to_json
 from symdyn.pi2 import ProductConfiguration, ZoneEngine, gate_allows
 from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
 from symdyn.systems import (FrontierUnresolved, SystemId, orbit, pi2_system,
@@ -56,6 +59,37 @@ def test_crossing_keeps_run_start_fixed():
     rows = reference_orbit(sys, y, 4, 8)
     assert rows == orbit(sys, y, 4, 8)
     assert rows[0] == "0011 1S11".replace(" ", "")
+
+
+def ref_gate_allows(w2: str, i: int) -> bool:
+    """``gate_allows`` as it was before it counted with ``str.count``."""
+    if i == 0:
+        return True
+    c1_hi, c2_hi = 3 * i, 3 * i + 2
+    if len(w2) >= c1_hi and all(c == "a" for c in w2[i:c1_hi]):
+        return True
+    if len(w2) >= c2_hi and all(c == "a" for c in w2[i + 1:c2_hi]):
+        return True
+    for hi, lo in ((c1_hi, i), (c2_hi, i + 1)):
+        if len(w2) < hi and all(c == "a" for c in w2[lo:]):
+            raise FrontierUnresolved("second layer too short for the gate")
+    return False
+
+
+def _gate_outcome(gate, w2, i):
+    try:
+        return gate(w2, i)
+    except FrontierUnresolved as exc:
+        return ("unresolved", str(exc))
+
+
+def test_gate_allows_matches_reference():
+    # every {a, b} word up to length 12, every i <= 4
+    for size in range(13):
+        for w2 in map("".join, itertools.product("ab", repeat=size)):
+            for i in range(5):
+                assert _gate_outcome(gate_allows, w2, i) == \
+                    _gate_outcome(ref_gate_allows, w2, i), (w2, i)
 
 
 def test_gate_allows_examples():
@@ -175,3 +209,52 @@ def test_long_orbit_smoke():
     assert orbit(sys, x, 8, 8) == reference_orbit(sys, x, 8, 8)
     rows = orbit(sys, x, 500, 8)
     assert len(rows) == 500 and all(len(w) == 8 for w in rows)
+
+
+# ---------------------------------------------------------------------------
+# An S-free horizon ending in an open 1-run
+# ---------------------------------------------------------------------------
+
+def word_reference(sys, w, steps, window):
+    """Windows of T^0 .. T^steps from iterating ``step_prefix`` on the
+    finite word ``w``, each step exact on all but its last cell."""
+    rows = []
+    for _ in range(steps + 1):
+        rows.append(w[:window])
+        w = step_prefix(sys, w, len(w) - 1)
+    return rows
+
+
+@pytest.mark.parametrize("prefix, period", [
+    ("00000" + "1" * 200 + "S", "1"),     # glued to an S past the horizon
+    ("00000" + "1" * 200 + "0", "0"),     # the run closes past the horizon
+    ("00000" + "1" * 200 + "011S", "1"),  # closes, then a glued run
+    ("0" * 40 + "1" * 200 + "S", "1"),    # too far right to reach a window
+], ids=["glued", "closed", "closed_then_glued", "far"])
+def test_s_free_horizon_matches_word_reference(prefix, period):
+    sys = pi2_system(MIXED)
+    x = cfg(prefix, period)
+    want = word_reference(sys, x.materialize(600), 3, 8)
+    assert list(systems.orbit_windows(sys, x, 0, 4, 8)) == want
+
+
+def test_s_free_glued_run_with_no_s_in_the_input_shifts():
+    # the tail writes no S, so no S can glue the run: the map is the shift
+    x = cfg("00000", "1")
+    assert orbit(pi2_system(MIXED), x, 3, 8) == [
+        x.materialize(12)[t:t + 8] for t in range(1, 4)]
+
+
+def test_s_free_glued_run_past_the_cap_is_unresolved(tmp_path, capsys):
+    # the tail's S lies past the materialization cap
+    tail = "1" * 5000 + "S"
+    with pytest.raises(FrontierUnresolved):
+        orbit(pi2_system(MIXED), cfg("00000", tail), 3, 8)
+    path = tmp_path / "table.json"
+    path.write_text(table_to_json(MIXED))
+    code = main(["orbit", "--system", "pi2", "--oracle", str(path),
+                 "--init", f"prefix:00000,tail:period={tail}", "--steps",
+                 "3", "--window", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

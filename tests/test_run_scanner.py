@@ -433,7 +433,8 @@ def test_pi2_step_matches_reference_drawn_tables(orc):
                 _outcome(ref_zone_step_prefix, sys, w, n), (w, n)
 
 
-@pytest.mark.parametrize("make", [wild_t_prime_system, wild_t_second_system])
+@pytest.mark.parametrize("make", [wild_t_prime_system, wild_t_second_system],
+                         ids=["wild_t_prime_system", "wild_t_second_system"])
 def test_product_step_matches_reference_exhaustive(make):
     # every first layer of the pi2 look-ahead, over four second layers
     sys = make(totality_oracle())
@@ -446,7 +447,8 @@ def test_product_step_matches_reference_exhaustive(make):
                     _outcome(ref_zone_step_prefix, sys, w, n), (w, n)
 
 
-@pytest.mark.parametrize("make", [wild_t_prime_system, wild_t_second_system])
+@pytest.mark.parametrize("make", [wild_t_prime_system, wild_t_second_system],
+                         ids=["wild_t_prime_system", "wild_t_second_system"])
 def test_product_step_matches_reference_seeded(make):
     sys = make(totality_oracle())
     rng = random.Random(17)

@@ -21,6 +21,16 @@ def test_materialize_examples():
     assert binary_config("", Periodic("01")).materialize(5) == "01010"
 
 
+@pytest.mark.parametrize("tail", [
+    Constant("1"), Periodic("01S"), Periodic("0110"),
+    Sampler(("0", "S"), (1, 0), 3), Sampler(("0", "1", "S"), (1, 1, 1), 3),
+    Scheduled("all01", "S"), Scheduled("all01")])
+def test_tail_writes_what_it_generates(tail):
+    seen = set(tail.generate(3000))
+    for symbol in "01S":
+        assert tail.writes(symbol) == (symbol in seen), symbol
+
+
 def test_sampler_determinism():
     x = binary_config("", Sampler(("0", "1"), (1, 1), 7))
     assert x.materialize(20) == x.materialize(20)
