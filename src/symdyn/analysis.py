@@ -26,7 +26,8 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .oracle import OracleTable
+from .oracle import OracleTable, TableRefused
+from .pi2 import ZoneRule
 from .space import Configuration, Cylinder, parse_blocks
 from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
                       orbit_window_counts, orbit_windows)
@@ -84,44 +85,26 @@ def _single_block_shape(w: str):
     return a, l, a + l < len(w)
 
 
-def _meets_single_block(w, total_ok: Callable[[int], bool],
-                        some_total_at_least: Callable[[int], bool]):
+def _meets_single_block(w, rule):
+    """The pi2 and T' attractors, read through ``rule``, a
+    :class:`ZoneRule`; None reads T'', whose attractor admits every block
+    length and no table."""
     if "S" in w:
         return MeetsVerdict(NO, witness="the attractor contains no S")
     shape = _single_block_shape(w)
     if shape is None:
         return MeetsVerdict(NO, witness="two separated 1-groups")
     a, l, closed = shape
-    if a == 0:
-        # the 1^a 0^inf family: any leading 1-group, one change afterwards
-        return MeetsVerdict(YES, witness=w + "0^inf")
-    if l == 0:
+    # the 1^a 0^inf family (any leading 1-group, one change afterwards),
+    # no 1 at all, or one closed block of an admissible length
+    if a == 0 or l == 0 or closed and (rule is None or rule.total(l)):
         return MeetsVerdict(YES, witness=w + "0^inf")
     if closed:
-        if total_ok(l):
-            return MeetsVerdict(YES, witness=w + "0^inf")
         return MeetsVerdict(NO, witness=f"block 01^{l} 0: index not admissible")
-    if some_total_at_least(l):
+    if rule is None or rule.total_at_least(l):
         return MeetsVerdict(YES, witness="extend the 1-run to an admissible "
                                          "length, then 0^inf")
     return MeetsVerdict(NO, witness=f"no admissible block length >= {l}")
-
-
-def _meets_pi2(oracle, w):
-    if not oracle.programmed:
-        raise ValueError("the totality predicate needs a programmed table")
-
-    def some_total_at_least(l):
-        if oracle.default_halts:
-            return True    # all unlisted indices are total with bound 1
-        return any(oracle.is_total(e)
-                   for e in oracle.listed_machines() if e >= l)
-
-    return _meets_single_block(w, oracle.is_total, some_total_at_least)
-
-
-def _meets_a_prime(w):
-    return _meets_single_block(w, lambda l: True, lambda l: True)
 
 
 def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
@@ -134,9 +117,8 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
         return _meets_erasure(system_id.erase, oracle, w, budget)
     if system_id is SystemId.SHIFT:
         raise ValueError(f"no attractor predicate for {system_id}")
-    if system_id.second_inserts:
-        return _meets_a_prime(w)
-    return _meets_pi2(oracle, w)
+    return _meets_single_block(
+        w, None if system_id.second_inserts else ZoneRule(oracle))
 
 
 def verdict_to_json(predicate: str, v: MeetsVerdict) -> str:
@@ -349,7 +331,7 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
     Fractions are built once, at the end.
     """
     if not oracle.programmed:
-        raise ValueError("tilde_mu needs a programmed table")
+        raise TableRefused("tilde_mu needs a programmed table")
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")

@@ -6,10 +6,13 @@ calls in one process is two pure caches: the default ``CantorScheme`` of the
 ``interval`` commands, whose level table gives the same values however
 far it has grown, and the oracle tables parsed from the last 16 file
 texts read, keyed by the text, so a rewritten file is parsed afresh.
-Exit codes: 0 success, 1 verification failure, 2 usage error or an orbit
-the input leaves undetermined.  Argument checks raise ``UsageError``, an
-undetermined orbit ``FrontierUnresolved``; any other exception is a fault
-in the program and ends the run with its traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error, a table
+that cannot answer, or an orbit the input leaves undetermined.  Argument
+checks raise ``UsageError``, an undetermined orbit ``FrontierUnresolved``.
+Whether a table can answer is the library's rule: it raises
+``TableRefused`` or ``WorkCapExceeded``, and the commands do not check it
+first.  Any other exception is a fault in the program and ends the run
+with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import analysis, cantor, systems, verify
-from .oracle import OracleTable, table_from_json
+from .oracle import (OracleTable, TableRefused, WorkCapExceeded,
+                     table_from_json)
 from .pi2 import ProductConfiguration
 from .space import (ALPHA_01, ALPHA_AB, Alphabet, Configuration, Constant,
                     Cylinder, FrontierUnresolved, Periodic, Sampler,
@@ -125,11 +129,7 @@ def build_system(args) -> SystemSpec:
         if args.oracle is not None:
             load_oracle(args.oracle)
         return systems.shift_system()
-    oracle = load_oracle(args.oracle)
-    _need(sid.erase is not None or oracle.programmed,
-          f"{args.system} runs on the long-orbit engine, which needs a "
-          "programmed oracle table")
-    return SystemSpec(sid, oracle)
+    return SystemSpec(sid, load_oracle(args.oracle))
 
 
 def build_binary_system(args) -> SystemSpec:
@@ -245,17 +245,9 @@ def cmd_meets(args) -> int:
     _need(args.position == 0, "attractor predicates are defined at "
                               "--position 0")
     oracle = load_oracle(args.oracle)
-    if args.budget is not None and oracle.programmed:
-        raise UsageError("--budget is for enumerated oracles; this table "
-                         "is programmed")
+    _need(args.budget is None or not oracle.programmed,
+          "--budget is for enumerated oracles; this table is programmed")
     _need(args.budget is None or args.budget >= 0, "--budget must be >= 0")
-    if not oracle.programmed:
-        _need(sid.erase is not None or sid.second_inserts,
-              "the totality predicate needs a programmed oracle table")
-        _need(sid.erase is not EraseKind.PHI_PRIME,
-              "the finite-domain predicates need a programmed oracle table")
-        _need(sid.erase is not EraseKind.PHI or args.budget is not None,
-              "an enumerated oracle table needs --budget")
     cyl = Cylinder(args.cylinder, args.position)
     verdict = analysis.attractor_meets(sid, cyl, oracle, budget=args.budget)
     with out_stream(args.out) as fh:
@@ -267,7 +259,6 @@ def cmd_meets(args) -> int:
 
 def cmd_tilde_mu(args) -> int:
     oracle = load_oracle(args.oracle)
-    _need(oracle.programmed, "tilde-mu needs a programmed oracle table")
     p = parse_fraction(args.p)
     _need(0 < p < 1, "--p must lie strictly between 0 and 1")
     _need(args.depth is None or args.depth >= 0, "--depth must be >= 0")
@@ -501,7 +492,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, OSError, FrontierUnresolved) as ex:
+    except (UsageError, OSError, FrontierUnresolved, TableRefused,
+            WorkCapExceeded) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,12 @@ class WorkCapExceeded(Exception):
     """Raised when an exhaustive bounded simulation would exceed the work cap."""
 
 
+class TableRefused(ValueError):
+    """Raised when a rule cannot be read off the given table: an enumerated
+    one where the rule needs facts only a programmed one asserts, or an
+    enumerated one given no budget."""
+
+
 # ---------------------------------------------------------------------------
 # Turing machines and their Godel numbering
 # ---------------------------------------------------------------------------

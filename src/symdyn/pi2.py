@@ -26,6 +26,9 @@ the same condition at the first S's position i, and on success insert the
 word (01)(011)...(01^i)0 at its own position, pushing itself and
 everything to its right.
 
+The zone systems read their table only through a :class:`ZoneRule`, one
+per ``SystemSpec`` and per ``ZoneEngine``; it refuses an enumerated table.
+
 ``step_prefix`` applies one step to a finite word exactly, with string
 operations: it finds only the S's within reach, reads each zone's 1-runs
 up to its scan prefix and builds a new string only around an excision or
@@ -56,6 +59,7 @@ are checked against single steps.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import deque
@@ -65,7 +69,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .oracle import OracleTable, QueryKind
+from .oracle import OracleTable, QueryKind, TableRefused
 from .space import _ONE_RUN, Configuration, FrontierUnresolved, iter_blocks
 
 
@@ -78,6 +82,35 @@ class ProductConfiguration:
 
     def materialize(self, n: int) -> Tuple[str, str]:
         return self.layer1.materialize(n), self.layer2.materialize(n)
+
+
+class ZoneRule:
+    """What the zone systems read off a programmed table: ``tau(l, k)``,
+    the memoized ``all_below_time`` that times the excision of a 1-run of
+    length l in zone k; ``excises``, whether any excision can fire; and
+    for the attractor predicate, whether M_l (``total``) or some M_e with
+    e >= l (``total_at_least``) is total.  Refuses an enumerated table,
+    which cannot give excision times in advance."""
+
+    def __init__(self, oracle: OracleTable):
+        if not oracle.programmed:
+            raise TableRefused("the zone systems need a programmed oracle "
+                               "table")
+        self.oracle = oracle
+        # dense orbits ask few distinct pairs of an immutable table
+        self.tau = functools.cache(lambda l, k: oracle.all_below_time(l, k))
+        self.excises = oracle.default_halts or any(
+            oracle.timed_facts(e, QueryKind.ALL_BELOW)
+            for e in oracle.listed_machines())
+
+    def total(self, l: int) -> bool:
+        return self.oracle.is_total(l)
+
+    def total_at_least(self, l: int) -> bool:
+        # under halt1 every unlisted index is total with bound 1
+        oracle = self.oracle
+        return oracle.default_halts or any(
+            oracle.is_total(e) for e in oracle.listed_machines() if e >= l)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +144,7 @@ def _insertion_word(i: int) -> str:
 # One exact step on a finite word
 # ---------------------------------------------------------------------------
 
-def _step_word(oracle: OracleTable, w1: str, n: int,
+def _step_word(rule: ZoneRule, w1: str, n: int,
                w2: Optional[str] = None,
                gate_first: bool = False,
                second_inserts: bool = False) -> str:
@@ -155,7 +188,7 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
             start, end = run.span()
             if end > scan_hi:
                 break
-            tau = oracle.all_below_time(end - start, k)
+            tau = rule.tau(end - start, k)
             if tau is not None and tau <= i_k:
                 excised.append((start, end, "0" * (end - start)))
         if excised:
@@ -196,21 +229,16 @@ def _step_word(oracle: OracleTable, w1: str, n: int,
 
 
 def step_prefix(sys, w, n: int):
-    """One application of the zone automaton, restricted to [0, n).
-
-    Raises ValueError unless the table is programmed: the excisions read
-    ``all_below_time``.
-    """
-    sid = sys.id
-    if not sys.oracle.programmed:
-        raise ValueError("the zone step needs a programmed oracle table")
+    """One application of the zone automaton, restricted to [0, n), read
+    through the system's :class:`ZoneRule`."""
+    sid, rule = sys.id, sys._rule
     if not sid.product:
-        return _step_word(sys.oracle, w, n)
+        return _step_word(rule, w, n)
     w1, w2 = w
     if len(w2) < n + 1:
         raise FrontierUnresolved(
             "second layer needs one symbol past the window")
-    out1 = _step_word(sys.oracle, w1, n, w2=w2, gate_first=sid.gate_first,
+    out1 = _step_word(rule, w1, n, w2=w2, gate_first=sid.gate_first,
                       second_inserts=sid.second_inserts)
     return out1, w2[1:n + 1]
 
@@ -253,9 +281,9 @@ def _past_glued_run(layer1: Configuration, reach: int) -> str:
 class ZoneEngine:
     """Iterates the zone automaton with lazy position bookkeeping.
 
-    Requires a programmed oracle (excision times must be computable in
-    advance).  Zone k content sits in ``zones[k]``; the position of the
-    k-th S is ``base[k] + pushes + dep[k]``.  Two flat lists over the zone
+    Reads its table through one :class:`ZoneRule`, so it refuses an
+    enumerated one.  Zone k content sits in ``zones[k]``; the position of
+    the k-th S is ``base[k] + pushes + dep[k]``.  Two flat lists over the zone
     index hold the bookkeeping: ``dep[k]``, the insertion displacement of
     S_k, and ``key[k]``, zone k's least pending excision threshold minus
     ``base[k]`` (``_NO_KEY`` when nothing is pending).  Zone k is due
@@ -288,9 +316,7 @@ class ZoneEngine:
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
                  layer2: Optional[Configuration], horizon: int, window: int):
-        if not oracle.programmed:
-            raise ValueError("the long-orbit engine needs a programmed oracle")
-        self.oracle = oracle
+        self.rule = ZoneRule(oracle)
         self.layer1 = layer1
         self.window = window
         self.gate_first = sysid.gate_first
@@ -303,10 +329,6 @@ class ZoneEngine:
         self.waves = 0
         self.displacements = 0
         self.jumped = 0
-        self.excisable = oracle.default_halts or any(
-            ent.kind is QueryKind.ALL_BELOW and ent.time is not None
-            for ent in oracle.entries)
-        self._tau = {}             # (l, k) -> oracle.all_below_time(l, k)
         self.t = 0
         self.pushes = 0            # +1 per first-S push step
         self.completed_crossings = 0
@@ -362,14 +384,6 @@ class ZoneEngine:
             return []
         return [self._pos(k) for k in range(2, self.last + 1)]
 
-    def _all_below_time(self, l: int, k: int) -> Optional[int]:
-        # the table is immutable, and dense orbits ask few distinct pairs
-        try:
-            return self._tau[l, k]
-        except KeyError:
-            tau = self._tau[l, k] = self.oracle.all_below_time(l, k)
-            return tau
-
     def _absorb_runs(self, k: int, complete: bool):
         """Parse unparsed cells of zone k into pending excision candidates.
 
@@ -385,9 +399,9 @@ class ZoneEngine:
         word = "".join(zone[off:limit])
         if not complete and k == self.last:
             word = word.rstrip("1")
-        heap = self.pending[k]
+        heap, tau_of = self.pending[k], self.rule.tau
         for i, l in iter_blocks(word):
-            tau = self._all_below_time(l, k)
+            tau = tau_of(l, k)
             if tau is not None:
                 heapq.heappush(heap, (max(tau, off + i + l), off + i, l))
         self.parsed[k] = off + len(word)
@@ -475,7 +489,7 @@ class ZoneEngine:
                 zone[start:start + l] = "0" * l
                 tgt.extend("0" + "1" * l)
                 if heap is not None:
-                    tau = self._all_below_time(l, k - 1)
+                    tau = self.rule.tau(l, k - 1)
                     if tau is not None:
                         heapq.heappush(heap,
                                        (max(tau, off + l + 1), off + 1, l))
@@ -511,7 +525,7 @@ class ZoneEngine:
         at the cap it counts a hit when the last S passes the zone's end.
         """
         last = self.last
-        if not self.excisable or last < 2:
+        if not self.rule.excises or last < 2:
             return _NO_KEY
         slack = _CHUNK // 2 if self.src <= self.cap else 0
         return (len(self.zones[last]) - slack

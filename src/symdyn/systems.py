@@ -4,13 +4,14 @@ Each map is exposed two ways: ``step_prefix`` applies one step to a finite
 word exactly, with string operations, and ``orbit`` runs a long
 simulation.  The list-based steps ``step_prefix`` replaced are kept in the
 test suite as its references; the orbit fuzz tests read ``step_prefix``.
-The block-erasure rule of a table is one object, a :class:`_Rule`, built
-once per :class:`SystemSpec`: the one-step verdict, the same over block
-arrays (the long-orbit engine decides every block in one pass), the limit
-verdict (for the maps in the limit and :mod:`symdyn.analysis`) and the
-cuts where it can change; a programmed table is read once per machine.
-Each ``SystemId`` member carries the facts that fix its system; the zone
-systems run in :mod:`symdyn.pi2`.
+Each system but the shift reads its table through one rule object, built
+once per :class:`SystemSpec`.  The block-erasure rule is a :class:`_Rule`:
+the one-step verdict, the same over block arrays (the long-orbit engine
+decides every block in one pass), the limit verdict (for the maps in the
+limit and :mod:`symdyn.analysis`) and the cuts where it can change; a
+programmed table is read once per machine.  The zone systems run in
+:mod:`symdyn.pi2` and read a :class:`symdyn.pi2.ZoneRule`.  Each
+``SystemId`` member carries the facts that fix its system.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Dict, Iterator, Optional
 import numpy as np
 
 from . import pi2
-from .oracle import INF, Answer, HaltQuery, OracleTable, QueryKind
+from .oracle import (INF, Answer, HaltQuery, OracleTable, QueryKind,
+                     TableRefused)
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
                     FrontierUnresolved, parse_blocks)
 
@@ -71,20 +73,23 @@ class SystemId(Enum):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A system and its oracle table.  An erasure system builds its rule
-    object, a :class:`_Rule`, once, in ``_erased``; it is not a field that
-    ``dataclasses.replace``, equality or hashing read."""
+    """A system and its oracle table, read through one rule object built
+    once, in ``_rule``: a :class:`_Rule` for the erasure systems, a
+    :class:`symdyn.pi2.ZoneRule` for the zone systems, None for the shift.
+    It is not a field that ``dataclasses.replace``, equality or hashing
+    read."""
 
     id: SystemId
     oracle: Optional[OracleTable] = None
-    _erased: object = field(init=False, repr=False, compare=False)
+    _rule: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        erase = self.id.erase
-        if erase is not None and self.oracle is None:
-            raise ValueError(f"{self.id.value} needs an oracle table")
-        object.__setattr__(self, "_erased", None if erase is None
-                           else _rule(self.oracle, erase))
+        sid, oracle = self.id, self.oracle
+        if sid is not SystemId.SHIFT and oracle is None:
+            raise ValueError(f"{sid.value} needs an oracle table")
+        object.__setattr__(self, "_rule", None if sid is SystemId.SHIFT
+                           else pi2.ZoneRule(oracle) if sid.erase is None
+                           else _rule(oracle, sid.erase))
 
     def lookahead(self, n: int) -> int:
         if self.id is SystemId.SHIFT:
@@ -247,14 +252,14 @@ def block_fate(oracle: OracleTable, kind: EraseKind,
                budget: Optional[int] = None):
     """The limit rule, a new :class:`_Rule` called as ``fate(l, gap)``:
     True (erased), False (kept) or None (no YES within ``budget`` on an
-    enumerated table).  Raises ValueError at once when the table cannot
+    enumerated table).  Raises TableRefused at once when the table cannot
     decide."""
     if not oracle.programmed:
         if kind is EraseKind.PHI_PRIME:
-            raise ValueError("the finite-domain predicates need a programmed "
-                             "table")
+            raise TableRefused("the finite-domain predicates need a "
+                               "programmed table")
         if budget is None:
-            raise ValueError("enumerated oracles need a budget")
+            raise TableRefused("enumerated oracles need a budget")
     return _rule(oracle, kind, budget)
 
 
@@ -314,8 +319,8 @@ def step_prefix(sys: SystemSpec, w, n: int):
         bad = w.translate(sid.foreign)
     if bad:
         raise ValueError(f"{sid.value} does not read the symbol {bad[0]!r}")
-    if sys._erased is not None:
-        return _erasure_step_prefix(sys._erased.now, w, n)
+    if sid.erase is not None:
+        return _erasure_step_prefix(sys._rule.now, w, n)
     if sid is not SystemId.SHIFT:
         return pi2.step_prefix(sys, w, n)
     if len(w) < n + 1:
@@ -397,7 +402,7 @@ def _erasure_layout(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     [lo, hi) of each patch ``(step, lo, hi)``, an erased run clipped to the
     window of its one step, set to 1 at t == step; in three columns.
     """
-    rule, extent = sys._erased, t1 + L + 1
+    rule, extent = sys._rule, t1 + L + 1
     w = _materialize_closed(x, extent)
     ones = np.frombuffer(b"0" + w.encode("ascii") + b"0", np.uint8) - ord("0")
     # each 1-run is w[a:b]; a run at the origin (j1 = -1) or open at the

@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 from symdyn import cli
-from symdyn.analysis import empirical_measure
+from symdyn.analysis import empirical_measure, omega_profile
 from symdyn.cantor import CantorScheme
 from symdyn.cli import main, parse_descriptor
 from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
 from symdyn.systems import pi1_system
-from symdyn.verify import WORKED_INPUT, WORKED_OUTPUT, worked_example_oracle
+from symdyn.verify import (WORKED_INPUT, WORKED_OUTPUT, verify_suite,
+                           worked_example_oracle)
 
 from symdyn.cli import UsageError
 
@@ -173,6 +174,30 @@ def test_measure_csv_is_the_to_csv_table(capsys, oracle_file, tmp_path):
     assert (tmp_path / "m.csv").read_bytes() == out.encode("ascii")
 
 
+def test_omega_csv_lists_the_profile_words(capsys, oracle_file):
+    init = "tail:bernoulli=0.5:seed=4"
+    code, out = run(capsys, "omega", "--system", "pi1", "--oracle",
+                    oracle_file, "--init", init, "--burn-in", "10",
+                    "--horizon", "400", "--depth", "3", "--format", "csv")
+    prof = omega_profile(pi1_system(worked_example_oracle()),
+                         parse_descriptor(init, ALPHA_01), 10, 400, 3)
+    assert code == 0 and len(prof.words) > 1
+    assert out == "".join(w + "\n" for w in sorted(prof.words))
+
+
+def test_measure_json_is_the_empirical_measure(capsys, oracle_file):
+    init = "tail:bernoulli=0.5:seed=9"
+    code, out = run(capsys, "measure", "--system", "pi1", "--oracle",
+                    oracle_file, "--init", init, "--steps", "300",
+                    "--depth", "3", "--start", "4", "--format", "json")
+    m = empirical_measure(pi1_system(worked_example_oracle()),
+                          parse_descriptor(init, ALPHA_01), 300, 3, start=4)
+    assert code == 0
+    assert out == json.dumps({"depth": 3, "total": 300,
+                              "counts": dict(sorted(m.counts.items()))},
+                             indent=2) + "\n"
+
+
 # -- tilde-mu ---------------------------------------------------------------
 
 def test_tilde_mu_csv(capsys, tmp_path):
@@ -297,6 +322,39 @@ def test_verify_worked_example_suite(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_csv_is_the_report(capsys):
+    code = main(["verify", "--suite", "worked-example", "--format", "csv"])
+    captured = capsys.readouterr()
+    report = verify_suite("worked-example")
+    assert code == 0 and report.passed and captured.err == ""
+    assert captured.out == "check,status,measured,expected\n" + "".join(
+        f"{c.name},{c.status},{c.measured},{c.expected}\n"
+        for c in report.checks)
+
+
+# -- what a table cannot answer ---------------------------------------------
+
+def test_meets_t_second_reads_no_table(capsys, tmp_path):
+    path = tmp_path / "enumerated.json"
+    path.write_text(table_to_json(OracleTable.enumerated()))
+    code, out = run(capsys, "meets", "--system", "wild_t_second",
+                    "--oracle", str(path), "--cylinder", "0110")
+    assert code == 0 and json.loads(out)["verdict"] == "yes"
+
+
+def test_sigma2_interval_map_runs_on_an_enumerated_table(capsys, tmp_path):
+    # sigma2 itself is not refused: the interval map never asks this table
+    # for more than its work cap
+    path = tmp_path / "enumerated.json"
+    path.write_text(table_to_json(OracleTable.enumerated()))
+    lo, _ = CantorScheme().interval_of_word("010011010110")
+    for point in ("0", "1/3", f"{lo.numerator}/{lo.denominator}"):
+        code, out = run(capsys, "interval", "eval", "--system", "sigma2",
+                        "--oracle", str(path), "--point", point)
+        assert code == 0 and set(json.loads(out)) == {"lower", "upper",
+                                                      "width"}
 
 
 def test_missing_oracle_is_usage_error(capsys):
@@ -446,6 +504,19 @@ _BAD_ARGUMENTS = [
     # a size given as a string is malformed, not a fault on first read
     ("orbit", "--system", "sigma2", "--oracle", "{string_k}",
      "--init", "prefix:10001000,tail:0", "--steps", "2", "--window", "6"),
+    # an enumerated table would simulate past its work cap
+    ("orbit", "--system", "sigma2", "--oracle", "{enum}",
+     "--init", "tail:bernoulli=0.5:seed=1", "--steps", "30", "--window", "8"),
+    ("measure", "--system", "sigma2", "--oracle", "{enum}",
+     "--init", "tail:bernoulli=0.5:seed=1", "--steps", "100", "--depth", "3"),
+    ("omega", "--system", "sigma2", "--oracle", "{enum}",
+     "--init", "tail:bernoulli=0.5:seed=1", "--burn-in", "0",
+     "--horizon", "100", "--depth", "3"),
+    ("realm", "--system", "sigma2", "--oracle", "{enum}",
+     "--init", "tail:bernoulli=0.5:seed=1", "--target", "0110",
+     "--match-depth", "4", "--from", "0", "--to", "50"),
+    ("meets", "--system", "pi1", "--oracle", "{enum}",
+     "--budget", "100000000", "--cylinder", "0110"),
 ]
 
 

@@ -251,6 +251,28 @@ def test_layout_matches_reference_on_rebirth_chains():
     assert_matches_reference(sys, x, 0, 40, 12)
 
 
+@pytest.mark.parametrize("make", [pi1_system, sigma2_system],
+                         ids=["pi1", "sigma2"])
+@pytest.mark.parametrize("t1", [90, 200])
+@pytest.mark.parametrize("times, plus", [(1, 70), (1, 600), (3, 0), (4, 20)],
+                         ids=["h+70", "h+600", "3h", "4h+20"])
+def test_engine_matches_reference_past_the_first_look_ahead(make, t1, times,
+                                                            plus):
+    # straddling() keeps h <= 19, where the cap of 4h + 8 symbols comes
+    # before the first look-ahead of h + 64 runs out; here the 1-run at the
+    # horizon h closes past that look-ahead, before or past the cap, so the
+    # word grows
+    L = 5
+    h = t1 + L + 1
+    head = binary_config("", Sampler(("0", "1"), (1, 1), t1)).materialize(
+        h - 3) + "0"
+    x = binary_config(head + "1" * (times * h + plus - h + 2) + "0110",
+                      Periodic("01"))
+    w = _materialize_closed(x, h)
+    assert len(w) > h + 65 and w == x.materialize(len(w))
+    assert_matches_reference(make(parity_oracle()), x, 0, t1, L)
+
+
 @given(straddling())
 def test_word_ends_where_the_straddling_run_closes(case):
     x, _, t1, L = case

@@ -7,9 +7,12 @@ import pytest
 
 from symdyn import systems
 from symdyn.cli import main
-from symdyn.oracle import INF, Entry, OracleTable, QueryKind, table_to_json
-from symdyn.pi2 import ProductConfiguration, ZoneEngine, gate_allows
-from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
+from symdyn.analysis import attractor_meets
+from symdyn.oracle import (INF, Entry, OracleTable, QueryKind, TableRefused,
+                           table_to_json)
+from symdyn.pi2 import ProductConfiguration, ZoneEngine, ZoneRule, gate_allows
+from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
+                          Cylinder, Periodic)
 from symdyn.systems import (FrontierUnresolved, SystemId, orbit, pi2_system,
                             step_prefix, wild_t_prime_system,
                             wild_t_second_system)
@@ -258,3 +261,57 @@ def test_s_free_glued_run_past_the_cap_is_unresolved(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# The zone rule: the one reader of the table, and its one refusal
+# ---------------------------------------------------------------------------
+
+ENUMERATED = OracleTable.enumerated()
+
+
+@pytest.mark.parametrize("make", [pi2_system, wild_t_prime_system,
+                                  wild_t_second_system])
+def test_zone_system_refuses_an_enumerated_table(make):
+    with pytest.raises(TableRefused, match="programmed"):
+        make(ENUMERATED)
+
+
+@pytest.mark.parametrize("sysid", [SystemId.PI2, SystemId.WILD_T_PRIME])
+def test_engine_and_predicate_refuse_an_enumerated_table(sysid):
+    x = ProductConfiguration(cfg("0S01S0"), Configuration(
+        ALPHA_AB, "", Constant("a")))
+    with pytest.raises(TableRefused):
+        ZoneEngine(sysid, ENUMERATED, x.layer1,
+                   x.layer2 if sysid.product else None, 10, 4)
+    with pytest.raises(TableRefused):
+        attractor_meets(sysid, Cylinder("0110"), ENUMERATED)
+
+
+def test_t_second_predicate_reads_no_table():
+    for w in ("0110", "01101", "0S"):
+        assert (attractor_meets(SystemId.WILD_T_SECOND, Cylinder(w),
+                                ENUMERATED)
+                == attractor_meets(SystemId.WILD_T_SECOND, Cylinder(w),
+                                   NEVER))
+
+
+def test_product_step_needs_one_second_layer_symbol_past_the_window():
+    for make in (wild_t_prime_system, wild_t_second_system):
+        sys = make(NEVER)
+        assert step_prefix(sys, ("0S0000", "aaaa"), 3) == ("00S", "aaa")
+        with pytest.raises(FrontierUnresolved, match="second layer"):
+            step_prefix(sys, ("0S0000", "aaa"), 3)
+
+
+def test_zone_rule_reads():
+    rule = ZoneRule(MIXED)
+    assert rule.tau(1, 5) == 2 and rule.tau(2, 2) == 4
+    assert rule.tau(2, 3) is None and rule.tau(3, 2) is None
+    assert rule.excises and not ZoneRule(NEVER).excises
+    assert ZoneRule(OracleTable.programmed_table([], default="halt1")).excises
+    timeless = OracleTable.programmed_table(
+        [Entry(e=1, kind=QueryKind.ALL_BELOW, k=INF, time=None)])
+    assert not ZoneRule(timeless).excises
+    assert rule.total(1) and not rule.total(2)
+    assert rule.total_at_least(1) and not rule.total_at_least(2)
