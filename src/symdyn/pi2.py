@@ -37,7 +37,9 @@ as its reference.
 
 ``ZoneEngine`` runs long orbits; it tracks every S inside a finite
 materialized horizon and extends the frontier whenever a scan or window
-read reaches it.  An S-free horizon runs as the shift, once it is read on
+read reaches it.  Its cells are ASCII bytes: u0 and every zone is one
+``bytearray``, scanned in place for 1-runs and popped from the front
+with ``del``.  An S-free horizon runs as the shift, once it is read on
 past any open 1-run an S beyond it could glue (``_past_glued_run``).  S
 positions are kept lazily in two flat lists over the zone index, each
 zone's insertion displacement and its next excision wake-up.  All the
@@ -46,7 +48,8 @@ Python work per fired zone, however many S's sit to their right.  Between
 waves a run of plain pushes only shifts u0, and ``orbit_windows`` applies
 such a run in one jump (``ZoneEngine.jump``): at most ``_JUMP`` steps,
 stopping before the next wave and before the step whose frontier check
-would act, with the run's windows read as slices of one string.
+would act; the jump is four buffer operations, and the run's windows
+are slices of one decoded string.
 
 The engine counts the frontier checks that hit the materialization cap in
 ``cap_hits``, but a zero count does not make it exact: on criterion 08's
@@ -62,7 +65,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterator, List, Optional, Tuple
@@ -70,7 +72,8 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .oracle import OracleTable, QueryKind, TableRefused
-from .space import _ONE_RUN, Configuration, FrontierUnresolved, iter_blocks
+from .space import (_ONE_RUN, _ONE_RUN_BYTES, Configuration,
+                    FrontierUnresolved)
 
 
 @dataclass(frozen=True)
@@ -251,6 +254,7 @@ _CHUNK = 4096
 _NO_KEY = 1 << 62          # wake key of a zone with nothing pending
 _JUMP = 1024               # most steps in one push-run jump
 _MIN_JUMP = 4              # fewer pushes are left to step()
+_ZERO, _ONE, _S = b"01S"   # engine cells are ASCII bytes
 
 
 def _past_glued_run(layer1: Configuration, reach: int) -> str:
@@ -282,8 +286,9 @@ class ZoneEngine:
     """Iterates the zone automaton with lazy position bookkeeping.
 
     Reads its table through one :class:`ZoneRule`, so it refuses an
-    enumerated one.  Zone k content sits in ``zones[k]``; the position of
-    the k-th S is ``base[k] + pushes + dep[k]``.  Two flat lists over the zone
+    enumerated one.  ``u0`` and zone k's content ``zones[k]`` are
+    ``bytearray``s of ASCII ``0``/``1`` cells; the position of the k-th
+    S is ``base[k] + pushes + dep[k]``.  Two flat lists over the zone
     index hold the bookkeeping: ``dep[k]``, the insertion displacement of
     S_k, and ``key[k]``, zone k's least pending excision threshold minus
     ``base[k]`` (``_NO_KEY`` when nothing is pending).  Zone k is due
@@ -297,13 +302,12 @@ class ZoneEngine:
 
     ``step()`` is the one single-step path.  ``jump(limit)`` applies the
     next run of plain pushes at once, when one of at least ``_MIN_JUMP``
-    steps is known in O(1): ``u0`` becomes ``(u0 + "0" * 2j)[j:]``,
-    ``pushes`` and ``t`` grow by j, and ``ones`` drops by the 1s popped.
-    The run ends where the rightmost 1 of ``u0`` pops out (every step
-    pushes while zone 1 is empty and a second S exists), before the next
-    wave (j <= ``_least - pushes``), before the step whose frontier check
-    would act (``_frontier_room``, which ``_check_frontier`` reads too)
-    and after ``_JUMP`` steps.  The inserting variant, the S-free engine
+    steps is known in O(1), as four operations on the ``u0`` buffer;
+    ``pushes`` and ``t`` grow by j.  The run ends where the rightmost 1
+    of ``u0`` pops out (every step pushes while zone 1 is empty and a
+    second S exists), before the next wave (j <= ``_least - pushes``),
+    before the step whose frontier check would act (``_frontier_room``,
+    which ``_check_frontier`` reads too) and after ``_JUMP`` steps.  The inserting variant, the S-free engine
     and windows longer than ``u0`` never jump.
 
     ``cap_hits`` counts the frontier checks that stopped at the
@@ -339,15 +343,15 @@ class ZoneEngine:
             self.u0 = None         # S-free horizon: the map acts as the shift
             self._shift_word = w
             return
-        u0 = w[:first_s]
-        self.u0 = deque(u0)
-        self.ones = u0.count("1")
-        self.trailing = len(u0) - len(u0.rstrip("1"))
+        cells = w.encode("ascii")
+        self.u0 = bytearray(cells[:first_s])
+        self.ones = self.u0.count(b"1")
+        self.trailing = first_s - len(self.u0.rstrip(b"1"))
 
-        segs = w[first_s + 1:].split("S")    # u_1, u_2, ..., u_last
+        segs = cells[first_s + 1:].split(b"S")    # u_1, u_2, ..., u_last
         self.last = len(segs)
         # zones[k] holds u_k; base[k] is the initial position of S_k
-        self.zones: List = [None, deque(segs[0]), *map(list, segs[1:])]
+        self.zones: List = [None, *map(bytearray, segs)]
         self.base: List[int] = [0, first_s]
         for seg in segs[:-1]:
             self.base.append(self.base[-1] + len(seg) + 1)
@@ -368,7 +372,7 @@ class ZoneEngine:
             idxs = np.arange(len(arr), dtype=np.int64)
             idxs[~arr] = np.iinfo(np.int64).max
             self._next_b = np.minimum.accumulate(idxs[::-1])[::-1]
-            self._g2_len = len(g)
+            self._g2 = g
 
     # -- bookkeeping helpers ------------------------------------------------
 
@@ -396,15 +400,16 @@ class ZoneEngine:
         off = self.parsed[k]
         if off >= limit:
             return
-        word = "".join(zone[off:limit])
         if not complete and k == self.last:
-            word = word.rstrip("1")
+            # stop before the open 1-run at the limit
+            limit = zone.rfind(b"0", off, limit) + 1 or off
         heap, tau_of = self.pending[k], self.rule.tau
-        for i, l in iter_blocks(word):
-            tau = tau_of(l, k)
+        for run in _ONE_RUN_BYTES.finditer(zone, off, limit):
+            start, end = run.span()
+            tau = tau_of(end - start, k)
             if tau is not None:
-                heapq.heappush(heap, (max(tau, off + i + l), off + i, l))
-        self.parsed[k] = off + len(word)
+                heapq.heappush(heap, (max(tau, end), start, end - start))
+        self.parsed[k] = limit
         if heap:
             # pushes only lower the least threshold, and so the wake key
             key = self.key[k] = heap[0][0] - self.base[k]
@@ -419,13 +424,13 @@ class ZoneEngine:
         """
         while len(self.zones[self.last]) < needed:
             w = self.layer1.materialize(self.src + _CHUNK)
-            seg = w[self.src:]
-            cut = seg.find("S")
+            seg = w[self.src:].encode("ascii")
+            cut = seg.find(b"S")
             if cut < 0:
-                self.zones[self.last].extend(seg)
+                self.zones[self.last] += seg
                 self.src += len(seg)
             else:
-                self.zones[self.last].extend(seg[:cut])
+                self.zones[self.last] += seg[:cut]
                 if self.last >= 2:
                     self._absorb_runs(self.last, complete=True)
                 # a new S enters the tracked region; everything right of
@@ -437,7 +442,7 @@ class ZoneEngine:
                 self.dep.append(dep)
                 self.key.append(_NO_KEY)
                 self._least = min(self._least, _NO_KEY - dep)
-                self.zones.append([])
+                self.zones.append(bytearray())
                 self.pending.append([])
                 self.parsed.append(0)
                 self.last += 1
@@ -447,14 +452,12 @@ class ZoneEngine:
             self._absorb_runs(self.last, complete=False)
 
     def _gate_ok(self, i: int) -> bool:
-        if i == 0:
-            return True
-        lo1 = i + self.t
-        if lo1 + 2 * i <= self._g2_len and self._next_b[lo1] >= lo1 + 2 * i:
-            return True
-        lo2 = lo1 + 1
-        return (lo2 + 2 * i + 1 <= self._g2_len
-                and self._next_b[lo2] >= lo2 + 2 * i + 1)
+        # O(1) while both gate runs lie inside the materialized layer; past
+        # it the word rule, which raises FrontierUnresolved when undecided
+        g, lo, nb = self._g2, i + self.t, self._next_b
+        if lo + 2 * i + 2 <= len(g):
+            return nb[lo] >= lo + 2 * i or nb[lo + 1] >= lo + 2 * i + 2
+        return gate_allows(g[self.t:], i)
 
     # -- stepping -----------------------------------------------------------
 
@@ -486,8 +489,8 @@ class ZoneEngine:
             off = start_off = len(tgt)
             heap = pending[k - 1] if k > 2 else None
             for _, start, l in fired:
-                zone[start:start + l] = "0" * l
-                tgt.extend("0" + "1" * l)
+                zone[start:start + l] = b"0" * l
+                tgt += b"0" + b"1" * l
                 if heap is not None:
                     tau = self.rule.tau(l, k - 1)
                     if tau is not None:
@@ -559,7 +562,7 @@ class ZoneEngine:
         if self.second_inserts and self.last >= 2:
             if self._gate_ok(len(u0)):
                 word = _insertion_word(len(u0))
-                self.zones[1].extend(word)
+                self.zones[1] += word.encode("ascii")
                 self._displace_all(len(word))
 
         u1 = self.zones[1]
@@ -568,28 +571,28 @@ class ZoneEngine:
         if u1:
             c = u1[0]
         elif self.last >= 2:
-            c = "S"
+            c = _S
         else:
-            c = "0"
+            c = _ZERO
         eat = self.ones == self.trailing
-        if eat and c == "1" and (not self.gate_first
-                                 or self._gate_ok(len(u0))):
-            u1.popleft()
-            u0.append("1")
+        if eat and c == _ONE and (not self.gate_first
+                                  or self._gate_ok(len(u0))):
+            del u1[0]
+            u0.append(_ONE)
             self.ones += 1
             self.trailing += 1
             self.crossing = True
         else:
             # u0 becomes (u0 + "0")[1:] + "0"; the appended 0 ends any
             # trailing run, so the cell popped never belongs to it
-            u0.append("0")
-            if u0.popleft() == "1":
+            u0 += b"00"
+            if u0[0] == _ONE:
                 self.ones -= 1
-            u0.append("0")
+            del u0[0]
             self.trailing = 0
-            if eat and c == "0":
+            if eat and c == _ZERO:
                 if u1:
-                    u1.popleft()
+                    del u1[0]
                 if self.crossing:
                     self.completed_crossings += 1
                     self.crossing = False
@@ -611,7 +614,7 @@ class ZoneEngine:
         the rightmost 1 of ``u0`` pops out.  With zone 1 empty and a
         second S, every step pushes.  A run stops before the next wave
         and before the step whose frontier check would act, and never
-        covers more than ``_JUMP`` steps, so the cells joined per jump
+        covers more than ``_JUMP`` steps, so the cells decoded per jump
         stay bounded.  The inserting variant may insert on any step and
         never jumps.  With zone 1 empty and one S, ``step()`` materializes
         more of zone 1, so no jump starts there.
@@ -628,25 +631,20 @@ class ZoneEngine:
                     self._frontier_room())
         if bound < _MIN_JUMP:
             return 0, ""
-        L = self.window
-        head = "".join(itertools.islice(u0, 0, bound + L))
         j = bound
-        if not sticky and head.count("1", 0, bound) == self.ones:
+        if not sticky and u0.count(b"1", 0, bound) == self.ones:
             # every 1 of u0 lies within reach: the run ends with the last
-            j = head.rfind("1", 0, bound) + 1
-        if len(head) < j + L:             # windows read the zeros pushed in
-            head += "0" * (j + L - len(head))
-        self.ones -= head.count("1", 0, j)
-        u0.extend("0" * (2 * j))
-        popleft = u0.popleft
-        for _ in range(j):
-            popleft()
+            j = u0.rfind(b"1", 0, bound) + 1
+        self.ones -= u0.count(b"1", 0, j)
+        u0 += b"0" * (2 * j)              # windows read the zeros pushed in
+        text = u0[:j + self.window].decode("ascii")
+        del u0[:j]
         self.trailing = 0
         self.crossing = False
         self.pushes += j
         self.t += j
         self.jumped += j
-        return j, head
+        return j, text
 
     # -- observation --------------------------------------------------------
 
@@ -657,19 +655,15 @@ class ZoneEngine:
             if hi > len(self._shift_word):
                 self._shift_word = self.layer1.materialize(hi + _CHUNK)
             return self._shift_word[self.t:hi]
-        if len(self.u0) >= L:
-            return "".join(itertools.islice(self.u0, 0, L))
-        out = list(itertools.islice(self.u0, 0, L))
+        out = self.u0[:L]
         k = 1
         while len(out) < L and k <= self.last:
-            out.append("S")
-            take = L - len(out)
-            if take > 0:
-                if k == self.last and len(self.zones[k]) < take:
-                    self._extend_frontier(take)
-                out.extend(itertools.islice(self.zones[k], 0, take))
+            take = L - len(out) - 1
+            if k == self.last and len(self.zones[k]) < take:
+                self._extend_frontier(take)
+            out += b"S" + self.zones[k][:take]
             k += 1
-        return "".join(out[:L])
+        return out.decode("ascii")
 
 
 def orbit_windows(sys, x, t0: int, t1: int, window: int) -> Iterator:

@@ -11,9 +11,10 @@ alphabet.
 ``iter_blocks`` yields the maximal 1-runs of a finite word as
 ``(start, length)`` tuples, and ``parse_blocks`` lists them; the
 per-position maps, the attractor predicates and the limit measure read
-blocks through it, and the π2 zone engine scans long zones lazily.  A
-map raises ``FrontierUnresolved`` when a finite word is too short to fix
-its image.
+blocks through it.  The π2 zone engine, whose zones are ASCII byte
+buffers, scans them in place with the same 1-run rule over bytes
+(``_ONE_RUN_BYTES``).  A map raises ``FrontierUnresolved`` when a finite
+word is too short to fix its image.
 """
 
 from __future__ import annotations
@@ -256,6 +257,7 @@ def distance_exponent(x: Configuration, y: Configuration, depth: int):
 # ---------------------------------------------------------------------------
 
 _ONE_RUN = re.compile("1+")
+_ONE_RUN_BYTES = re.compile(b"1+")     # the same rule over ASCII cell buffers
 
 
 def iter_blocks(w: str) -> Iterator[Tuple[int, int]]:

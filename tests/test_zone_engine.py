@@ -34,7 +34,8 @@ from hypothesis import strategies as st
 from symdyn import pi2, systems, verify
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import _CHUNK, ZoneEngine, _insertion_word
-from symdyn.space import ALPHA_01S, ALPHA_AB, Configuration, Constant, Periodic
+from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
+                          FrontierUnresolved, Periodic)
 from symdyn.systems import SystemId
 
 
@@ -477,6 +478,28 @@ def test_sparse_gated_crossing_member():
         assert (new.jumped > 0) == jumps
 
 
+def crossing_run(horizon, steps=400):
+    m = verify.crossing_member()
+    eng = ZoneEngine(SystemId.WILD_T_PRIME, NEVER, m.layer1, m.layer2,
+                     horizon, 5)
+    windows = []
+    for _ in range(steps):
+        windows.append(eng.window_word())
+        eng.step()
+    return windows, eng.completed_crossings
+
+
+def test_gate_past_the_materialized_second_layer_is_not_guessed():
+    # stepped past its horizon, the gate reads second-layer cells that
+    # were never materialized: the word rule raises rather than closing
+    # the gate (which completed 2 crossings, not 6, with wrong windows)
+    with pytest.raises(FrontierUnresolved):
+        crossing_run(horizon=10)
+    windows, crossings = crossing_run(horizon=400)
+    assert crossing_run(horizon=2_000) == (windows, crossings)
+    assert crossings == 6
+
+
 @pytest.mark.parametrize("sysid", SYSTEMS)
 @pytest.mark.parametrize("prefix,period", [
     ("0S", "S011010"),
@@ -577,6 +600,16 @@ def test_dense_insertions_over_many_zones():
     assert displaced(ref) > 600
 
 
+def test_cubic_zone_one_growth_under_insertions():
+    # criterion 08's two-zone input under T'' with an all-a second layer:
+    # every step inserts behind S_2 from a first S far from the origin, so
+    # zone 1 grows as t^3 and reaches eleven million cells
+    new, ref = lockstep(SystemId.WILD_T_SECOND, TOTALITY,
+                        verify.two_zone_configuration(), None, 400, 5)
+    assert len(new.zones[1]) == len(ref.zones[1]) == 11_074_054
+    assert new.completed_crossings == ref.completed_crossings
+
+
 @pytest.mark.parametrize("steps,waves,displacements", [
     (2_500, 497, 35_006),
     (5_000, 1_012, 119_308),
@@ -628,7 +661,7 @@ def engine_state(eng):
     """Everything a jump may touch, as plain values."""
     if eng.u0 is None:
         return eng.t
-    return ("".join(eng.u0), ["".join(z) for z in eng.zones[1:]],
+    return (eng.u0.decode(), [z.decode() for z in eng.zones[1:]],
             eng.s_positions(), eng.pushes, eng.t, eng.ones, eng.trailing,
             eng.cap_hits, eng.waves, eng.displacements,
             eng.completed_crossings, eng.crossing)
