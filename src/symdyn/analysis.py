@@ -112,11 +112,14 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
     """Does the cylinder meet the attractor of the given system?"""
     if c.position != 0:
         raise ValueError("membership predicates are defined at position 0")
-    w = c.word
-    if system_id.erase is not None:
-        return _meets_erasure(system_id.erase, oracle, w, budget)
     if system_id is SystemId.SHIFT:
         raise ValueError(f"no attractor predicate for {system_id}")
+    w = c.word
+    bad = w.translate(system_id.foreign)    # its cylinder is empty
+    if bad:
+        return MeetsVerdict(NO, f"{system_id.value} has no symbol {bad[0]!r}")
+    if system_id.erase is not None:
+        return _meets_erasure(system_id.erase, oracle, w, budget)
     return _meets_single_block(
         w, None if system_id.second_inserts else ZoneRule(oracle))
 

@@ -18,6 +18,7 @@ with its traceback.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -339,9 +340,10 @@ def cmd_verify(args) -> int:
     report = verify.verify_suite(args.suite)
     with out_stream(args.out) as fh:
         if args.format == "csv":
-            fh.write("check,status,measured,expected\n")
-            for c in report.checks:
-                fh.write(f"{c.name},{c.status},{c.measured},{c.expected}\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["check", "status", "measured", "expected"])
+            out.writerows([c.name, c.status, str(c.measured),
+                           str(c.expected)] for c in report.checks)
         else:
             _write_json(fh, report.to_json())
     if args.out is not None or args.format == "json":

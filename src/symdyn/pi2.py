@@ -19,12 +19,12 @@ does, atomically and in this order:
       bookkeeping during a crossing step).
 
 The gated variant additionally allows a crossing step at first-S position
-i only when the second layer currently carries a^{2i} at position i or
-a^{2i+1} at position i+1; the second layer itself is shifted.  The
-inserting variant leaves the first S ungated but makes the second S test
-the same condition at the first S's position i, and on success insert the
-word (01)(011)...(01^i)0 at its own position, pushing itself and
-everything to its right.
+i only when the second layer, a word over {a, b}, carries at time t
+a^{2i} at position i or a^{2i+1} at position i+1 (``gate_allows``); the
+second layer itself is shifted.  The inserting variant leaves the first S
+ungated but makes the second S test the same condition at the first S's
+position i, and on success insert the word (01)(011)...(01^i)0 at its own
+position, pushing itself and everything to its right.
 
 The zone systems read their table only through a :class:`ZoneRule`, one
 per ``SystemSpec`` and per ``ZoneEngine``; it refuses an enumerated table.
@@ -68,8 +68,6 @@ import itertools
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from .oracle import OracleTable, QueryKind, TableRefused
 from .space import (_ONE_RUN, _ONE_RUN_BYTES, Configuration,
@@ -120,20 +118,21 @@ class ZoneRule:
 # The crossing gate read off the second layer
 # ---------------------------------------------------------------------------
 
-def gate_allows(w2: str, i: int) -> bool:
-    """True when a^{2i} sits at position i or a^{2i+1} at i+1 in ``w2``.
+def gate_allows(w2: str, i: int, t: int = 0) -> bool:
+    """True when the second layer ``w2``, a word over {a, b}, carries at
+    time ``t`` a^{2i} at position i or a^{2i+1} at i+1.
 
     Raises FrontierUnresolved if ``w2`` is too short to decide.
     """
     if i == 0:
         return True
-    size, runs = len(w2), ((i, 3 * i), (i + 1, 3 * i + 2))
+    size, runs = len(w2), ((t + i, t + 3 * i), (t + i + 1, t + 3 * i + 2))
     for lo, hi in runs:
-        if size >= hi and w2.count("a", lo, hi) == hi - lo:
+        if size >= hi and w2.find("b", lo, hi) < 0:
             return True
     for lo, hi in runs:
         # the supplied part of a run is all a's, so it may still hold
-        if size < hi and w2.count("a", lo) == max(size - lo, 0):
+        if size < hi and w2.find("b", lo) < 0:
             raise FrontierUnresolved("second layer too short for the gate")
     return False
 
@@ -158,8 +157,7 @@ def _step_word(rule: ZoneRule, w1: str, n: int,
     if s1 < 0:
         # no S within reach: the map shifts, unless a 1-run glued to an S
         # just past the supplied word could freeze the window
-        body = w1.lstrip("0")
-        if body and size - len(body) < n and "0" not in body:
+        if _glued_run_open(w1, n):
             raise FrontierUnresolved(
                 "open 1-run may be glued to an S beyond the word")
         return w1[1:n + 1]
@@ -257,6 +255,13 @@ _MIN_JUMP = 4              # fewer pushes are left to step()
 _ZERO, _ONE, _S = b"01S"   # engine cells are ASCII bytes
 
 
+def _glued_run_open(w: str, reach: int) -> bool:
+    """True when ``w`` is 0^p 1^r with r >= 1 and p < ``reach``: an open
+    1-run that an S just past ``w`` could glue to itself."""
+    body = w.lstrip("0")
+    return bool(body) and len(w) - len(body) < reach and not body.lstrip("1")
+
+
 def _past_glued_run(layer1: Configuration, reach: int) -> str:
     """Materialize ``reach + 64`` cells, and more while they hold no S and
     end in an open run 0^p 1^r with p < ``reach``.
@@ -271,10 +276,8 @@ def _past_glued_run(layer1: Configuration, reach: int) -> str:
     cap = 8 * size + _CHUNK
     while True:
         w = layer1.materialize(size)
-        body = w.lstrip("0")
-        if (not body or body.lstrip("1") or len(w) - len(body) >= reach
-                or (len(w) >= len(layer1.prefix)
-                    and not layer1.tail.writes("S"))):
+        if not _glued_run_open(w, reach) or (
+                len(w) >= len(layer1.prefix) and not layer1.tail.writes("S")):
             return w
         if size == cap:
             raise FrontierUnresolved(
@@ -307,8 +310,11 @@ class ZoneEngine:
     of ``u0`` pops out (every step pushes while zone 1 is empty and a
     second S exists), before the next wave (j <= ``_least - pushes``),
     before the step whose frontier check would act (``_frontier_room``,
-    which ``_check_frontier`` reads too) and after ``_JUMP`` steps.  The inserting variant, the S-free engine
-    and windows longer than ``u0`` never jump.
+    which ``_check_frontier`` reads too) and after ``_JUMP`` steps.  The
+    inserting variant, the S-free engine and windows longer than ``u0``
+    never jump.  A product engine materializes layer 2 once, as ``_g2``,
+    reads the gate as ``gate_allows(_g2, len(u0), t)`` and hands
+    ``orbit_windows`` its layer-2 windows.
 
     ``cap_hits`` counts the frontier checks that stopped at the
     materialization cap while the last S's scan prefix reached past the
@@ -339,6 +345,9 @@ class ZoneEngine:
         self.crossing = False
 
         first_s = w.find("S")
+        if sysid.product:
+            self._g2 = layer2.materialize(4 * horizon + 3 * max(first_s, 0)
+                                          + 3 * window + 64)
         if first_s < 0:
             self.u0 = None         # S-free horizon: the map acts as the shift
             self._shift_word = w
@@ -364,15 +373,6 @@ class ZoneEngine:
         self._dep_last = 0                   # dep[last], a running total
         for k in range(2, self.last + 1):
             self._absorb_runs(k, complete=(k < self.last))
-
-        if sysid.product:
-            need = 4 * horizon + 3 * first_s + 3 * window + 64
-            g = layer2.materialize(need)
-            arr = np.frombuffer(g.encode("ascii"), np.uint8) == ord("b")
-            idxs = np.arange(len(arr), dtype=np.int64)
-            idxs[~arr] = np.iinfo(np.int64).max
-            self._next_b = np.minimum.accumulate(idxs[::-1])[::-1]
-            self._g2 = g
 
     # -- bookkeeping helpers ------------------------------------------------
 
@@ -450,14 +450,6 @@ class ZoneEngine:
                 break
         if self.last >= 2:
             self._absorb_runs(self.last, complete=False)
-
-    def _gate_ok(self, i: int) -> bool:
-        # O(1) while both gate runs lie inside the materialized layer; past
-        # it the word rule, which raises FrontierUnresolved when undecided
-        g, lo, nb = self._g2, i + self.t, self._next_b
-        if lo + 2 * i + 2 <= len(g):
-            return nb[lo] >= lo + 2 * i or nb[lo + 1] >= lo + 2 * i + 2
-        return gate_allows(g[self.t:], i)
 
     # -- stepping -----------------------------------------------------------
 
@@ -560,7 +552,7 @@ class ZoneEngine:
             self._fire_excisions()
 
         if self.second_inserts and self.last >= 2:
-            if self._gate_ok(len(u0)):
+            if gate_allows(self._g2, len(u0), self.t):
                 word = _insertion_word(len(u0))
                 self.zones[1] += word.encode("ascii")
                 self._displace_all(len(word))
@@ -576,7 +568,7 @@ class ZoneEngine:
             c = _ZERO
         eat = self.ones == self.trailing
         if eat and c == _ONE and (not self.gate_first
-                                  or self._gate_ok(len(u0))):
+                                  or gate_allows(self._g2, len(u0), self.t)):
             del u1[0]
             u0.append(_ONE)
             self.ones += 1
@@ -672,7 +664,7 @@ def orbit_windows(sys, x, t0: int, t1: int, window: int) -> Iterator:
     layer1 = x.layer1 if product else x
     layer2 = x.layer2 if product else None
     eng = ZoneEngine(sys.id, sys.oracle, layer1, layer2, t1, window)
-    g2 = layer2.materialize(t1 + window) if product else None
+    g2 = eng._g2 if product else None
     t = 0
     while t < t1:
         j, text = eng.jump(t1 - 1 - t)

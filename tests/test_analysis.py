@@ -41,6 +41,20 @@ def test_meets_examples():
     assert attractor_meets(SystemId.SIGMA2, cyl(""), NEVER)
 
 
+@pytest.mark.parametrize("sysid, word, symbol", [
+    (SystemId.PI1, "0S0", "S"),
+    (SystemId.SIGMA2, "01a", "a"),
+    (SystemId.PI2, "0a", "a"),
+    (SystemId.WILD_T_PRIME, "0b1", "b"),
+    (SystemId.WILD_T_SECOND, "0a", "a"),
+])
+def test_meets_says_no_outside_the_alphabet(sysid, word, symbol):
+    # the cylinder of a word with a symbol the system does not read is empty
+    v = attractor_meets(sysid, cyl(word), ALL_HALT)
+    assert v.value == NO and v.witness == f"{sysid.value} has no symbol " \
+                                          f"{symbol!r}"
+
+
 def test_meets_position_zero_only():
     with pytest.raises(ValueError):
         attractor_meets(SystemId.PI1, Cylinder("01", 1), NEVER)

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour: formats, descriptors, exit codes."""
 
+import csv
+import io
 import json
 import shlex
 from pathlib import Path
@@ -114,6 +116,14 @@ def test_meets_verdicts(capsys, oracle_file):
     code, out = run(capsys, "meets", "--system", "pi1",
                     "--oracle", oracle_file, "--cylinder", "0110")
     assert json.loads(out)["verdict"] == "yes"
+
+
+def test_meets_outside_the_alphabet_is_no(capsys, oracle_file):
+    code, out = run(capsys, "meets", "--system", "pi1",
+                    "--oracle", oracle_file, "--cylinder", "0S0")
+    assert code == 0 and json.loads(out) == {
+        "predicate": "pi1-attractor-meets[0S0]_0", "verdict": "no",
+        "witness": "pi1 has no symbol 'S'"}
 
 
 def test_meets_budget_reaches_an_enumerated_oracle(capsys, tmp_path):
@@ -332,6 +342,15 @@ def test_verify_csv_is_the_report(capsys):
     assert captured.out == "check,status,measured,expected\n" + "".join(
         f"{c.name},{c.status},{c.measured},{c.expected}\n"
         for c in report.checks)
+
+
+def test_verify_csv_quotes_list_cells(capsys):
+    # omega's cells are lists, whose commas the writer must quote
+    code = main(["verify", "--suite", "omega", "--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0 and len(rows) > 1
+    assert rows[0] == ["check", "status", "measured", "expected"]
+    assert all(len(row) == 4 for row in rows)
 
 
 # -- what a table cannot answer ---------------------------------------------

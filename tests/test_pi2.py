@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from symdyn import systems
+from symdyn import pi2, systems
 from symdyn.cli import main
 from symdyn.analysis import attractor_meets
 from symdyn.oracle import (INF, Entry, OracleTable, QueryKind, TableRefused,
                            table_to_json)
-from symdyn.pi2 import ProductConfiguration, ZoneEngine, ZoneRule, gate_allows
+from symdyn.pi2 import (ProductConfiguration, ZoneEngine, ZoneRule,
+                        _past_glued_run, gate_allows)
 from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
                           Cylinder, Periodic)
 from symdyn.systems import (FrontierUnresolved, SystemId, orbit, pi2_system,
@@ -79,20 +80,21 @@ def ref_gate_allows(w2: str, i: int) -> bool:
     return False
 
 
-def _gate_outcome(gate, w2, i):
+def _gate_outcome(gate, w2, *args):
     try:
-        return gate(w2, i)
+        return gate(w2, *args)
     except FrontierUnresolved as exc:
         return ("unresolved", str(exc))
 
 
 def test_gate_allows_matches_reference():
-    # every {a, b} word up to length 12, every i <= 4
+    # every {a, b} word up to length 12, every i <= 4; at time t the gate
+    # reads the layer shifted t times
     for size in range(13):
         for w2 in map("".join, itertools.product("ab", repeat=size)):
-            for i in range(5):
-                assert _gate_outcome(gate_allows, w2, i) == \
-                    _gate_outcome(ref_gate_allows, w2, i), (w2, i)
+            for i, t in itertools.product(range(5), range(4)):
+                assert _gate_outcome(gate_allows, w2, i, t) == \
+                    _gate_outcome(ref_gate_allows, w2[t:], i), (w2, i, t)
 
 
 def test_gate_allows_examples():
@@ -246,6 +248,23 @@ def test_s_free_glued_run_with_no_s_in_the_input_shifts():
     x = cfg("00000", "1")
     assert orbit(pi2_system(MIXED), x, 3, 8) == [
         x.materialize(12)[t:t + 8] for t in range(1, 4)]
+
+
+@pytest.mark.parametrize("period", ["0", "S"])
+def test_past_glued_run_stops_at_an_s_after_the_run(period):
+    # 0 1^82 S: the S closes the run, so nothing past it is read
+    x = cfg("0" + "1" * 82 + "S", period)
+    assert _past_glued_run(x, 20) == x.materialize(84)
+
+
+def test_s_free_product_windows_are_slices_of_layer_2():
+    # an S-free T' orbit shifts both layers; layer 2 is read once
+    layer1 = cfg("0110", "0")
+    layer2 = Configuration(ALPHA_AB, "ba", Periodic("aab"))
+    x = ProductConfiguration(layer1, layer2)
+    rows = list(pi2.orbit_windows(wild_t_prime_system(MIXED), x, 3, 40, 6))
+    g1, g2 = layer1.materialize(46), layer2.materialize(46)
+    assert rows == [(g1[t:t + 6], g2[t:t + 6]) for t in range(3, 40)]
 
 
 def test_s_free_glued_run_past_the_cap_is_unresolved(tmp_path, capsys):
