@@ -24,8 +24,7 @@ from .oracle import (INF, Answer, Entry, HaltQuery, OracleTable, QueryKind,
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, Configuration,
                     Constant, Cylinder, FrontierUnresolved, Periodic, Sampler,
                     Scheduled, Tail, binary_config, config_from_json,
-                    config_to_json, iter_blocks, parse_blocks,
-                    rich_configuration)
+                    config_to_json, parse_blocks, rich_configuration)
 from .pi2 import ProductConfiguration, ZoneEngine, gate_allows
 from .systems import (EraseKind, SystemId, SystemSpec, erase_map_prefix, orbit,
                       orbit_window_counts, orbit_windows, pi1_system,

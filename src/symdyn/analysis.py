@@ -115,7 +115,7 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
     if system_id is SystemId.SHIFT:
         raise ValueError(f"no attractor predicate for {system_id}")
     w = c.word
-    bad = w.translate(system_id.foreign)    # its cylinder is empty
+    bad = w.translate(system_id.alphabet.absent)    # its cylinder is empty
     if bad:
         return MeetsVerdict(NO, f"{system_id.value} has no symbol {bad[0]!r}")
     if system_id.erase is not None:

@@ -343,14 +343,15 @@ def _num(v):
     return "inf" if v is INF else v
 
 
-def _count(v, field, unbounded):
+def _count(v, field, unbounded=None):
     """A table field read from JSON: a non-negative int, or ``unbounded``
-    ("inf" for sizes, "never" for times), read as None."""
-    if v == unbounded:
+    ("inf" for sizes, "never" for times, none else), read as None."""
+    if unbounded is not None and v == unbounded:
         return None
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ValueError(f"{field} must be a non-negative integer or "
-                         f"{unbounded!r}, got {v!r}")
+        also = "" if unbounded is None else f" or {unbounded!r}"
+        raise ValueError(f"{field} must be a non-negative integer{also}, "
+                         f"got {v!r}")
     return v
 
 
@@ -372,11 +373,17 @@ def table_to_json(table: OracleTable) -> str:
 
 def table_from_json(text: str) -> OracleTable:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an oracle table is a JSON object, not a "
+                         f"{type(doc).__name__}")
     backend = doc.get("backend", "programmed")
     if backend == "enumerated":
-        return OracleTable.enumerated(int(doc["work_cap"]))
+        return OracleTable.enumerated(_count(doc["work_cap"], "work_cap"))
     if backend != "programmed":
         raise ValueError(f"unknown oracle backend {backend!r}")
+    default = doc.get("default", "never")
+    if default not in ("never", "halt1"):
+        raise ValueError(f"unknown default {default!r}")
     entries = []
     for item in doc.get("entries", []):
         kind = _KINDS.get(item["kind"])
@@ -384,8 +391,8 @@ def table_from_json(text: str) -> OracleTable:
             raise ValueError(f"unknown query kind {item['kind']!r}")
         # an omitted size reads as unbounded
         entries.append(Entry(
-            e=int(item["e"]), kind=kind,
+            e=_count(item["e"], "e"), kind=kind,
             time=_count(item["time"], "time", "never"),
             k=_count(item.get("k", "inf"), "k", "inf"),
             k_hi=_count(item.get("k_hi", "inf"), "k_hi", "inf")))
-    return OracleTable.programmed_table(entries, default=doc.get("default", "never"))
+    return OracleTable.programmed_table(entries, default=default)

@@ -346,8 +346,9 @@ class ZoneEngine:
 
         first_s = w.find("S")
         if sysid.product:
-            self._g2 = layer2.materialize(4 * horizon + 3 * max(first_s, 0)
-                                          + 3 * window + 64)
+            self._g2 = layer2.materialize(   # S-free: windows, no gate
+                horizon + window if first_s < 0
+                else 4 * horizon + 3 * first_s + 3 * window + 64)
         if first_s < 0:
             self.u0 = None         # S-free horizon: the map acts as the shift
             self._shift_word = w

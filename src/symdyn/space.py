@@ -8,8 +8,11 @@ cell a tail writes is one alphabet symbol, and each symbol is one
 character, so ``materialize(n)`` always gives ``n`` symbols over the
 alphabet.
 
-``iter_blocks`` yields the maximal 1-runs of a finite word as
-``(start, length)`` tuples, and ``parse_blocks`` lists them; the
+Each alphabet carries ``absent``, a ``str.translate`` table that deletes
+its symbols: ``w.translate(a.absent)`` keeps the symbols of ``w`` outside
+``a``, and every check of a word's symbols reads it.  Scheduled tails run
+through one fixed table, ``LANGUAGES``.  ``parse_blocks`` lists the
+maximal 1-runs of a finite word as ``(start, length)`` tuples; the
 per-position maps, the attractor predicates and the limit measure read
 blocks through it.  The π2 zone engine, whose zones are ASCII byte
 buffers, scans them in place with the same 1-run rule over bytes
@@ -22,7 +25,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Tuple
+from types import MappingProxyType
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -34,6 +38,8 @@ LAYER2 = ("a", "b")
 @dataclass(frozen=True)
 class Alphabet:
     symbols: tuple
+    # deletes the symbols under str.translate; equality does not read it
+    absent: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols or len(set(self.symbols)) != len(self.symbols):
@@ -41,6 +47,8 @@ class Alphabet:
         if any(not isinstance(c, str) or len(c) != 1 for c in self.symbols):
             raise ValueError(f"alphabet symbols must be single characters, "
                              f"got {self.symbols!r}")
+        object.__setattr__(self, "absent",
+                           str.maketrans("", "", "".join(self.symbols)))
 
     def __contains__(self, s):
         return s in self.symbols
@@ -70,12 +78,9 @@ class Cylinder:
 # ---------------------------------------------------------------------------
 
 class Tail:
-    def generate(self, n: int) -> str:
-        raise NotImplementedError
-
-    def writes(self, symbol: str) -> bool:
-        """Whether ``symbol`` can occur in the tail; True unless known not."""
-        return True
+    """``generate(n)`` writes a tail's first ``n`` cells and ``writes(symbol)``
+    says whether ``symbol`` can occur in it; a configuration takes one of
+    the four kinds below only."""
 
 
 @dataclass(frozen=True)
@@ -127,20 +132,6 @@ class Sampler(Tail):
                    for c, w in zip(self.alphabet, self.weights))
 
 
-# Named word enumerators for scheduled tails.  An enumerator is a function
-# index -> word over {0, 1}; registration keeps configurations serializable.
-_ENUMERATORS: dict = {}
-
-
-def register_enumerator(name: str, fn: Callable[[int], str]) -> str:
-    _ENUMERATORS[name] = fn
-    return name
-
-
-def get_enumerator(name: str) -> Callable[[int], str]:
-    return _ENUMERATORS[name]
-
-
 def _all_binary_words(i: int) -> str:
     # epsilon, 0, 1, 00, 01, ...
     length = 0
@@ -150,12 +141,13 @@ def _all_binary_words(i: int) -> str:
     return format(i, "b").zfill(length) if length else ""
 
 
-register_enumerator("all01", _all_binary_words)
+# The languages of scheduled tails, by name: index -> word over {0, 1}.
+LANGUAGES = MappingProxyType({"all01": _all_binary_words})
 
 
 @dataclass(frozen=True)
 class Scheduled(Tail):
-    """Triangular schedule w1 f w1 f w2 f w1 f w2 f w3 ... over an enumerator.
+    """Triangular schedule w1 f w1 f w2 f w1 f w2 f w3 ... over a language.
 
     Every enumerated word occurs infinitely often, at positions that can be
     computed in advance from the schedule alone.
@@ -165,7 +157,7 @@ class Scheduled(Tail):
     filler: str = "0"
 
     def _words(self) -> Iterator[str]:
-        fn = get_enumerator(self.enumerator)
+        fn = LANGUAGES[self.enumerator]
         round_no = 0
         while True:
             round_no += 1
@@ -194,30 +186,31 @@ class Configuration:
     tail: Tail
 
     def __post_init__(self):
-        for c in self.prefix:
-            if c not in self.alphabet:
-                raise ValueError(f"symbol {c!r} outside alphabet")
+        absent, t = self.alphabet.absent, self.tail
+        bad = self.prefix.translate(absent)
+        if bad:
+            raise ValueError(f"symbol {bad[0]!r} outside alphabet")
         # materialize(n) returns n symbols over the alphabet only when each
         # cell a tail writes is one alphabet symbol
-        t = self.tail
+        if not isinstance(t, (Constant, Periodic, Sampler, Scheduled)):
+            raise ValueError(f"tail {t!r} is not a constant, periodic, "
+                             "sampler or scheduled tail")
         if isinstance(t, Constant) and t.symbol not in self.alphabet:
             raise ValueError(f"constant tail {t.symbol!r} is not one "
                              "alphabet symbol")
-        if isinstance(t, Periodic) and (
-                not isinstance(t.word, str) or not t.word
-                or any(c not in self.alphabet for c in t.word)):
+        if isinstance(t, Periodic) and (not isinstance(t.word, str)
+                                        or not t.word
+                                        or t.word.translate(absent)):
             raise ValueError(f"periodic tail {t.word!r} is not a nonempty "
                              "word over the alphabet")
-        if isinstance(t, Sampler) and (
-                len(t.weights) != len(t.alphabet)
-                or any(c not in self.alphabet for c in t.alphabet)):
+        if isinstance(t, Sampler) and (len(t.weights) != len(t.alphabet) or
+                                       "".join(t.alphabet).translate(absent)):
             raise ValueError(f"sampler tail over {t.alphabet!r} with weights "
                              f"{t.weights!r} does not fit the alphabet")
         if isinstance(t, Scheduled):
-            if t.enumerator not in _ENUMERATORS:
+            if t.enumerator not in LANGUAGES:
                 raise ValueError(f"unknown word enumerator {t.enumerator!r}")
-            if t.filler not in self.alphabet or any(
-                    c not in self.alphabet for c in BINARY):
+            if t.filler not in self.alphabet or "01".translate(absent):
                 raise ValueError(f"scheduled tail {t!r} writes symbols "
                                  "outside the alphabet")
 
@@ -260,21 +253,15 @@ _ONE_RUN = re.compile("1+")
 _ONE_RUN_BYTES = re.compile(b"1+")     # the same rule over ASCII cell buffers
 
 
-def iter_blocks(w: str) -> Iterator[Tuple[int, int]]:
-    """The maximal 1-runs of ``w``, left to right, as ``(start, length)``,
-    one at a time.
+def parse_blocks(w: str) -> List[Tuple[int, int]]:
+    """The maximal 1-runs of ``w``, left to right, as ``(start, length)``.
 
     Any other symbol (0 or S) ends a run.  A run is bounded on the left
     when ``start > 0`` (its left neighbour, at ``start - 1``, is the
     position the erasure rules key on) and on the right when
     ``start + length < len(w)``.
     """
-    return ((m.start(), m.end() - m.start()) for m in _ONE_RUN.finditer(w))
-
-
-def parse_blocks(w: str) -> List[Tuple[int, int]]:
-    """``iter_blocks(w)`` as a list."""
-    return list(iter_blocks(w))
+    return [(m.start(), m.end() - m.start()) for m in _ONE_RUN.finditer(w)]
 
 
 # ---------------------------------------------------------------------------

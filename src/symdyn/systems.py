@@ -32,14 +32,6 @@ from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
                     FrontierUnresolved, parse_blocks)
 
 
-def _deleting(alphabet):
-    """A ``str.translate`` table that deletes the symbols of ``alphabet``."""
-    return str.maketrans("", "", "".join(alphabet.symbols))
-
-
-_FOREIGN_AB = _deleting(ALPHA_AB)
-
-
 class EraseKind(Enum):
     PHI = "phi"
     PHI_PRIME = "phi_prime"
@@ -50,8 +42,8 @@ class SystemId(Enum):
     ``alphabet``, its block-erasure rule ``erase`` (None for the shift and
     the zone systems), and for the products, which read a second layer,
     whether it gates the first S (``gate_first``) or lets the second S
-    insert (``second_inserts``); ``product`` is either flag.  ``foreign``
-    is a ``str.translate`` table that deletes the alphabet's symbols."""
+    insert (``second_inserts``); ``product`` is either flag.  A word's
+    symbols outside the alphabet are ``w.translate(alphabet.absent)``."""
 
     SHIFT = ("shift", ALPHA_01, None)
     PI1 = ("pi1", ALPHA_01, EraseKind.PHI)
@@ -67,7 +59,6 @@ class SystemId(Enum):
         member.alphabet, member.erase = alphabet, erase
         member.gate_first, member.second_inserts = gate_first, second_inserts
         member.product = gate_first or second_inserts
-        member.foreign = _deleting(alphabet)
         return member
 
 
@@ -314,9 +305,9 @@ def step_prefix(sys: SystemSpec, w, n: int):
         raise ValueError(f"need n >= 0, got {n}")
     if sid.product:
         w1, w2 = w
-        bad = w1.translate(sid.foreign) + w2.translate(_FOREIGN_AB)
+        bad = w1.translate(sid.alphabet.absent) + w2.translate(ALPHA_AB.absent)
     else:
-        bad = w.translate(sid.foreign)
+        bad = w.translate(sid.alphabet.absent)
     if bad:
         raise ValueError(f"{sid.value} does not read the symbol {bad[0]!r}")
     if sid.erase is not None:
@@ -342,8 +333,11 @@ def erase_map_prefix(kind: EraseKind, oracle: OracleTable, w: str,
     Interior 1s of bounded blocks are erased or kept per the limit rule
     :func:`block_fate`; runs whose closing symbol lies past the end of
     ``w`` are unresolved, as are NoWithinBudget verdicts from enumerated
-    backends.
+    backends.  Raises ValueError when ``w`` holds a symbol outside {0, 1}.
     """
+    bad = w.translate(ALPHA_01.absent)
+    if bad:
+        raise ValueError(f"{kind.value} does not read the symbol {bad[0]!r}")
     fate = block_fate(oracle, kind, budget)
     statuses = [KEPT] * len(w)
     out = list(w)

@@ -423,6 +423,18 @@ def test_malformed_oracle_exits_2_on_every_call(capsys, tmp_path):
         assert "malformed oracle file" in captured.err
 
 
+@pytest.mark.parametrize("text", [
+    "[]", '"x"', '{"entries": [{"e": 1.9, "kind": "empty", "time": 3}]}',
+    '{"default": "Halt1"}'])
+def test_oracle_file_of_the_wrong_shape_is_usage_error(capsys, tmp_path, text):
+    # each once ended in a traceback or was read as another table
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out = run(capsys, "meets", "--system", "pi1", "--oracle", str(bad),
+                    "--cylinder", "0110")
+    assert code == 2 and out == ""
+
+
 def test_unknown_query_kind_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"entries": [

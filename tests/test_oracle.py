@@ -141,6 +141,32 @@ def test_json_rejects_malformed_fields(field, value):
         table_from_json(json.dumps({"entries": [item]}))
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="JSON object"):
+        table_from_json(text)
+
+
+@pytest.mark.parametrize("value", [1.9, True, -4, "7", None])
+def test_json_rejects_a_malformed_machine_index(value):
+    item = {"e": value, "kind": "empty", "time": 1}
+    with pytest.raises(ValueError, match="e must be"):
+        table_from_json(json.dumps({"entries": [item]}))
+
+
+@pytest.mark.parametrize("value", ["Halt1", "halts", None, 1])
+def test_json_rejects_an_unknown_default(value):
+    with pytest.raises(ValueError, match="default"):
+        table_from_json(json.dumps({"default": value, "entries": []}))
+
+
+@pytest.mark.parametrize("value", [-5, 2.5, True, "100"])
+def test_json_rejects_a_malformed_work_cap(value):
+    with pytest.raises(ValueError, match="work_cap"):
+        table_from_json(json.dumps({"backend": "enumerated",
+                                    "work_cap": value}))
+
+
 def test_json_omitted_sizes_read_unbounded():
     orc = table_from_json(json.dumps({"entries": [
         {"e": 1, "kind": "empty", "time": 3},

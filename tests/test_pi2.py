@@ -267,6 +267,14 @@ def test_s_free_product_windows_are_slices_of_layer_2():
     assert rows == [(g1[t:t + 6], g2[t:t + 6]) for t in range(3, 40)]
 
 
+def test_s_free_product_engine_holds_only_the_windowed_layer_2():
+    # no gate is read, so layer 2 is materialized through horizon + window
+    layer2 = Configuration(ALPHA_AB, "ba", Periodic("aab"))
+    eng = ZoneEngine(SystemId.WILD_T_PRIME, MIXED, cfg("0110", "0"), layer2,
+                     10_000, 8)
+    assert len(eng._g2) == 10_000 + 8
+
+
 def test_s_free_glued_run_past_the_cap_is_unresolved(tmp_path, capsys):
     # the tail's S lies past the materialization cap
     tail = "1" * 5000 + "S"

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from symdyn.space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet,
+from symdyn.space import (ALPHA_01, ALPHA_01S, ALPHA_AB, LANGUAGES, Alphabet,
                           Configuration, Constant, Cylinder, Periodic, Sampler,
-                          Scheduled, binary_config, config_from_json,
-                          config_to_json, distance_exponent, iter_blocks,
-                          parse_blocks, rich_configuration)
+                          Scheduled, Tail, binary_config, config_from_json,
+                          config_to_json, distance_exponent, parse_blocks,
+                          rich_configuration)
 
 WORKED = "1001011100101100"
 
@@ -100,11 +100,9 @@ def test_parse_blocks_empty():
     assert parse_blocks("") == []
 
 
-def test_iter_blocks_is_lazy():
-    runs = iter_blocks("011" + "0" * 10 + "1S1")
-    assert not isinstance(runs, list)
-    assert next(runs) == (1, 2)
-    assert list(runs) == [(13, 1), (15, 1)]
+def test_parse_blocks_lists_runs_left_to_right():
+    runs = parse_blocks("011" + "0" * 10 + "1S1")
+    assert runs == [(1, 2), (13, 1), (15, 1)]
 
 
 def test_parse_blocks_s_positions():
@@ -148,19 +146,41 @@ def test_rich_configuration_schedule():
     x = rich_configuration("all01")
     w = x.materialize(100_000)
     # every early enumerated word recurs many times
-    from symdyn.space import get_enumerator
-    fn = get_enumerator("all01")
+    fn = LANGUAGES["all01"]
     for i in range(1, 20):
         word = fn(i)
         assert w.count(word) >= 3, word
     assert "11" in w
 
 
-def test_rich_configuration_empty_enumerator():
-    from symdyn.space import register_enumerator
-    register_enumerator("empty-word", lambda i: "")
-    x = rich_configuration("empty-word")
-    assert x.materialize(32) == "0" * 32
+def test_languages_are_fixed():
+    # an equal configuration always materializes the same word
+    with pytest.raises(TypeError):
+        LANGUAGES["all01"] = lambda i: "10"
+    assert rich_configuration("all01").materialize(20) == \
+        "00000001000010000000"
+
+
+def test_configuration_refuses_other_tail_kinds():
+    # materialize's contract is checked for the four kinds only
+    class Twos(Tail):
+        def generate(self, n):
+            return "2" * n
+
+    with pytest.raises(ValueError, match="not a constant"):
+        binary_config("01", Twos())
+
+
+@given(st.text(alphabet="01Sab2", max_size=20),
+       st.sampled_from([ALPHA_01, ALPHA_01S, ALPHA_AB]))
+def test_absent_deletes_the_alphabet(w, a):
+    assert w.translate(a.absent) == "".join(c for c in w if c not in a)
+
+
+def test_absent_is_outside_equality():
+    assert Alphabet(("0", "1")) == ALPHA_01
+    assert hash(Alphabet(("0", "1"))) == hash(ALPHA_01)
+    assert "absent" not in repr(ALPHA_01)
 
 
 def test_cylinder_validation():

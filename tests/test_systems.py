@@ -98,6 +98,13 @@ def test_erase_phi_prime_example():
     assert status[3] == status[4] == ERASED
 
 
+def test_erase_map_refuses_foreign_symbols(worked):
+    # "0210" once mapped to "0200" and "0S1110a0" to "0S0000a0"
+    for w in ("0210", "0S1110a0"):
+        with pytest.raises(ValueError, match="does not read the symbol"):
+            erase_map_prefix(EraseKind.PHI, worked, w)
+
+
 def test_erase_open_run_unresolved():
     orc = OracleTable.programmed_table([Entry(e=2, kind=QueryKind.EMPTY, time=1)])
     word, status = erase_map_prefix(EraseKind.PHI, orc, "0011")
