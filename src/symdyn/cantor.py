@@ -34,9 +34,18 @@ is an integer over D, floor(y*D) picks the same child as y itself, and
 times D) holds exactly when ceil(y*D) > N, so every comparison is still
 exact.  A ``GapMap`` scales its six values to one denominator and
 evaluates each of its three affine pieces as one integer expression
-(u*p + v*q) / (w*q); ``escape_fraction`` descends once per step, builds
-a missing gap map from that descent, and carries the (numerator,
-denominator) pair, unreduced, from one step to the next.
+(u*p + v*q) / (w*q).
+
+``escape_fraction`` draws all its samples at once and advances every
+sample still in a gap one step at a time.  A step computes floor(y*D)
+and the flag per sample in Python, over the table cut to the requested
+depth and reduced by its gcd, then descends all samples together with
+one ``numpy.searchsorted`` per block of 8 levels against the block's
+256 descendant offsets, which every interval of a level shares.  The
+arrays hold int64 while that D fits in 62 bits and Python ints
+otherwise, so the descent is exact at any depth.  The escape loop builds
+each new gap map from its own descent, once per call, and carries each
+image as an unreduced (numerator, denominator) pair of Python ints.
 """
 
 from __future__ import annotations
@@ -492,6 +501,87 @@ class EscapeResult:
                 "sigma": self.sigma}
 
 
+_BLOCK = 8    # levels per numpy descent: 2^8 descendant offsets per block
+# _DIGITS[d]: the letters of block descendant d, first level first
+_DIGITS = (np.arange(2 ** _BLOCK)[:, None]
+           >> np.arange(_BLOCK - 1, -1, -1)) & 1
+# the number of trailing 1-bits of each block descendant index
+_TRAILING_ONES = np.array([(~d & (d + 1)).bit_length() - 1
+                           for d in range(2 ** _BLOCK)])
+
+
+def _descent_blocks(scheme: CantorScheme, depth: int):
+    """(D, blocks) for descending a binary scheme to ``depth`` in blocks.
+
+    D is the level table cut to ``depth`` and divided by the gcd of its
+    entries, so it does not depend on how far the table has grown.  Each
+    block is (L, m, offsets, child): the m <= 8 levels from L on, the
+    2^m offsets of the level-(L+m) descendants from the left end of
+    their level-L ancestor (the same for every level-L interval, sorted
+    because the children are), and the descendants' length, all times D.
+    The arrays are int64 while D has at most 62 bits, so that no value
+    nor a value plus one overflows, and Python ints otherwise.
+    """
+    den, levels = scheme._integer_layout(depth - 1)
+    levels = levels[:depth]
+    g = math.gcd(den, *(x for row in levels for x in row))
+    dtype = np.int64 if (den // g).bit_length() <= 62 else object
+    blocks = []
+    for start in range(0, depth, _BLOCK):
+        rows = levels[start:start + _BLOCK]
+        m = len(rows)
+        offsets = (_DIGITS[:2 ** m, _BLOCK - m:]
+                   @ np.array([s // g for s, _ in rows], dtype))
+        blocks.append((start, m, offsets, rows[-1][1] // g))
+    return den // g, blocks
+
+
+def _gaps_of(den: int, blocks, points):
+    """The samples among ``points`` (p, q) that lie strictly inside a gap
+    of level < depth, as tuples (i, n, index, a, b): ``points[i]`` lies in
+    the gap (a/D, b/D) of the level-n word numbered ``index``.
+
+    Each block is one ``searchsorted`` of every live sample's offset
+    t = floor(y*D) - lo*D within its level-L interval: the descendant d
+    is the last whose offset is <= t, and y lies right of it, strictly
+    inside a gap, exactly when t - offset_d + [y*D is not an integer]
+    exceeds the descendant length (the rule of ``_descend``).  The gap
+    between descendants d and d+1 belongs to their last common ancestor,
+    r levels up for r the trailing 1-bits of d, and is that ancestor's
+    gap 0.
+    """
+    if not blocks:          # depth 0: nothing lies in a gap
+        return []
+    whole, frac = [], []
+    for p, q in points:
+        t, rem = divmod(p * den, q)
+        whole.append(t)
+        frac.append(rem != 0)
+    dtype = blocks[0][2].dtype
+    y = np.array(whole, dtype)              # floor(y*D)
+    t, up = y, np.array(frac, bool)
+    live = np.arange(len(points))
+    word = np.zeros(len(points), dtype)     # index of the level-L word
+    found = []
+    for start, m, offsets, child in blocks:
+        d = np.searchsorted(offsets, t, side="right") - 1
+        t = t - offsets[d]
+        gap = t + up > child
+        if gap.any():
+            dg = d[gap]
+            r = _TRAILING_ONES[dg]
+            lo = y[gap] - t[gap]
+            index = (word[gap] << (m - 1 - r)) | (dg >> (r + 1))
+            found += zip(live[gap].tolist(), (start + m - 1 - r).tolist(),
+                         index.tolist(), (lo + child).tolist(),
+                         (lo + offsets[dg + 1] - offsets[dg]).tolist())
+            keep = ~gap
+            live, y, t, up, word, d = (live[keep], y[keep], t[keep],
+                                       up[keep], word[keep], d[keep])
+        word = (word << m) | d
+    return found
+
+
 def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
                     samples: int, master_seed: int, depth: int,
                     ) -> EscapeResult:
@@ -503,31 +593,38 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     counted as absorbed, so the reported fraction is a one-sided
     estimate tested against the (3/4)^n bound.  Gap images are exact
     rationals, so every comparison is rigorous.
+
+    The samples are the first ``samples`` draws of
+    ``default_rng(master_seed).integers(0, 2**53)`` over 2^53, drawn at
+    once; each step descends all samples still in gaps together.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if master_seed < 0:
+        raise ValueError("master seed must be >= 0")
     _require_embeddable(scheme, sys)
-    rng = np.random.default_rng(master_seed)
-    den = 2 ** 53
+    q = 2 ** 53
+    draws = np.random.default_rng(master_seed).integers(0, q, size=samples)
+    points = [(p, q) for p in draws.tolist()]
+    den, blocks = _descent_blocks(scheme, depth)
     cache: dict = {}
-    escaped = 0
-    for _ in range(samples):
-        p, q = int(rng.integers(0, den)), den
-        for step in range(iterations + 1):
-            found = _descend(scheme, p, q, depth)
-            if found[2] is None:
-                break                      # absorbed
-            if step == iterations:
-                escaped += 1
-                break
-            key = found[:3]
-            gm = cache.get(key)
+    for step in range(iterations + 1):
+        found = _gaps_of(den, blocks, points)
+        if step == iterations or not found:
+            break
+        images = []
+        for i, n, index, a, b in found:
+            gm = cache.get((n, index, 0))
             if gm is None:
-                gm = cache[key] = gap_map(scheme, sys,
-                                          _gap_at(scheme, *found))
-            p, q = gm._image(p, q)
+                gm = cache[n, index, 0] = gap_map(
+                    scheme, sys, _gap_at(scheme, n, index, 0, a, b, den))
+            images.append(gm._image(*points[i]))
+        points = images
+    escaped = len(found)
     frac = Fraction(escaped, samples)
     p = float(frac)
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)

@@ -71,12 +71,22 @@ def parse_descriptor(text: str, alphabet: Alphabet,
             raise UsageError(f"unknown descriptor field {part!r}")
     if tail_spec is None:
         raise UsageError("descriptor needs a tail: field")
+    # the tail and the configuration refuse what does not fit the alphabet,
+    # and a sampler a negative seed
+    try:
+        return Configuration(alphabet, prefix,
+                             _parse_tail(tail_spec, alphabet, default_seed))
+    except ValueError as ex:
+        raise UsageError(str(ex))
+
+
+def _parse_tail(tail_spec: str, alphabet: Alphabet, default_seed: int):
+    """The tail a descriptor's ``tail:`` field names."""
     if tail_spec in alphabet.symbols:
-        tail = Constant(tail_spec)
-    elif tail_spec.startswith("period="):
-        # Configuration checks the word against the alphabet
-        tail = Periodic(tail_spec[len("period="):])
-    elif tail_spec.startswith("bernoulli="):
+        return Constant(tail_spec)
+    if tail_spec.startswith("period="):
+        return Periodic(tail_spec[len("period="):])
+    if tail_spec.startswith("bernoulli="):
         body = tail_spec[len("bernoulli="):]
         seed = default_seed
         try:
@@ -90,17 +100,10 @@ def parse_descriptor(text: str, alphabet: Alphabet,
             raise UsageError(f"bad bernoulli tail {tail_spec!r}")
         _need(0 <= p <= 1, f"bernoulli weight outside [0, 1]: {tail_spec!r}")
         p = float(p)
-        # Configuration refuses the two weights on a larger alphabet
-        tail = Sampler(alphabet.symbols, (1 - p, p), seed)
-    elif tail_spec.startswith("rich="):
-        # Configuration checks the enumerator and the symbols it writes
-        tail = Scheduled(tail_spec[len("rich="):], alphabet.symbols[0])
-    else:
-        raise UsageError(f"unknown tail spec {tail_spec!r}")
-    try:
-        return Configuration(alphabet, prefix, tail)
-    except ValueError as ex:
-        raise UsageError(str(ex))
+        return Sampler(alphabet.symbols, (1 - p, p), seed)
+    if tail_spec.startswith("rich="):
+        return Scheduled(tail_spec[len("rich="):], alphabet.symbols[0])
+    raise UsageError(f"unknown tail spec {tail_spec!r}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -327,7 +330,7 @@ def cmd_interval_export(args) -> int:
 
 def cmd_interval_escape(args) -> int:
     _need(args.samples >= 1, "--samples must be >= 1")
-    _need_nonnegative(args, "iterations", "depth")
+    _need_nonnegative(args, "iterations", "depth", "seed")
     sys_spec = build_binary_system(args)
     res = cantor.escape_fraction(_scheme(), sys_spec, args.iterations,
                                  args.samples, args.seed, args.depth)

@@ -23,6 +23,7 @@ word is too short to fix its image.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -108,7 +109,11 @@ class Periodic(Tail):
 
 @dataclass(frozen=True)
 class Sampler(Tail):
-    """I.i.d. symbols with the given weights, reproducible from the seed."""
+    """I.i.d. symbols with the given weights, reproducible from the seed.
+
+    The weights are finite, nonnegative and not all zero, and the seed
+    is >= 0; anything else is refused when the sampler is built.
+    """
 
     alphabet: tuple
     weights: tuple
@@ -119,6 +124,13 @@ class Sampler(Tail):
         if any(not isinstance(c, str) or len(c) != 1 for c in self.alphabet):
             raise ValueError(f"sampler symbols must be single characters, "
                              f"got {self.alphabet!r}")
+        # generate draws with the probabilities weights / sum(weights)
+        if not (all(math.isfinite(w) and w >= 0 for w in self.weights)
+                and 0 < sum(self.weights) < math.inf):
+            raise ValueError(f"sampler weights {self.weights!r} are not "
+                             "finite, nonnegative and not all zero")
+        if self.seed < 0:
+            raise ValueError(f"sampler seed {self.seed} is negative")
 
     def generate(self, n):
         rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -286,17 +298,28 @@ def config_to_json(x: Configuration) -> str:
 
 
 def config_from_json(text: str) -> Configuration:
+    """The configuration ``config_to_json`` wrote; a document that is not
+    an object, lacks a key or names an unknown tail kind raises
+    ``ValueError``."""
     doc = json.loads(text)
-    t = doc["tail"]
-    kind = t["kind"]
-    if kind == "constant":
-        tail = Constant(t["symbol"])
-    elif kind == "periodic":
-        tail = Periodic(t["word"])
-    elif kind == "sampler":
-        tail = Sampler(tuple(t["alphabet"]), tuple(t["weights"]), int(t["seed"]))
-    elif kind == "scheduled":
-        tail = Scheduled(t["language"], t["filler"])
-    else:
-        raise ValueError(f"unknown tail kind {kind!r}")
-    return Configuration(Alphabet(tuple(doc["alphabet"])), doc["prefix"], tail)
+    t = doc.get("tail") if isinstance(doc, dict) else None
+    if not isinstance(t, dict):
+        raise ValueError("a configuration is a JSON object whose tail is "
+                         "an object")
+    try:
+        kind = t["kind"]
+        if kind == "constant":
+            tail = Constant(t["symbol"])
+        elif kind == "periodic":
+            tail = Periodic(t["word"])
+        elif kind == "sampler":
+            tail = Sampler(tuple(t["alphabet"]), tuple(t["weights"]),
+                           int(t["seed"]))
+        elif kind == "scheduled":
+            tail = Scheduled(t["language"], t["filler"])
+        else:
+            raise ValueError(f"unknown tail kind {kind!r}")
+        return Configuration(Alphabet(tuple(doc["alphabet"])), doc["prefix"],
+                             tail)
+    except KeyError as ex:
+        raise ValueError(f"configuration document lacks the key {ex}")

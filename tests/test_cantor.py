@@ -141,6 +141,33 @@ def reference_escaped(scheme, sys, iterations, samples, master_seed, depth):
     return escaped
 
 
+def reference_escape_loop(scheme, sys, iterations, samples, master_seed,
+                          depth):
+    """The per-sample escape loop the batch descent replaced: one scalar
+    draw per sample, then one ``_descend`` per step, with the gap maps
+    kept per call under (n, index, j)."""
+    rng = np.random.default_rng(master_seed)
+    den = 2 ** 53
+    cache = {}
+    escaped = 0
+    for _ in range(samples):
+        p, q = int(rng.integers(0, den)), den
+        for step in range(iterations + 1):
+            found = cantor._descend(scheme, p, q, depth)
+            if found[2] is None:
+                break                      # absorbed
+            if step == iterations:
+                escaped += 1
+                break
+            key = found[:3]
+            gm = cache.get(key)
+            if gm is None:
+                gm = cache[key] = gap_map(scheme, sys,
+                                          cantor._gap_at(scheme, *found))
+            p, q = gm._image(p, q)
+    return escaped
+
+
 # -- interval recurrence ----------------------------------------------------
 
 def test_interval_examples(scheme):
@@ -507,6 +534,71 @@ def test_negative_counts_are_refused(scheme):
             escape_fraction(scheme, sys, samples=3, master_seed=0, **kwargs)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         locate(scheme, F(1, 3), -2)
+
+
+def test_negative_master_seed_is_refused_before_drawing(scheme, monkeypatch):
+    def refused(*args):
+        raise AssertionError("escape_fraction drew with a negative seed")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    with pytest.raises(ValueError, match="master seed must be >= 0"):
+        escape_fraction(scheme, shift_system(), 1, 3, -1, 8)
+
+
+def _grown_scheme():
+    """A scheme whose level table reaches depth 42, as ``interval eval``
+    grows the CLI's shared one."""
+    s = CantorScheme()
+    s._integer_layout(41)
+    return s
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
+@pytest.mark.parametrize("depth", [0, 1, 7, 8, 9, 16, 17, 29, 30,
+                                   *range(31, 41)])
+def test_batch_escape_matches_per_sample_loop(worked, monkeypatch, depth,
+                                              grown):
+    # the descent runs on int64 while the reduced D fits in 62 bits
+    # (depth <= 30 here) and on Python ints past that
+    dtypes = set()
+    searchsorted = np.searchsorted
+
+    def spy(a, v, **kwargs):
+        dtypes.add(a.dtype)
+        return searchsorted(a, v, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    sys = pi1_system(worked)
+    cases = [(0, 60, 1), (1, 60, 2), (3, 40, 3), (2, 1, 4), (0, 1, 5)]
+    for iterations, samples, seed in cases:
+        s = _grown_scheme() if grown else CantorScheme()
+        got = escape_fraction(s, sys, iterations, samples, seed, depth)
+        want = reference_escape_loop(CantorScheme(), sys, iterations,
+                                     samples, seed, depth)
+        assert got.escaped == want, (iterations, samples, seed)
+        assert want == reference_escaped(CantorScheme(), sys, iterations,
+                                         samples, seed, depth)
+    if depth == 0:
+        assert dtypes == set()
+    else:
+        assert dtypes == {np.dtype(np.int64 if depth <= 30 else object)}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 40])
+def test_escape_samples_are_the_scalar_draws(monkeypatch, seed):
+    first = []
+    gaps_of = cantor._gaps_of
+
+    def spy(den, blocks, points):
+        if not first:
+            first.extend(points)
+        return gaps_of(den, blocks, points)
+
+    monkeypatch.setattr(cantor, "_gaps_of", spy)
+    escape_fraction(CantorScheme(), shift_system(), 0, 2000, seed, 4)
+    rng = np.random.default_rng(seed)
+    assert first == [(int(rng.integers(0, 2 ** 53)), 2 ** 53)
+                     for _ in range(2000)]
 
 
 @pytest.mark.parametrize("seed", [3, 4])

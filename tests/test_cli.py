@@ -548,6 +548,13 @@ _BAD_ARGUMENTS = [
      "--match-depth", "4", "--from", "0", "--to", "50"),
     ("meets", "--system", "pi1", "--oracle", "{enum}",
      "--budget", "100000000", "--cylinder", "0110"),
+    # a sampler's seed, given or defaulted from --seed, must be >= 0
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=1/2:seed=-3",
+     "--steps", "2", "--window", "4"),
+    ("orbit", "--system", "shift", "--init", "tail:bernoulli=1/2",
+     "--seed", "-1", "--steps", "2", "--window", "4"),
+    ("interval", "escape", "--system", "shift", "--iterations", "1",
+     "--samples", "3", "--seed", "-1"),
 ]
 
 

@@ -258,6 +258,36 @@ def test_sampler_needs_one_weight_per_symbol():
         binary_config("", Sampler(("0", "1"), (1, 1, 1), 3))
 
 
+@pytest.mark.parametrize("weights, seed", [
+    ((1, -1), 3), ((0, 0), 3), ((float("nan"), 1), 3),
+    ((float("inf"), 1), 3), ((1e308, 1e308), 3), ((1, 1), -1)],
+    ids=["negative", "all-zero", "nan", "infinite", "sum-overflows",
+         "negative-seed"])
+def test_sampler_refuses_weights_it_cannot_draw_with(weights, seed):
+    # unchecked, materialize raised inside numpy (or warned, for NaN)
+    with pytest.raises(ValueError, match="sampler (weights|seed)"):
+        binary_config("", Sampler(("0", "1"), weights, seed))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("[]", "JSON object"),
+    ('{"alphabet": ["0", "1"], "prefix": ""}', "JSON object"),
+    ('{"alphabet": ["0", "1"], "prefix": "", "tail": "0"}', "JSON object"),
+    ('{"prefix": "", "tail": {"kind": "constant", "symbol": "0"}}',
+     "lacks the key 'alphabet'"),
+    ('{"alphabet": ["0", "1"], "prefix": "", "tail": {"kind": "periodic"}}',
+     "lacks the key 'word'"),
+    ('{"alphabet": ["0", "1"], "prefix": "", "tail": {"symbol": "0"}}',
+     "lacks the key 'kind'"),
+    ('{"alphabet": ["0", "1"], "prefix": "", "tail": {"kind": "markov"}}',
+     "unknown tail kind 'markov'"),
+], ids=["list", "no-tail", "string-tail", "no-alphabet", "no-word",
+        "no-kind", "unknown-kind"])
+def test_config_json_refuses_malformed_documents(text, match):
+    with pytest.raises(ValueError, match=match):
+        config_from_json(text)
+
+
 def test_scheduled_enumerator_must_write_alphabet_symbols():
     # all01 writes 0s and 1s, which are not layer-2 symbols
     with pytest.raises(ValueError):
