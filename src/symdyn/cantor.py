@@ -21,37 +21,29 @@ each level's child-to-child stride and child length times a common
 denominator D, the lcm of the level denominators.  Level n follows from
 c_n and c_{n+1} alone: the child length is c_{n+1}/k^{n+1} and the
 stride (k c_n - c_{n+1}) / ((k-1) k^{n+1}).  c_n is read back off the
-table (it is k^n times the level-(n-1) child length), so growing the
-table reads the level measure once per level, as an integer pair.  That
-table is the scheme's one cache, pure and grown lazily, in one place,
-only as deep as a call reaches; a descent that runs past it grows it by
-the one level it reads next.  Endpoints and gaps are digit sums over
-it: I_w starts at the sum of index(w_i) times the level-i stride, over
-D.  ``locate`` unpacks y = p/q once into floor(y*D) and a flag for y*D
-not being an integer, then descends with one floor division per level.  Because every table entry
-is an integer over D, floor(y*D) picks the same child as y itself, and
-"y strictly inside the gap" (y*D > N for the integer N = gap start
-times D) holds exactly when ceil(y*D) > N, so every comparison is still
-exact.  A ``GapMap`` scales its six values to one denominator and
-evaluates each of its three affine pieces as one integer expression
-(u*p + v*q) / (w*q).
+table, so the level measure is read once per level.  The table grows
+lazily, only as deep as a call reaches.  I_w starts at the sum of
+index(w_i) times the level-i stride, over D.
 
-``escape_fraction`` draws all its samples at once and advances every
-sample still in a gap one step at a time.  A step computes floor(y*D)
-and the flag per sample in Python, over the table cut to the requested
-depth and reduced by its gcd, then descends all samples together with
-one ``numpy.searchsorted`` per block of 8 levels against the block's
-256 descendant offsets, which every interval of a level shares.  The
-arrays hold int64 while that D fits in 62 bits and Python ints
-otherwise, so the descent is exact at any depth.  The escape loop builds
-each new gap map from its own descent, once per call, and carries each
-image as an unreduced (numerator, denominator) pair of Python ints.
+A descent (``locate``, ``f_eval``, the escape loop) turns y = p/q into
+the integer z = floor(y*D) + ceil(y*D): for an integer N, y*D > N
+exactly when z > 2N and y*D >= N exactly when z >= 2N, so every
+comparison is exact at any depth.  For each complete block of m levels
+of the table (k^m <= 256), the scheme keeps the doubled ends of the k^m
+descendants an interval has m levels down, the same for every interval
+of a level, so a descent takes one bisection per block and one floor
+division per level past the last block.  A gap map evaluates each of
+its three affine pieces as one integer expression (u*p + v*q) / (w*q),
+and the escape loop carries each image as an unreduced (numerator,
+denominator) pair.  numpy only draws the escape samples, which are
+defined as the draws of ``numpy.random.default_rng``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -78,8 +70,9 @@ class CantorScheme:
     cache that only ``_integer_layout`` grows, lazily, by one integer
     recurrence per level, with one read of c_n per level: a fresh scheme
     returns the same values, so concurrent readers at worst rebuild
-    levels another has built.  A level measure that stops strictly
-    decreasing is refused when the table reaches that level.
+    levels another has built.  The descent blocks are derived from the
+    table and rebuilt once after it grows.  A level measure that stops
+    strictly decreasing is refused when the table reaches that level.
     """
 
     def __init__(self,
@@ -95,7 +88,12 @@ class CantorScheme:
         self.limit = Fraction(limit)
         if not ZERO < self.limit < self._c(0) == ONE:
             raise ValueError("need c_0 = 1 and limit in (0, 1)")
+        self._digit = {s: i for i, s in enumerate(alphabet.symbols)}
+        self._m = 1      # levels per descent block: k^m <= 256 descendants
+        while self.k ** (self._m + 1) <= 256:
+            self._m += 1
         self._grid: tuple = (1, ())
+        self._blocks: tuple = (self._grid, ())
 
     def level_measure(self, n: int) -> Fraction:
         """Total length of the level-n intervals: sum_{|w|=n} |I_w|."""
@@ -108,19 +106,22 @@ class CantorScheme:
             raise ValueError(f"level measures not strictly decreasing at {n}")
         return b
 
-    def _index(self, symbol: str) -> int:
-        try:
-            return self.alphabet.symbols.index(symbol)
-        except ValueError:
-            raise ValueError(f"symbol {symbol!r} outside scheme alphabet")
-
-    def interval_of_word(self, w: str):
-        """Exact endpoints (lo, hi) of I_w: lo*D is the digit sum of
-        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}."""
+    def _span(self, w: str):
+        """(lo, hi, D) with I_w = [lo/D, hi/D]: lo is the digit sum of
+        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}*D."""
         n = len(w)
         den, levels = self._integer_layout(n - 1)
-        lo = sum(self._index(s) * levels[i][0] for i, s in enumerate(w))
-        hi = lo + (levels[n - 1][1] if n else den)
+        digit = self._digit
+        try:
+            lo = sum([digit[s] * row[0] for s, row in zip(w, levels)])
+        except KeyError as e:
+            raise ValueError(
+                f"symbol {e.args[0]!r} outside scheme alphabet") from None
+        return lo, lo + (levels[n - 1][1] if n else den), den
+
+    def interval_of_word(self, w: str):
+        """Exact endpoints (lo, hi) of I_w."""
+        lo, hi, den = self._span(w)
         return Fraction(lo, den), Fraction(hi, den)
 
     def interval_length(self, w: str) -> Fraction:
@@ -179,6 +180,27 @@ class CantorScheme:
         rows += [(s * (den // d), c * (den // d)) for d, s, c in new]
         self._grid = (den, tuple(rows))
         return self._grid
+
+    def _descent_table(self):
+        """((D, levels), blocks): for each complete block of m levels in
+        the table, (ends, L + m) for the k^m descendants at level L + m of
+        a level-L interval [lo, hi], listed in ends as 2 (left end - lo),
+        2 (right end - lo) + 1, ..., times D.  Rebuilt only when the table
+        has grown since they were derived."""
+        grid, held = self._grid, self._blocks
+        if held[0] is grid:
+            return held
+        k, m, levels = self.k, self._m, grid[1]
+        blocks = []
+        for start in range(0, len(levels) - m + 1, m):
+            offsets = [0]
+            for stride, _ in levels[start:start + m]:
+                offsets = [o + j * stride for o in offsets for j in range(k)]
+            child = levels[start + m - 1][1]
+            blocks.append(([e for o in offsets
+                            for e in (2 * o, 2 * (o + child) + 1)], start + m))
+        self._blocks = held = (grid, tuple(blocks))
+        return held
 
     def _word_at(self, n: int, index: int) -> str:
         """The level-n word whose base-k digits (first letter most
@@ -251,49 +273,76 @@ class InLevelInterval:
 Location = Union[InGap, InLevelInterval]
 
 
-def _descend(scheme: CantorScheme, p: int, q: int, depth: int):
-    """Integer core of ``locate`` for y = p/q in [0, 1] (q > 0).
+def _descend(scheme: CantorScheme, points, depth: int):
+    """Integer core of ``locate``: one (n, index, a, b, D) for each
+    y = p/q in [0, 1] (q > 0) of ``points``.  When a is None, y lies in
+    the level-``depth`` interval numbered ``index`` (n = depth);
+    otherwise y lies strictly inside the gap (a/D, b/D) right after the
+    level-n interval numbered ``index``, which ``_gap_owner`` names.
 
-    Returns (n, index, j, a, b, D).  When j is None, y lies in the
-    level-``depth`` interval of the word ``scheme._word_at(depth, index)``;
-    otherwise y lies strictly inside the j-th gap (a/D, b/D) of the level-n
-    word ``scheme._word_at(n, index)``.
-
-    The walk keeps t = floor(y*D) - lo*D for the current interval
-    [lo, hi].  Since lo*D and the layout entries are integers, the child
-    index floor((y - lo) / stride) equals t // stride, and y lies right
-    of child j (strictly inside the gap after it) exactly when
-    t + [y*D is not an integer] > child * D.  A walk that runs past the
+    z is floor(y*D) + ceil(y*D) minus twice the current interval's left
+    end, times D.  In a block, the number of listed ends <= z is odd
+    when y lies in a descendant (endpoints included) and even when it
+    lies strictly inside the gap after one.  A walk that runs past the
     table grows it by the one level it reads next.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    den, levels = scheme._grid
-    yd, rem = divmod(p * den, q)
-    t, frac = yd, rem != 0
-    k, index = scheme.k, 0
-    for n in range(depth):
-        if n == len(levels):
-            lo = yd - t
-            d, levels = scheme._integer_layout(n)
-            lo *= d // den
-            den = d
-            yd, rem = divmod(p * den, q)
-            t, frac = yd - lo, rem != 0
-        stride, child = levels[n]
-        j, t = divmod(t, stride)
-        if t + frac > child:  # strictly inside the gap right of child j
-            start = yd - t
-            return n, index, j, start + child, start + stride, den
-        index = index * k + j
-    return depth, index, None, 0, 0, den
+    k, m = scheme.k, scheme._m
+    width = k ** m                  # descendants per block
+    grid, out = None, []
+    append = out.append
+    for p, q in points:
+        if grid is None:    # first point, or the last one grew the table
+            grid, blocks = scheme._descent_table()
+            den, levels = grid
+            blocks = blocks[:depth // m]
+        f, rem = divmod(p * den, q)
+        z = whole = 2 * f + (rem != 0)
+        index = n = 0
+        for ends, n in blocks:
+            i = bisect_right(ends, z)
+            index = index * width + (i >> 1)
+            if not i & 1:   # strictly inside the gap after descendant index-1
+                lo = (whole - z) >> 1
+                append((n, index - 1, lo + (ends[i - 1] >> 1),
+                        lo + (ends[i] >> 1), den))
+                break
+            z -= ends[i - 1]
+        else:
+            while n < depth:
+                if n == len(levels):    # grow the table by the level read next
+                    lo2, grid = whole - z, None
+                    d, levels = scheme._integer_layout(n)
+                    lo2 *= d // den
+                    den = d
+                    f, rem = divmod(p * den, q)
+                    whole = 2 * f + (rem != 0)
+                    z = whole - lo2
+                stride, child = levels[n]
+                j, z = divmod(z, 2 * stride)
+                index = index * k + j
+                n += 1
+                if z > 2 * child:   # strictly inside the gap after child j
+                    lo = (whole - z) >> 1
+                    append((n, index, lo + child, lo + stride, den))
+                    break
+            else:
+                append((depth, index, None, None, den))
+    return out
 
 
-def _gap_at(scheme: CantorScheme, n: int, index: int, j: int,
-            a: int, b: int, den: int) -> GapLocation:
-    """The gap a ``_descend`` that stopped in one names."""
-    return GapLocation(scheme._word_at(n, index), j, Fraction(a, den),
-                       Fraction(b, den))
+def _gap_owner(scheme: CantorScheme, n: int, index: int):
+    """(w, j): the gap right after the level-n interval numbered ``index``
+    is the j-th gap of I_w, for w the ancestor that the trailing
+    (k-1)-digits of ``index`` climb to."""
+    k = scheme.k
+    n -= 1
+    while index % k == k - 1:
+        index //= k
+        n -= 1
+    index, j = divmod(index, k)
+    return scheme._word_at(n, index), j
 
 
 def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
@@ -306,10 +355,12 @@ def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
     y = Fraction(y)
     if not ZERO <= y <= ONE:
         raise ValueError("point outside [0, 1]")
-    found = _descend(scheme, y.numerator, y.denominator, depth)
-    if found[2] is None:
-        return InLevelInterval(scheme._word_at(depth, found[1]))
-    return InGap(_gap_at(scheme, *found))
+    [(n, index, a, b, den)] = _descend(
+        scheme, [(y.numerator, y.denominator)], depth)
+    if a is None:
+        return InLevelInterval(scheme._word_at(n, index))
+    w, j = _gap_owner(scheme, n, index)
+    return InGap(GapLocation(w, j, Fraction(a, den), Fraction(b, den)))
 
 
 def _word_depth_for(scheme: CantorScheme, precision: int) -> int:
@@ -393,47 +444,59 @@ class GapMap:
 
     @cached_property
     def _integer_form(self):
-        """(g, breakpoints, pieces): the breakpoints a, q1, q3, b times g,
-        and for each piece (u, v, w) in lowest terms with
-        f(y) = (u*y + v)/w.
-
-        g = 4 lcm of the six denominators makes every breakpoint and
-        value times g an integer.  With X, V those integers, the piece
-        from (x0, v0) to (x1, v1) is
-        f(y) = (g(V1-V0) y + V0(X1-X0) - (V1-V0)X0) / (g(X1-X0)).
-        """
+        """(g, breakpoints, pieces), as ``_integer_form_of`` builds it
+        from the six values over the lcm of their denominators."""
         vals = (self.a, self.b, self.fa, self.fb, self.target_lo,
                 self.target_hi)
-        g = 4 * math.lcm(*(x.denominator for x in vals))
-        a, b, fa, fb, lo, hi = (x.numerator * (g // x.denominator)
-                                for x in vals)
-        q1, q3 = a + (b - a) // 4, a + 3 * (b - a) // 4
-        pieces = []
-        for x0, x1, v0, v1 in ((a, q1, fa, lo), (q1, q3, lo, hi),
-                               (q3, b, hi, fb)):
-            dv, dx = v1 - v0, x1 - x0
-            u, v, w = g * dv, v0 * dx - dv * x0, g * dx
-            r = math.gcd(u, v, w)
-            pieces.append((u // r, v // r, w // r))
-        return g, (a, q1, q3, b), pieces
+        den = math.lcm(*(x.denominator for x in vals))
+        return _integer_form_of(den, *(x.numerator * (den // x.denominator)
+                                    for x in vals))
 
     def _image(self, p: int, q: int):
         """f(p/q) as an unnormalized (numerator, denominator) pair."""
-        g, (a, q1, q3, b), pieces = self._integer_form
-        lo, rem = divmod(p * g, q)
-        hi = lo + (rem != 0)  # floor and ceiling of y*g
-        if not (a <= lo and hi <= b):
-            raise ValueError("point outside this gap")
-        u, v, w = pieces[0 if hi <= q1 else 1 if hi <= q3 else 2]
-        return u * p + v * q, w * q
+        return _image(self._integer_form, p, q)
 
     def __call__(self, y: Fraction) -> Fraction:
         y = Fraction(y)
         return Fraction(*self._image(y.numerator, y.denominator))
 
 
-def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
-    """Build the three-piece extension of f across ``gap``.
+def _integer_form_of(den: int, a: int, b: int, fa: int, fb: int, lo: int,
+                     hi: int):
+    """(g, breakpoints, pieces) of the gap map whose six values are these
+    integers over ``den``: the breakpoints a, q1, q3, b times g = 4*den,
+    and for each piece (u, v, w) in lowest terms with f(y) = (u*y + v)/w.
+    With X, V the breakpoints and values times g, the piece from (x0, v0)
+    to (x1, v1) is f(y) = (g(V1-V0) y + V0(X1-X0) - (V1-V0)X0) / (g(X1-X0)).
+    """
+    g = 4 * den
+    a, b, fa, fb, lo, hi = (4 * x for x in (a, b, fa, fb, lo, hi))
+    q1, q3 = a + (b - a) // 4, a + 3 * (b - a) // 4
+    pieces = []
+    for x0, x1, v0, v1 in ((a, q1, fa, lo), (q1, q3, lo, hi),
+                           (q3, b, hi, fb)):
+        dv, dx = v1 - v0, x1 - x0
+        u, v, w = g * dv, v0 * dx - dv * x0, g * dx
+        r = math.gcd(u, v, w)
+        pieces.append((u // r, v // r, w // r))
+    return g, (a, q1, q3, b), pieces
+
+
+def _image(form, p: int, q: int):
+    """The gap map with integer form ``form`` at p/q, as an unnormalized
+    (numerator, denominator) pair."""
+    g, (a, q1, q3, b), pieces = form
+    lo, rem = divmod(p * g, q)
+    hi = lo + (rem != 0)  # floor and ceiling of y*g
+    if not (a <= lo and hi <= b):
+        raise ValueError("point outside this gap")
+    u, v, w = pieces[0 if hi <= q1 else 1 if hi <= q3 else 2]
+    return u * p + v * q, w * q
+
+
+def _image_ends(scheme: CantorScheme, sys: SystemSpec, w: str, j: int):
+    """(D, fa, fb, target_lo, target_hi), the last four times D, of the
+    gap map across the j-th gap of I_w.
 
     The binary maps preserve extremal tails: an unbounded trailing
     1-run is never a closed block (so never erased) and a trailing 0^inf
@@ -444,21 +507,34 @@ def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
     their images agree to depth m = modulus(|w|) <= |w|, and the first m
     of the |w| + 9 letters of a's image word give the target interval I'.
     """
-    _require_embeddable(scheme, sys)
     syms = scheme.alphabet.symbols
     bot, top = syms[0], syms[-1]
-    w = gap.parent
     images = []
-    for child, tail in ((w + syms[gap.index], top),
-                        (w + syms[gap.index + 1], bot)):
+    for child, tail in ((w + syms[j], top), (w + syms[j + 1], bot)):
         d = len(child) + 8
         images.append(step_prefix(
             sys, child + tail * (sys.lookahead(d) - len(child)), d))
-    fa = scheme.interval_of_word(images[0].rstrip(top))[1]
-    fb = scheme.interval_of_word(images[1].rstrip(bot))[0]
-    m = sys.modulus(len(w))
-    t_lo, t_hi = scheme.interval_of_word(images[0][:m])
-    return GapMap(gap.a, gap.b, fa, fb, t_lo, t_hi)
+    words = (images[0].rstrip(top), images[1].rstrip(bot),
+             images[0][:sys.modulus(len(w))])
+    scheme._integer_layout(max(map(len, words)) - 1)   # one D for all three
+    (_, fa, den), (fb, _, _), (t_lo, t_hi, _) = map(scheme._span, words)
+    return den, fa, fb, t_lo, t_hi
+
+
+def _gap_form(scheme: CantorScheme, sys: SystemSpec, n: int, index: int,
+              a: int, b: int, den: int):
+    """The integer form of the gap map across the gap (a/den, b/den) that
+    ``_descend`` found right after level-n interval ``index``."""
+    big, *ends = _image_ends(scheme, sys, *_gap_owner(scheme, n, index))
+    r = big // den      # the table's D only grows by multiples
+    return _integer_form_of(big, a * r, b * r, *ends)
+
+
+def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
+    """Build the three-piece extension of f across ``gap``."""
+    _require_embeddable(scheme, sys)
+    den, *ends = _image_ends(scheme, sys, gap.parent, gap.index)
+    return GapMap(gap.a, gap.b, *(Fraction(x, den) for x in ends))
 
 
 def f_eval(scheme: CantorScheme, sys: SystemSpec, y: Fraction,
@@ -501,87 +577,6 @@ class EscapeResult:
                 "sigma": self.sigma}
 
 
-_BLOCK = 8    # levels per numpy descent: 2^8 descendant offsets per block
-# _DIGITS[d]: the letters of block descendant d, first level first
-_DIGITS = (np.arange(2 ** _BLOCK)[:, None]
-           >> np.arange(_BLOCK - 1, -1, -1)) & 1
-# the number of trailing 1-bits of each block descendant index
-_TRAILING_ONES = np.array([(~d & (d + 1)).bit_length() - 1
-                           for d in range(2 ** _BLOCK)])
-
-
-def _descent_blocks(scheme: CantorScheme, depth: int):
-    """(D, blocks) for descending a binary scheme to ``depth`` in blocks.
-
-    D is the level table cut to ``depth`` and divided by the gcd of its
-    entries, so it does not depend on how far the table has grown.  Each
-    block is (L, m, offsets, child): the m <= 8 levels from L on, the
-    2^m offsets of the level-(L+m) descendants from the left end of
-    their level-L ancestor (the same for every level-L interval, sorted
-    because the children are), and the descendants' length, all times D.
-    The arrays are int64 while D has at most 62 bits, so that no value
-    nor a value plus one overflows, and Python ints otherwise.
-    """
-    den, levels = scheme._integer_layout(depth - 1)
-    levels = levels[:depth]
-    g = math.gcd(den, *(x for row in levels for x in row))
-    dtype = np.int64 if (den // g).bit_length() <= 62 else object
-    blocks = []
-    for start in range(0, depth, _BLOCK):
-        rows = levels[start:start + _BLOCK]
-        m = len(rows)
-        offsets = (_DIGITS[:2 ** m, _BLOCK - m:]
-                   @ np.array([s // g for s, _ in rows], dtype))
-        blocks.append((start, m, offsets, rows[-1][1] // g))
-    return den // g, blocks
-
-
-def _gaps_of(den: int, blocks, points):
-    """The samples among ``points`` (p, q) that lie strictly inside a gap
-    of level < depth, as tuples (i, n, index, a, b): ``points[i]`` lies in
-    the gap (a/D, b/D) of the level-n word numbered ``index``.
-
-    Each block is one ``searchsorted`` of every live sample's offset
-    t = floor(y*D) - lo*D within its level-L interval: the descendant d
-    is the last whose offset is <= t, and y lies right of it, strictly
-    inside a gap, exactly when t - offset_d + [y*D is not an integer]
-    exceeds the descendant length (the rule of ``_descend``).  The gap
-    between descendants d and d+1 belongs to their last common ancestor,
-    r levels up for r the trailing 1-bits of d, and is that ancestor's
-    gap 0.
-    """
-    if not blocks:          # depth 0: nothing lies in a gap
-        return []
-    whole, frac = [], []
-    for p, q in points:
-        t, rem = divmod(p * den, q)
-        whole.append(t)
-        frac.append(rem != 0)
-    dtype = blocks[0][2].dtype
-    y = np.array(whole, dtype)              # floor(y*D)
-    t, up = y, np.array(frac, bool)
-    live = np.arange(len(points))
-    word = np.zeros(len(points), dtype)     # index of the level-L word
-    found = []
-    for start, m, offsets, child in blocks:
-        d = np.searchsorted(offsets, t, side="right") - 1
-        t = t - offsets[d]
-        gap = t + up > child
-        if gap.any():
-            dg = d[gap]
-            r = _TRAILING_ONES[dg]
-            lo = y[gap] - t[gap]
-            index = (word[gap] << (m - 1 - r)) | (dg >> (r + 1))
-            found += zip(live[gap].tolist(), (start + m - 1 - r).tolist(),
-                         index.tolist(), (lo + child).tolist(),
-                         (lo + offsets[dg + 1] - offsets[dg]).tolist())
-            keep = ~gap
-            live, y, t, up, word, d = (live[keep], y[keep], t[keep],
-                                       up[keep], word[keep], d[keep])
-        word = (word << m) | d
-    return found
-
-
 def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
                     samples: int, master_seed: int, depth: int,
                     ) -> EscapeResult:
@@ -596,7 +591,7 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
 
     The samples are the first ``samples`` draws of
     ``default_rng(master_seed).integers(0, 2**53)`` over 2^53, drawn at
-    once; each step descends all samples still in gaps together.
+    once; each step descends every sample still in a gap.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -610,21 +605,22 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     q = 2 ** 53
     draws = np.random.default_rng(master_seed).integers(0, q, size=samples)
     points = [(p, q) for p in draws.tolist()]
-    den, blocks = _descent_blocks(scheme, depth)
-    cache: dict = {}
-    for step in range(iterations + 1):
-        found = _gaps_of(den, blocks, points)
-        if step == iterations or not found:
-            break
+    scheme._integer_layout(depth - 1)   # the blocks then reach ``depth``
+    forms: dict = {}   # gap -> integer form, keyed as _descend names it
+    for _ in range(iterations):
         images = []
-        for i, n, index, a, b in found:
-            gm = cache.get((n, index, 0))
-            if gm is None:
-                gm = cache[n, index, 0] = gap_map(
-                    scheme, sys, _gap_at(scheme, n, index, 0, a, b, den))
-            images.append(gm._image(*points[i]))
+        for (p, q), (n, index, a, b, den) in zip(
+                points, _descend(scheme, points, depth)):
+            if a is None:
+                continue                    # absorbed
+            form = forms.get((n, index))
+            if form is None:
+                form = forms[n, index] = _gap_form(scheme, sys, n, index, a,
+                                                   b, den)
+            images.append(_image(form, p, q))
         points = images
-    escaped = len(found)
+    escaped = sum(hit[2] is not None
+                  for hit in _descend(scheme, points, depth))
     frac = Fraction(escaped, samples)
     p = float(frac)
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)
@@ -638,6 +634,7 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
 
 def export_intervals(scheme: CantorScheme, depth: int, stream) -> int:
     """Write the endpoint tree to ``depth`` as CSV; returns the row count."""
+    scheme._integer_layout(depth - 1)   # grown once, not level by level
     writer = csv.writer(stream)
     writer.writerow(["word", "lo_num", "lo_den", "hi_num", "hi_den"])
     rows = 0

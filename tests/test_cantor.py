@@ -16,7 +16,8 @@ from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.space import (ALPHA_01S, Constant, Periodic, Sampler,
                           binary_config)
-from symdyn.systems import pi1_system, pi2_system, shift_system, sigma2_system
+from symdyn.systems import (pi1_system, pi2_system, shift_system,
+                            sigma2_system, step_prefix)
 
 F = Fraction
 NEVER = OracleTable.programmed_table([])
@@ -141,11 +142,130 @@ def reference_escaped(scheme, sys, iterations, samples, master_seed, depth):
     return escaped
 
 
+def reference_descend(scheme, p, q, depth):
+    """The level-by-level integer descent the block descent replaced, for
+    one point y = p/q: (n, index, j, a, b, D), where j is None when y lies
+    in the level-depth interval numbered ``index``, and otherwise y lies
+    strictly inside the j-th gap (a/D, b/D) of the level-n word numbered
+    ``index``.  One floor division per level, growing the table by the
+    level it reads next."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    den, levels = scheme._grid
+    yd, rem = divmod(p * den, q)
+    t, frac = yd, rem != 0
+    k, index = scheme.k, 0
+    for n in range(depth):
+        if n == len(levels):
+            lo = yd - t
+            d, levels = scheme._integer_layout(n)
+            lo *= d // den
+            den = d
+            yd, rem = divmod(p * den, q)
+            t, frac = yd - lo, rem != 0
+        stride, child = levels[n]
+        j, t = divmod(t, stride)
+        if t + frac > child:  # strictly inside the gap right of child j
+            start = yd - t
+            return n, index, j, start + child, start + stride, den
+        index = index * k + j
+    return depth, index, None, 0, 0, den
+
+
+def reference_gap_at(scheme, n, index, j, a, b, den):
+    """The gap a ``reference_descend`` that stopped in one names."""
+    return GapLocation(scheme._word_at(n, index), j, F(a, den), F(b, den))
+
+
+_BLOCK = 8    # levels per numpy descent: 2^8 descendant offsets per block
+# _DIGITS[d]: the letters of block descendant d, first level first
+_DIGITS = (np.arange(2 ** _BLOCK)[:, None]
+           >> np.arange(_BLOCK - 1, -1, -1)) & 1
+# the number of trailing 1-bits of each block descendant index
+_TRAILING_ONES = np.array([(~d & (d + 1)).bit_length() - 1
+                           for d in range(2 ** _BLOCK)])
+
+
+def reference_descent_blocks(scheme, depth):
+    """(D, blocks) of the numpy batch descent of a binary scheme: the table
+    cut to ``depth`` and divided by the gcd of its entries; each block is
+    (L, m, offsets, child) for the m <= 8 levels from L on, in int64 while
+    D has at most 62 bits and Python-int object arrays past that."""
+    den, levels = scheme._integer_layout(depth - 1)
+    levels = levels[:depth]
+    g = math.gcd(den, *(x for row in levels for x in row))
+    dtype = np.int64 if (den // g).bit_length() <= 62 else object
+    blocks = []
+    for start in range(0, depth, _BLOCK):
+        rows = levels[start:start + _BLOCK]
+        m = len(rows)
+        offsets = (_DIGITS[:2 ** m, _BLOCK - m:]
+                   @ np.array([s // g for s, _ in rows], dtype))
+        blocks.append((start, m, offsets, rows[-1][1] // g))
+    return den // g, blocks
+
+
+def reference_gaps_of(den, blocks, points):
+    """The numpy batch descent the one Python descent replaced: the
+    samples among ``points`` (p, q) strictly inside a gap of level < depth,
+    as tuples (i, n, index, a, b) with the gap (a/D, b/D) of the level-n
+    word numbered ``index``; one ``searchsorted`` per block for all live
+    samples."""
+    if not blocks:          # depth 0: nothing lies in a gap
+        return []
+    whole, frac = [], []
+    for p, q in points:
+        t, rem = divmod(p * den, q)
+        whole.append(t)
+        frac.append(rem != 0)
+    dtype = blocks[0][2].dtype
+    y = np.array(whole, dtype)              # floor(y*D)
+    t, up = y, np.array(frac, bool)
+    live = np.arange(len(points))
+    word = np.zeros(len(points), dtype)     # index of the level-L word
+    found = []
+    for start, m, offsets, child in blocks:
+        d = np.searchsorted(offsets, t, side="right") - 1
+        t = t - offsets[d]
+        gap = t + up > child
+        if gap.any():
+            dg = d[gap]
+            r = _TRAILING_ONES[dg]
+            lo = y[gap] - t[gap]
+            index = (word[gap] << (m - 1 - r)) | (dg >> (r + 1))
+            found += zip(live[gap].tolist(), (start + m - 1 - r).tolist(),
+                         index.tolist(), (lo + child).tolist(),
+                         (lo + offsets[dg + 1] - offsets[dg]).tolist())
+            keep = ~gap
+            live, y, t, up, word, d = (live[keep], y[keep], t[keep],
+                                       up[keep], word[keep], d[keep])
+        word = (word << m) | d
+    return found
+
+
+def reference_gap_map(scheme, sys, gap):
+    """``gap_map`` as built from ``Fraction`` endpoints through
+    ``interval_of_word``, before the integer gap values."""
+    syms = scheme.alphabet.symbols
+    bot, top = syms[0], syms[-1]
+    w = gap.parent
+    images = []
+    for child, tail in ((w + syms[gap.index], top),
+                        (w + syms[gap.index + 1], bot)):
+        d = len(child) + 8
+        images.append(step_prefix(
+            sys, child + tail * (sys.lookahead(d) - len(child)), d))
+    fa = scheme.interval_of_word(images[0].rstrip(top))[1]
+    fb = scheme.interval_of_word(images[1].rstrip(bot))[0]
+    t_lo, t_hi = scheme.interval_of_word(images[0][:sys.modulus(len(w))])
+    return cantor.GapMap(gap.a, gap.b, fa, fb, t_lo, t_hi)
+
+
 def reference_escape_loop(scheme, sys, iterations, samples, master_seed,
                           depth):
     """The per-sample escape loop the batch descent replaced: one scalar
-    draw per sample, then one ``_descend`` per step, with the gap maps
-    kept per call under (n, index, j)."""
+    draw per sample, then one ``reference_descend`` per step, with the gap
+    maps kept per call under (n, index, j)."""
     rng = np.random.default_rng(master_seed)
     den = 2 ** 53
     cache = {}
@@ -153,7 +273,7 @@ def reference_escape_loop(scheme, sys, iterations, samples, master_seed,
     for _ in range(samples):
         p, q = int(rng.integers(0, den)), den
         for step in range(iterations + 1):
-            found = cantor._descend(scheme, p, q, depth)
+            found = reference_descend(scheme, p, q, depth)
             if found[2] is None:
                 break                      # absorbed
             if step == iterations:
@@ -162,8 +282,8 @@ def reference_escape_loop(scheme, sys, iterations, samples, master_seed,
             key = found[:3]
             gm = cache.get(key)
             if gm is None:
-                gm = cache[key] = gap_map(scheme, sys,
-                                          cantor._gap_at(scheme, *found))
+                gm = cache[key] = reference_gap_map(
+                    scheme, sys, reference_gap_at(scheme, *found))
             p, q = gm._image(p, q)
     return escaped
 
@@ -366,6 +486,13 @@ def test_distortion_implication(scheme):
             assert dist >= F(1, 2 ** n) * (1 - scheme.contraction(n - 1))
 
 
+def test_symbols_outside_the_alphabet_are_refused():
+    for s, w in ((CantorScheme(), "01x"), (CantorScheme(ALPHA_01S), "0S2")):
+        with pytest.raises(ValueError,
+                           match=f"symbol '{w[-1]}' outside scheme alphabet"):
+            s.interval_of_word(w)
+
+
 def test_ternary_scheme_identities():
     s3 = CantorScheme(ALPHA_01S)
     for n in range(5):
@@ -437,6 +564,99 @@ def test_locate_rejects_outside_points(scheme):
             locate(scheme, y, 4)
 
 
+def _descent_points(make):
+    """0, 1, interval endpoints, gap endpoints and interiors at shallow
+    levels and at levels on both sides of block boundaries, and random
+    rationals."""
+    s, rng = make(), random.Random(9)
+    points = {F(0), F(1), *_landmarks(s, 3 if s.k == 2 else 2)}
+    for n in (7, 8, 9, 15, 16, 17, 23, 24, 31, 40, 47, 48, 49):
+        w = "".join(rng.choice(s.alphabet.symbols) for _ in range(n))
+        points.update(s.interval_of_word(w))
+        g = s.gap(w, rng.randrange(s.k - 1))
+        points.update((g.a, g.b, (g.a + g.b) / 2, g.a + (g.b - g.a) / 2 ** 60))
+    for q in (2 ** 53, 3 ** 30, rng.randrange(1, 10 ** 15)):
+        points.update(F(rng.randrange(q + 1), q) for _ in range(8))
+    return sorted(points)
+
+
+def _named(scheme, found):
+    """A block descent's answer as (n, index, None) for a level-depth
+    interval, or as the gap's (parent word, j, a, b) with a and b as
+    Fractions, so that answers over different table denominators
+    compare."""
+    n, index, a, b, den = found
+    if a is None:
+        return n, index, None
+    return (*cantor._gap_owner(scheme, n, index), F(a, den), F(b, den))
+
+
+def _named_reference(scheme, found):
+    """``_named`` for a ``reference_descend`` answer."""
+    n, index, j, a, b, den = found
+    if j is None:
+        return n, index, None
+    return scheme._word_at(n, index), j, F(a, den), F(b, den)
+
+
+_TABLES = {"fresh": None, "grown-48": 47, "grown-21": 20}
+
+
+@pytest.mark.parametrize("table", _TABLES)
+@pytest.mark.parametrize("name", _SCHEMES)
+def test_descent_matches_both_references(name, table):
+    # the block descent against the level-by-level one and, on the binary
+    # schemes, the numpy batch one, at depths 0-50 on tables fresh, grown
+    # to 6 complete blocks and grown to a depth that is not a multiple of 8
+    make = _SCHEMES[name]
+    points = _descent_points(make)
+    pq = [(y.numerator, y.denominator) for y in points]
+    for depth in range(51):
+        s = make()
+        if _TABLES[table] is not None:
+            s._integer_layout(_TABLES[table])
+        got = [_named(s, hit) for hit in cantor._descend(s, pq, depth)]
+        ref = make()
+        want = [_named_reference(ref, reference_descend(ref, p, q, depth))
+                for p, q in pq]
+        assert got == want, depth
+        if s.k == 2:
+            den, blocks = reference_descent_blocks(ref, depth)
+            batch = {i: (ref._word_at(n, index), 0, F(a, den), F(b, den))
+                     for i, n, index, a, b
+                     in reference_gaps_of(den, blocks, pq)}
+            assert {i: g for i, g in enumerate(got) if len(g) > 3} == batch, \
+                depth
+
+
+@pytest.mark.parametrize("name", _SCHEMES)
+def test_descent_blocks_follow_the_table(name):
+    # each block lists, for the descendants m levels below any interval,
+    # 2 * (left end - its left end) and 2 * (right end - its left end) + 1
+    # over D, and their level; kept while the table stands, rebuilt once
+    # it grows
+    s = _SCHEMES[name]()
+    m = s._m
+    assert s.k ** m <= 256 < s.k ** (m + 1)
+    for n in range(-1, 20):
+        (den, levels), blocks = held = s._descent_table()
+        assert (den, levels) == s._grid and s._descent_table() is held
+        assert len(blocks) == len(levels) // m
+        for b, (ends, level) in enumerate(blocks):
+            assert level == (b + 1) * m
+            w = s.alphabet.symbols[-1] * (b * m)
+            lo = s._span(w)[0]
+            want = []
+            for d in range(s.k ** m):
+                dlo, dhi, dden = s._span(w + s._word_at(m, d))
+                assert dden == den
+                want += [2 * (dlo - lo), 2 * (dhi - lo) + 1]
+            assert ends == want, (n, b)
+        assert s._grid == (den, levels)         # read without growing
+        s._integer_layout(n + 1)
+        assert s._descent_table() is not held
+
+
 def test_gap_map_matches_three_piece_formula(scheme, worked):
     rng = random.Random(5)
     for sys in (shift_system(), pi1_system(worked)):
@@ -486,6 +706,37 @@ def test_integer_form_matches_per_piece_fractions(scheme, worked, name):
             assert _chosen_piece(gm._integer_form, p, q) == i, (w, y)
             u, v, w_ = ref[2][i]
             assert F(*gm._image(p, q)) == F(u * p + v * q, w_ * q), (w, y)
+
+
+def _normal_form(form):
+    """An integer form's breakpoints as Fractions and its pieces."""
+    g, xs, pieces = form
+    return [F(x, g) for x in xs], list(pieces)
+
+
+@pytest.mark.parametrize("table", ["worked", "parity"])
+@pytest.mark.parametrize("make", [lambda t: shift_system(), pi1_system,
+                                  sigma2_system],
+                         ids=["shift", "pi1", "sigma2"])
+def test_integer_gap_maps_match_fraction_construction(make, table, request):
+    # every gap to depth 10: gap_map against the Fraction construction,
+    # all six values and the integer form; and the escape loop's form,
+    # built from the gap its descent names, against the same
+    sys = make(request.getfixturevalue(table))
+    s, ref = CantorScheme(), CantorScheme()
+    for w in s.words(10):
+        want = reference_gap_map(ref, sys, ref.gap(w, 0))
+        form = _normal_form(reference_integer_form(want))
+        gm = gap_map(s, sys, s.gap(w, 0))
+        assert gm == want, w
+        assert _normal_form(gm._integer_form) == form, w
+        mid = (want.a + want.b) / 2
+        [(n, index, a, b, den)] = cantor._descend(
+            s, [(mid.numerator, mid.denominator)], 11)
+        assert (*cantor._gap_owner(s, n, index), F(a, den), F(b, den)) \
+            == (w, 0, want.a, want.b)
+        built = cantor._gap_form(s, sys, n, index, a, b, den)
+        assert built[0] % den == 0 and _normal_form(built) == form, w
 
 
 def test_gap_map_steps_two_image_words(scheme, worked, monkeypatch):
@@ -556,18 +807,7 @@ def _grown_scheme():
 @pytest.mark.parametrize("grown", [False, True], ids=["fresh", "grown"])
 @pytest.mark.parametrize("depth", [0, 1, 7, 8, 9, 16, 17, 29, 30,
                                    *range(31, 41)])
-def test_batch_escape_matches_per_sample_loop(worked, monkeypatch, depth,
-                                              grown):
-    # the descent runs on int64 while the reduced D fits in 62 bits
-    # (depth <= 30 here) and on Python ints past that
-    dtypes = set()
-    searchsorted = np.searchsorted
-
-    def spy(a, v, **kwargs):
-        dtypes.add(a.dtype)
-        return searchsorted(a, v, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", spy)
+def test_batch_escape_matches_per_sample_loop(worked, depth, grown):
     sys = pi1_system(worked)
     cases = [(0, 60, 1), (1, 60, 2), (3, 40, 3), (2, 1, 4), (0, 1, 5)]
     for iterations, samples, seed in cases:
@@ -578,23 +818,19 @@ def test_batch_escape_matches_per_sample_loop(worked, monkeypatch, depth,
         assert got.escaped == want, (iterations, samples, seed)
         assert want == reference_escaped(CantorScheme(), sys, iterations,
                                          samples, seed, depth)
-    if depth == 0:
-        assert dtypes == set()
-    else:
-        assert dtypes == {np.dtype(np.int64 if depth <= 30 else object)}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 40])
 def test_escape_samples_are_the_scalar_draws(monkeypatch, seed):
     first = []
-    gaps_of = cantor._gaps_of
+    descend = cantor._descend
 
-    def spy(den, blocks, points):
+    def spy(scheme, points, depth):
         if not first:
             first.extend(points)
-        return gaps_of(den, blocks, points)
+        return descend(scheme, points, depth)
 
-    monkeypatch.setattr(cantor, "_gaps_of", spy)
+    monkeypatch.setattr(cantor, "_descend", spy)
     escape_fraction(CantorScheme(), shift_system(), 0, 2000, seed, 4)
     rng = np.random.default_rng(seed)
     assert first == [(int(rng.integers(0, 2 ** 53)), 2 ** 53)
@@ -727,3 +963,15 @@ def test_export_csv(scheme):
     assert lines[0] == "word,lo_num,lo_den,hi_num,hi_den"
     assert lines[1] == ",0,1,1,1"
     assert lines[2] == "0,0,1,3,8"
+
+
+def test_export_refuses_a_flat_measure_before_writing():
+    # c_4 = c_3: the table is grown to the full depth before the header,
+    # so the refusal leaves the stream empty
+    flat = CantorScheme(
+        level_measure=lambda n: F(1, 2) + F(1, 2 ** min(n + 1, 4)),
+        limit=F(9, 16))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="not strictly decreasing at 3"):
+        export_intervals(flat, 5, buf)
+    assert buf.getvalue() == ""
