@@ -5,7 +5,7 @@ The package provides, in order of dependency:
 - :mod:`symdyn.oracle` — Turing-machine numbering, bounded simulation,
   and programmed/enumerated halting-oracle tables;
 - :mod:`symdyn.space` — configurations, cylinders, tails, the 1-run
-  scanner for finite words, and ``FrontierUnresolved``;
+  scanner, ``FrontierUnresolved`` and ``ArgumentRefused``;
 - :mod:`symdyn.pi2` — the three-symbol zone automaton, its product
   variants, and a long-orbit engine;
 - :mod:`symdyn.systems` — ``SystemId`` (one row of facts per system),
@@ -21,10 +21,11 @@ The package provides, in order of dependency:
 from .oracle import (INF, Answer, Entry, HaltQuery, OracleTable, QueryKind,
                      TMSpec, decode_machine, encode_machine, simulate_tm,
                      table_from_json, table_to_json)
-from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, Configuration,
-                    Constant, Cylinder, FrontierUnresolved, Periodic, Sampler,
-                    Scheduled, Tail, binary_config, config_from_json,
-                    config_to_json, parse_blocks, rich_configuration)
+from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, ArgumentRefused,
+                    Configuration, Constant, Cylinder, FrontierUnresolved,
+                    Periodic, Sampler, Scheduled, Tail, binary_config,
+                    config_from_json, config_to_json, parse_blocks,
+                    rich_configuration)
 from .pi2 import ProductConfiguration, ZoneEngine, gate_allows
 from .systems import (EraseKind, SystemId, SystemSpec, erase_map_prefix, orbit,
                       orbit_window_counts, orbit_windows, pi1_system,

@@ -28,9 +28,9 @@ import numpy as np
 
 from .oracle import OracleTable, TableRefused
 from .pi2 import ZoneRule
-from .space import Configuration, Cylinder, parse_blocks
+from .space import ArgumentRefused, Configuration, Cylinder, parse_blocks
 from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
-                      orbit_window_counts, orbit_windows)
+                      check_budget, orbit_window_counts, orbit_windows)
 
 YES, NO, UNKNOWN = "yes", "no", "unknown_within_budget"
 
@@ -111,9 +111,10 @@ def attractor_meets(system_id: SystemId, c: Cylinder, oracle: OracleTable,
                     budget: Optional[int] = None) -> MeetsVerdict:
     """Does the cylinder meet the attractor of the given system?"""
     if c.position != 0:
-        raise ValueError("membership predicates are defined at position 0")
+        raise ArgumentRefused("predicates are defined at position 0")
     if system_id is SystemId.SHIFT:
-        raise ValueError(f"no attractor predicate for {system_id}")
+        raise ArgumentRefused(f"no attractor predicate for {system_id}")
+    check_budget(budget)
     w = c.word
     bad = w.translate(system_id.alphabet.absent)    # its cylinder is empty
     if bad:
@@ -146,8 +147,8 @@ class OmegaProfile:
     horizon: int
 
     def project(self, depth: int) -> "OmegaProfile":
-        if depth > self.depth:
-            raise ValueError("cannot project to a greater depth")
+        if not 0 <= depth <= self.depth:
+            raise ArgumentRefused(f"cannot project to depth {depth}")
         return OmegaProfile(depth, frozenset(_project_key(w, depth)
                                              for w in self.words),
                             self.burn_in, self.horizon)
@@ -157,7 +158,7 @@ def omega_profile(sys: SystemSpec, x, burn_in: int, horizon: int,
                   depth: int) -> OmegaProfile:
     """The set of depth-L windows visited in [burn_in, horizon)."""
     if burn_in >= horizon:
-        raise ValueError("need burn_in < horizon")
+        raise ArgumentRefused("need burn_in < horizon")
     seen = frozenset(orbit_window_counts(sys, x, burn_in, horizon, depth))
     return OmegaProfile(depth, seen, burn_in, horizon)
 
@@ -172,8 +173,8 @@ class EmpiricalMeasure:
         return Fraction(self.counts.get(word, 0), self.total)
 
     def project(self, depth: int) -> "EmpiricalMeasure":
-        if depth > self.depth:
-            raise ValueError("cannot project to a greater depth")
+        if not 0 <= depth <= self.depth:
+            raise ArgumentRefused(f"cannot project to depth {depth}")
         agg: Counter = Counter()
         for w, c in self.counts.items():
             agg[_project_key(w, depth)] += c
@@ -195,7 +196,7 @@ def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
                       start: int = 0) -> EmpiricalMeasure:
     """Counts of depth-L windows over iterates start .. start+n-1."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArgumentRefused("need n >= 1")
     counts = orbit_window_counts(sys, x, start, start + n, depth)
     return EmpiricalMeasure(depth, counts, n)
 
@@ -216,7 +217,7 @@ def pushforward_average(sys: SystemSpec,
     evaluation order.
     """
     if samples < 1:
-        raise ValueError("need samples >= 1")
+        raise ArgumentRefused("need samples >= 1")
     agg: Counter = Counter()
     for i in range(samples):
         x = make_config(derived_seed(master_seed, i))
@@ -235,8 +236,8 @@ def realm_visit_check(sys: SystemSpec, seeds: Sequence, target: Cylinder,
                       k: int, n: int, m: int) -> Optional[FoundWitness]:
     """First (seed, t), n <= t <= m, whose window meets the depth-k
     neighbourhood of the target cylinder; None when no orbit does."""
-    if n > m:
-        raise ValueError("need n <= m")
+    if not 0 <= n <= m or k < 0:
+        raise ArgumentRefused(f"need 0 <= n <= m, k >= 0: {n}, {m}, {k}")
     word = target.word[:max(0, k - target.position)]
     lo, hi = target.position, target.position + len(word)
     for idx, x in enumerate(seeds):
@@ -259,7 +260,7 @@ def u_st_member(x, s: int, t: int, depth: int) -> Optional[bool]:
     (the predicate is open; absence cannot be certified).
     """
     if s < 1:
-        raise ValueError("need s >= 1")
+        raise ArgumentRefused("need s >= 1")
     w1, w2 = x.materialize(max(s, 2 * depth + s))
     if len(w1) < s or "S" in w1[:s - 1] or w1[s - 1] != "S":
         return False
@@ -336,8 +337,8 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
     if not oracle.programmed:
         raise TableRefused("tilde_mu needs a programmed table")
     p = Fraction(p)
-    if not 0 < p < 1:
-        raise ValueError("need 0 < p < 1")
+    if not 0 < p < 1 or L < 0:
+        raise ArgumentRefused(f"need 0 < p < 1 and depth >= 0, got {p}, {L}")
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     l_cuts, g_cuts, verdicts = _verdict_classes(oracle, kind)

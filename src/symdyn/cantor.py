@@ -51,7 +51,8 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .space import ALPHA_01, Alphabet, Configuration, Constant, Periodic, Tail
+from .space import (ALPHA_01, Alphabet, ArgumentRefused, Configuration,
+                    Constant, Periodic, Tail)
 from .systems import SystemSpec, step_prefix
 
 ZERO = Fraction(0)
@@ -83,11 +84,11 @@ class CantorScheme:
         self.alphabet = alphabet
         self.k = len(alphabet.symbols)
         if self.k < 2:
-            raise ValueError("scheme needs at least two symbols")
+            raise ArgumentRefused("scheme needs at least two symbols")
         self._c = level_measure
         self.limit = Fraction(limit)
         if not ZERO < self.limit < self._c(0) == ONE:
-            raise ValueError("need c_0 = 1 and limit in (0, 1)")
+            raise ArgumentRefused("need c_0 = 1 and limit in (0, 1)")
         self._digit = {s: i for i, s in enumerate(alphabet.symbols)}
         self._m = 1      # levels per descent block: k^m <= 256 descendants
         while self.k ** (self._m + 1) <= 256:
@@ -115,7 +116,7 @@ class CantorScheme:
         try:
             lo = sum([digit[s] * row[0] for s, row in zip(w, levels)])
         except KeyError as e:
-            raise ValueError(
+            raise ArgumentRefused(
                 f"symbol {e.args[0]!r} outside scheme alphabet") from None
         return lo, lo + (levels[n - 1][1] if n else den), den
 
@@ -135,7 +136,7 @@ class CantorScheme:
     def gap(self, w: str, j: int) -> "GapLocation":
         """The j-th gap inside I_w (between children j and j+1)."""
         if not 0 <= j < self.k - 1:
-            raise ValueError("gap index out of range")
+            raise ArgumentRefused("gap index out of range")
         syms = self.alphabet.symbols
         a = self.interval_of_word(w + syms[j])[1]
         b = self.interval_of_word(w + syms[j + 1])[0]
@@ -286,8 +287,6 @@ def _descend(scheme: CantorScheme, points, depth: int):
     lies strictly inside the gap after one.  A walk that runs past the
     table grows it by the one level it reads next.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     k, m = scheme.k, scheme._m
     width = k ** m                  # descendants per block
     grid, out = None, []
@@ -354,7 +353,9 @@ def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
     """
     y = Fraction(y)
     if not ZERO <= y <= ONE:
-        raise ValueError("point outside [0, 1]")
+        raise ArgumentRefused("point outside [0, 1]")
+    if depth < 0:
+        raise ArgumentRefused("depth must be >= 0")
     [(n, index, a, b, den)] = _descend(
         scheme, [(y.numerator, y.denominator)], depth)
     if a is None:
@@ -365,6 +366,8 @@ def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
 
 def _word_depth_for(scheme: CantorScheme, precision: int) -> int:
     """Least d with k^{-d} <= 2^{-precision} (so |I_w| < 2^{-precision})."""
+    if precision < 0:
+        raise ArgumentRefused(f"precision must be >= 0, got {precision}")
     d = 0
     while scheme.k ** d < 2 ** precision:
         d += 1
@@ -394,12 +397,12 @@ def phi_point(scheme: CantorScheme, x: Configuration,
     symbol: phi(v 0^inf) and phi(v top^inf) are the outer endpoints of
     I_v, which the children at every deeper level share.
     """
+    d = _word_depth_for(scheme, precision)
     side = _constant_extreme(scheme, x.tail)
     if side is not None:
         lo, hi = scheme.interval_of_word(x.prefix)
         p = lo if side < 0 else hi
         return PointEnclosure(p, p)
-    d = _word_depth_for(scheme, precision)
     lo, hi = scheme.interval_of_word(x.materialize(d))
     return PointEnclosure(lo, hi)
 
@@ -410,12 +413,12 @@ def phi_point(scheme: CantorScheme, x: Configuration,
 
 def _require_embeddable(scheme: CantorScheme, sys: SystemSpec):
     if sys.id.alphabet is not ALPHA_01:
-        raise ValueError(
+        raise ArgumentRefused(
             "interval map supports binary-alphabet systems only; the "
             "three-symbol and product systems need exact values at "
             "S-extremal gap endpoints, which are not computable here")
     if scheme.alphabet.symbols != ALPHA_01.symbols:
-        raise ValueError("scheme alphabet must match the system alphabet")
+        raise ArgumentRefused("scheme alphabet must match the system alphabet")
 
 
 @dataclass(frozen=True)
@@ -594,13 +597,13 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     once; each step descends every sample still in a gap.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise ArgumentRefused("need at least one sample")
     if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+        raise ArgumentRefused("iterations must be >= 0")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise ArgumentRefused("depth must be >= 0")
     if master_seed < 0:
-        raise ValueError("master seed must be >= 0")
+        raise ArgumentRefused("master seed must be >= 0")
     _require_embeddable(scheme, sys)
     q = 2 ** 53
     draws = np.random.default_rng(master_seed).integers(0, q, size=samples)
@@ -634,6 +637,8 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
 
 def export_intervals(scheme: CantorScheme, depth: int, stream) -> int:
     """Write the endpoint tree to ``depth`` as CSV; returns the row count."""
+    if depth < 0:
+        raise ArgumentRefused(f"depth must be >= 0, got {depth}")
     scheme._integer_layout(depth - 1)   # grown once, not level by level
     writer = csv.writer(stream)
     writer.writerow(["word", "lo_num", "lo_den", "hi_num", "hi_den"])

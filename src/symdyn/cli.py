@@ -6,13 +6,21 @@ calls in one process is two pure caches: the default ``CantorScheme`` of the
 ``interval`` commands, whose level table gives the same values however
 far it has grown, and the oracle tables parsed from the last 16 file
 texts read, keyed by the text, so a rewritten file is parsed afresh.
-Exit codes: 0 success, 1 verification failure, 2 usage error, a table
-that cannot answer, or an orbit the input leaves undetermined.  Argument
-checks raise ``UsageError``, an undetermined orbit ``FrontierUnresolved``.
-Whether a table can answer is the library's rule: it raises
-``TableRefused`` or ``WorkCapExceeded``, and the commands do not check it
-first.  Any other exception is a fault in the program and ends the run
-with its traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error, a refused
+argument or table, or an orbit the input leaves undetermined.  The
+library refuses arguments and tables (``ArgumentRefused``,
+``TableRefused``, ``WorkCapExceeded``) and undetermined orbits
+(``FrontierUnresolved``); the commands do not check first.  They raise
+``UsageError`` on what only they read (descriptor and number syntax,
+``--oracle``) and in the checks the library cannot make: ``orbit
+--window >= 1`` and ``--steps >= 0`` (the library accepts both, and
+``omega --depth 0`` reads width 0); ``orbit --start`` and ``interval
+export --depth`` >= 0 (refused there only after ``--out`` is opened); a
+``bernoulli=`` weight in [0, 1], read exactly (the sampler's float reads
+1.00000000000000001 as 1); ``meets`` on the shift (refused before
+``--oracle`` is read); ``meets --budget`` on a programmed table.  Any
+other exception is a fault in the program and ends the run with its
+traceback.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from . import analysis, cantor, systems, verify
 from .oracle import (OracleTable, TableRefused, WorkCapExceeded,
                      table_from_json)
 from .pi2 import ProductConfiguration
-from .space import (ALPHA_01, ALPHA_AB, Alphabet, Configuration, Constant,
-                    Cylinder, FrontierUnresolved, Periodic, Sampler,
+from .space import (ALPHA_AB, Alphabet, ArgumentRefused, Configuration,
+                    Constant, Cylinder, FrontierUnresolved, Periodic, Sampler,
                     Scheduled)
 from .systems import EraseKind, SystemId, SystemSpec
 
@@ -43,13 +51,6 @@ def _need(ok: bool, message: str) -> None:
     """An argument check: raise ``UsageError(message)`` unless ``ok``."""
     if not ok:
         raise UsageError(message)
-
-
-def _need_nonnegative(args, *names: str) -> None:
-    """``_need`` that each named integer option is >= 0."""
-    for name in names:
-        _need(getattr(args, name) >= 0,
-              f"--{name.replace('_', '-')} must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +72,10 @@ def parse_descriptor(text: str, alphabet: Alphabet,
             raise UsageError(f"unknown descriptor field {part!r}")
     if tail_spec is None:
         raise UsageError("descriptor needs a tail: field")
-    # the tail and the configuration refuse what does not fit the alphabet,
-    # and a sampler a negative seed
     try:
         return Configuration(alphabet, prefix,
                              _parse_tail(tail_spec, alphabet, default_seed))
-    except ValueError as ex:
+    except ArgumentRefused as ex:
         raise UsageError(str(ex))
 
 
@@ -136,15 +135,6 @@ def build_system(args) -> SystemSpec:
     return SystemSpec(sid, load_oracle(args.oracle))
 
 
-def build_binary_system(args) -> SystemSpec:
-    """A system for the interval map, which embeds {0,1} systems only."""
-    sys_spec = build_system(args)
-    _need(sys_spec.id.alphabet is ALPHA_01,
-          "the interval map supports the binary systems only: shift, pi1, "
-          "sigma2")
-    return sys_spec
-
-
 def build_config(sys_spec: SystemSpec, init: str, init2, seed: int):
     """The initial configuration from its descriptor(s); ``init2`` is the
     second layer of a product system."""
@@ -189,7 +179,8 @@ def parse_fraction(text: str) -> Fraction:
 
 def cmd_orbit(args) -> int:
     _need(args.window >= 1, "--window must be >= 1")
-    _need_nonnegative(args, "start", "steps")
+    _need(min(args.start, args.steps) >= 0,
+          "--start and --steps must be >= 0")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     rows = systems.orbit_windows(sys_spec, x, args.start,
@@ -208,8 +199,6 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    _need_nonnegative(args, "burn_in", "depth")
-    _need(args.burn_in < args.horizon, "need --burn-in < --horizon")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     prof = analysis.omega_profile(sys_spec, x, args.burn_in, args.horizon,
@@ -226,8 +215,6 @@ def cmd_omega(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _need(args.steps >= 1, "--steps must be >= 1")
-    _need_nonnegative(args, "start", "depth")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
     m = analysis.empirical_measure(sys_spec, x, args.steps, args.depth,
@@ -246,12 +233,9 @@ def cmd_meets(args) -> int:
     if sid is SystemId.SHIFT:
         raise UsageError("the shift has no attractor predicate; "
                          "pick pi1, sigma2, pi2 or a product system")
-    _need(args.position == 0, "attractor predicates are defined at "
-                              "--position 0")
     oracle = load_oracle(args.oracle)
     _need(args.budget is None or not oracle.programmed,
           "--budget is for enumerated oracles; this table is programmed")
-    _need(args.budget is None or args.budget >= 0, "--budget must be >= 0")
     cyl = Cylinder(args.cylinder, args.position)
     verdict = analysis.attractor_meets(sid, cyl, oracle, budget=args.budget)
     with out_stream(args.out) as fh:
@@ -264,8 +248,6 @@ def cmd_meets(args) -> int:
 def cmd_tilde_mu(args) -> int:
     oracle = load_oracle(args.oracle)
     p = parse_fraction(args.p)
-    _need(0 < p < 1, "--p must lie strictly between 0 and 1")
-    _need(args.depth is None or args.depth >= 0, "--depth must be >= 0")
     kind = EraseKind.PHI if args.kind == "phi" else EraseKind.PHI_PRIME
     if args.word is not None:
         table = {args.word: analysis.tilde_mu(oracle, p, args.word,
@@ -291,9 +273,6 @@ def cmd_tilde_mu(args) -> int:
 
 
 def cmd_realm(args) -> int:
-    _need_nonnegative(args, "match_depth", "position")
-    _need(args.t_from >= 0, "--from must be >= 0")
-    _need(args.t_from <= args.t_to, "need --from <= --to")
     sys_spec = build_system(args)
     seeds = [build_config(sys_spec, d, args.init2, args.seed + 17 * i)
              for i, d in enumerate(args.init)]
@@ -310,10 +289,8 @@ def cmd_realm(args) -> int:
 
 
 def cmd_interval_eval(args) -> int:
-    sys_spec = build_binary_system(args)
+    sys_spec = build_system(args)
     point = parse_fraction(args.point)
-    _need(0 <= point <= 1, "--point must lie in [0, 1]")
-    _need_nonnegative(args, "precision")
     enc = cantor.f_eval(_scheme(), sys_spec, point, args.precision)
     with out_stream(args.out) as fh:
         _write_json(fh, {"lower": _frac(enc.lower), "upper": _frac(enc.upper),
@@ -322,16 +299,14 @@ def cmd_interval_eval(args) -> int:
 
 
 def cmd_interval_export(args) -> int:
-    _need_nonnegative(args, "depth")
+    _need(args.depth >= 0, "--depth must be >= 0")
     with out_stream(args.out) as fh:
         cantor.export_intervals(_scheme(), args.depth, fh)
     return 0
 
 
 def cmd_interval_escape(args) -> int:
-    _need(args.samples >= 1, "--samples must be >= 1")
-    _need_nonnegative(args, "iterations", "depth", "seed")
-    sys_spec = build_binary_system(args)
+    sys_spec = build_system(args)
     res = cantor.escape_fraction(_scheme(), sys_spec, args.iterations,
                                  args.samples, args.seed, args.depth)
     with out_stream(args.out) as fh:
@@ -426,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tilde-mu",
                        help="the exact limit measure of windows")
     p.add_argument("--p", default="1/2", help="Bernoulli weight of symbol 1")
-    p.add_argument("--word", help="single window word")
-    p.add_argument("--depth", type=int, help="all words of this length")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--word", help="single window word")
+    which.add_argument("--depth", type=int, help="all words of this length")
     p.add_argument("--truncation", type=int, default=24)
     p.add_argument("--kind", choices=["phi", "phi-prime"], default="phi")
     _add_common(p, fmt="json")
@@ -497,8 +473,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, OSError, FrontierUnresolved, TableRefused,
-            WorkCapExceeded) as ex:
+    except (UsageError, OSError, ArgumentRefused, FrontierUnresolved,
+            TableRefused, WorkCapExceeded) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,8 @@ per-position maps, the attractor predicates and the limit measure read
 blocks through it.  The π2 zone engine, whose zones are ASCII byte
 buffers, scans them in place with the same 1-run rule over bytes
 (``_ONE_RUN_BYTES``).  A map raises ``FrontierUnresolved`` when a finite
-word is too short to fix its image.
+word is too short to fix its image, and an entry point
+``ArgumentRefused`` when it does not accept an argument's value.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class Alphabet:
 
     def __post_init__(self):
         if not self.symbols or len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet symbols must be nonempty and distinct")
+            raise ArgumentRefused("need one or more distinct symbols")
         if any(not isinstance(c, str) or len(c) != 1 for c in self.symbols):
-            raise ValueError(f"alphabet symbols must be single characters, "
-                             f"got {self.symbols!r}")
+            raise ArgumentRefused(f"alphabet symbols must be single "
+                                  f"characters, got {self.symbols!r}")
         object.__setattr__(self, "absent",
                            str.maketrans("", "", "".join(self.symbols)))
 
@@ -64,6 +65,10 @@ class FrontierUnresolved(Exception):
     """The supplied word is too short to determine the requested output."""
 
 
+class ArgumentRefused(ValueError):
+    """An argument value that a public entry point does not accept."""
+
+
 @dataclass(frozen=True)
 class Cylinder:
     word: str
@@ -71,7 +76,7 @@ class Cylinder:
 
     def __post_init__(self):
         if self.position < 0:
-            raise ValueError("cylinder position must be >= 0")
+            raise ArgumentRefused("cylinder position must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +127,15 @@ class Sampler(Tail):
     def __post_init__(self):
         # generate writes one UTF-32 code unit per draw
         if any(not isinstance(c, str) or len(c) != 1 for c in self.alphabet):
-            raise ValueError(f"sampler symbols must be single characters, "
-                             f"got {self.alphabet!r}")
+            raise ArgumentRefused(f"sampler symbols must be single "
+                                  f"characters, got {self.alphabet!r}")
         # generate draws with the probabilities weights / sum(weights)
         if not (all(math.isfinite(w) and w >= 0 for w in self.weights)
                 and 0 < sum(self.weights) < math.inf):
-            raise ValueError(f"sampler weights {self.weights!r} are not "
-                             "finite, nonnegative and not all zero")
+            raise ArgumentRefused(f"sampler weights {self.weights!r} are "
+                                  "not finite, nonnegative and not all zero")
         if self.seed < 0:
-            raise ValueError(f"sampler seed {self.seed} is negative")
+            raise ArgumentRefused(f"sampler seed {self.seed} is negative")
 
     def generate(self, n):
         rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -201,30 +206,30 @@ class Configuration:
         absent, t = self.alphabet.absent, self.tail
         bad = self.prefix.translate(absent)
         if bad:
-            raise ValueError(f"symbol {bad[0]!r} outside alphabet")
+            raise ArgumentRefused(f"symbol {bad[0]!r} outside alphabet")
         # materialize(n) returns n symbols over the alphabet only when each
         # cell a tail writes is one alphabet symbol
         if not isinstance(t, (Constant, Periodic, Sampler, Scheduled)):
-            raise ValueError(f"tail {t!r} is not a constant, periodic, "
-                             "sampler or scheduled tail")
+            raise ArgumentRefused(f"tail {t!r} is not a constant, periodic, "
+                                  "sampler or scheduled tail")
         if isinstance(t, Constant) and t.symbol not in self.alphabet:
-            raise ValueError(f"constant tail {t.symbol!r} is not one "
-                             "alphabet symbol")
+            raise ArgumentRefused(f"constant tail {t.symbol!r} is not one "
+                                  "alphabet symbol")
         if isinstance(t, Periodic) and (not isinstance(t.word, str)
                                         or not t.word
                                         or t.word.translate(absent)):
-            raise ValueError(f"periodic tail {t.word!r} is not a nonempty "
-                             "word over the alphabet")
+            raise ArgumentRefused(f"periodic tail {t.word!r} is not a "
+                                  "nonempty word over the alphabet")
         if isinstance(t, Sampler) and (len(t.weights) != len(t.alphabet) or
                                        "".join(t.alphabet).translate(absent)):
-            raise ValueError(f"sampler tail over {t.alphabet!r} with weights "
-                             f"{t.weights!r} does not fit the alphabet")
+            raise ArgumentRefused(f"sampler tail {t!r} does not fit the "
+                                  "alphabet")
         if isinstance(t, Scheduled):
             if t.enumerator not in LANGUAGES:
-                raise ValueError(f"unknown word enumerator {t.enumerator!r}")
+                raise ArgumentRefused(f"unknown language {t.enumerator!r}")
             if t.filler not in self.alphabet or "01".translate(absent):
-                raise ValueError(f"scheduled tail {t!r} writes symbols "
-                                 "outside the alphabet")
+                raise ArgumentRefused(f"scheduled tail {t!r} writes "
+                                      "symbols outside the alphabet")
 
     def materialize(self, n: int) -> str:
         """First ``n`` symbols; deterministic and prefix-consistent."""
@@ -249,7 +254,7 @@ def distance_exponent(x: Configuration, y: Configuration, depth: int):
     ``d(x, y) <= 2^-n`` exactly when this returns None for ``depth = n``.
     """
     if x.alphabet != y.alphabet:
-        raise ValueError("configurations over different alphabets")
+        raise ArgumentRefused("configurations over different alphabets")
     a, b = x.materialize(depth), y.materialize(depth)
     for i in range(depth):
         if a[i] != b[i]:
@@ -300,12 +305,12 @@ def config_to_json(x: Configuration) -> str:
 def config_from_json(text: str) -> Configuration:
     """The configuration ``config_to_json`` wrote; a document that is not
     an object, lacks a key or names an unknown tail kind raises
-    ``ValueError``."""
+    ``ArgumentRefused``."""
     doc = json.loads(text)
     t = doc.get("tail") if isinstance(doc, dict) else None
     if not isinstance(t, dict):
-        raise ValueError("a configuration is a JSON object whose tail is "
-                         "an object")
+        raise ArgumentRefused("a configuration is a JSON object whose tail "
+                              "is an object")
     try:
         kind = t["kind"]
         if kind == "constant":
@@ -318,8 +323,8 @@ def config_from_json(text: str) -> Configuration:
         elif kind == "scheduled":
             tail = Scheduled(t["language"], t["filler"])
         else:
-            raise ValueError(f"unknown tail kind {kind!r}")
+            raise ArgumentRefused(f"unknown tail kind {kind!r}")
         return Configuration(Alphabet(tuple(doc["alphabet"])), doc["prefix"],
                              tail)
     except KeyError as ex:
-        raise ValueError(f"configuration document lacks the key {ex}")
+        raise ArgumentRefused(f"configuration document lacks the key {ex}")

@@ -28,8 +28,8 @@ import numpy as np
 from . import pi2
 from .oracle import (INF, Answer, HaltQuery, OracleTable, QueryKind,
                      TableRefused)
-from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Configuration,
-                    FrontierUnresolved, parse_blocks)
+from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, ArgumentRefused,
+                    Configuration, FrontierUnresolved, parse_blocks)
 
 
 class EraseKind(Enum):
@@ -77,7 +77,7 @@ class SystemSpec:
     def __post_init__(self):
         sid, oracle = self.id, self.oracle
         if sid is not SystemId.SHIFT and oracle is None:
-            raise ValueError(f"{sid.value} needs an oracle table")
+            raise ArgumentRefused(f"{sid.value} needs an oracle table")
         object.__setattr__(self, "_rule", None if sid is SystemId.SHIFT
                            else pi2.ZoneRule(oracle) if sid.erase is None
                            else _rule(oracle, sid.erase))
@@ -239,12 +239,19 @@ def erases_now(oracle: OracleTable, kind: EraseKind):
     return _rule(oracle, kind).now
 
 
+def check_budget(budget: Optional[int]) -> None:
+    """Raise ArgumentRefused unless ``budget`` is None or >= 0."""
+    if budget is not None and budget < 0:
+        raise ArgumentRefused(f"budget must be >= 0, got {budget}")
+
+
 def block_fate(oracle: OracleTable, kind: EraseKind,
                budget: Optional[int] = None):
     """The limit rule, a new :class:`_Rule` called as ``fate(l, gap)``:
     True (erased), False (kept) or None (no YES within ``budget`` on an
-    enumerated table).  Raises TableRefused at once when the table cannot
-    decide."""
+    enumerated table).  Raises ArgumentRefused for a negative budget and
+    TableRefused when the table cannot decide, both at once."""
+    check_budget(budget)
     if not oracle.programmed:
         if kind is EraseKind.PHI_PRIME:
             raise TableRefused("the finite-domain predicates need a "
@@ -296,20 +303,21 @@ def step_prefix(sys: SystemSpec, w, n: int):
     near the end of the word can read past it (pi2 with n = 1 raises on
     ``'000S'``, "first S reads one symbol past the supplied word"), so
     callers must be ready for FrontierUnresolved at any length.  Raises
-    ValueError when ``n`` is negative or ``w`` holds a symbol outside the
-    system's alphabet; a product reads ``w`` as (layer 1, layer 2), the
-    second over {a, b}.
+    ArgumentRefused when ``n`` is negative or ``w`` holds a symbol outside
+    the system's alphabet; a product reads ``w`` as (layer 1, layer 2),
+    the second over {a, b}.
     """
     sid = sys.id
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise ArgumentRefused(f"need n >= 0, got {n}")
     if sid.product:
         w1, w2 = w
         bad = w1.translate(sid.alphabet.absent) + w2.translate(ALPHA_AB.absent)
     else:
         bad = w.translate(sid.alphabet.absent)
     if bad:
-        raise ValueError(f"{sid.value} does not read the symbol {bad[0]!r}")
+        raise ArgumentRefused(f"{sid.value} does not read the symbol "
+                              f"{bad[0]!r}")
     if sid.erase is not None:
         return _erasure_step_prefix(sys._rule.now, w, n)
     if sid is not SystemId.SHIFT:
@@ -333,11 +341,12 @@ def erase_map_prefix(kind: EraseKind, oracle: OracleTable, w: str,
     Interior 1s of bounded blocks are erased or kept per the limit rule
     :func:`block_fate`; runs whose closing symbol lies past the end of
     ``w`` are unresolved, as are NoWithinBudget verdicts from enumerated
-    backends.  Raises ValueError when ``w`` holds a symbol outside {0, 1}.
+    backends.  A symbol outside {0, 1} raises ArgumentRefused.
     """
     bad = w.translate(ALPHA_01.absent)
     if bad:
-        raise ValueError(f"{kind.value} does not read the symbol {bad[0]!r}")
+        raise ArgumentRefused(f"{kind.value} does not read the symbol "
+                              f"{bad[0]!r}")
     fate = block_fate(oracle, kind, budget)
     statuses = [KEPT] * len(w)
     out = list(w)
@@ -480,23 +489,24 @@ def _window_key(w) -> str:
 def _check_orbit_args(sys: SystemSpec, x: Configuration, t0: int,
                       window: int) -> None:
     if t0 < 0 or window < 0:
-        raise ValueError(f"need t0 >= 0 and window >= 0, got {t0}, {window}")
+        raise ArgumentRefused(f"need t0, window >= 0, got {t0}, {window}")
     layers = ((x.layer1, x.layer2) if isinstance(x, pi2.ProductConfiguration)
               else (x,))
     want = (sys.id.alphabet, ALPHA_AB)[:1 + sys.id.product]
     if [getattr(layer, "alphabet", None) for layer in layers] != list(want):
-        raise ValueError(f"{sys.id.value} reads {len(want)} layer(s) over "
-                         f"{' x '.join(''.join(a.symbols) for a in want)}")
+        raise ArgumentRefused(
+            f"{sys.id.value} reads {len(want)} layer(s) over "
+            f"{' x '.join(''.join(a.symbols) for a in want)}")
 
 
 def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
                   window: int) -> Iterator[str]:
     """Windows T^t(x)[0:window] for t in [t0, t1); t = 0 is x itself.
 
-    Raises ValueError before the first window when ``t0`` or ``window`` is
-    negative, or when ``x`` does not have the layers the system reads: a
-    ``ProductConfiguration`` exactly for the products, with layer 1 over
-    the system's alphabet and layer 2 over {a, b}.
+    Raises ArgumentRefused before the first window when ``t0`` or
+    ``window`` is negative, or when ``x`` does not have the layers the
+    system reads: a ``ProductConfiguration`` exactly for the products,
+    with layer 1 over the system's alphabet and layer 2 over {a, b}.
     """
     _check_orbit_args(sys, x, t0, window)
     if sys.id.erase is not None:
@@ -518,7 +528,7 @@ def orbit_window_counts(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     For the block-erasure maps the windows are counted as integer codes
     over :func:`_erasure_layout`, and no window string is built.  The shift,
     pi2, the products and windows wider than 64 count the generated
-    windows.  Raises ValueError at once where :func:`orbit_windows` would.
+    windows.  It refuses at once what :func:`orbit_windows` refuses.
     """
     _check_orbit_args(sys, x, t0, window)
     if sys.id.erase is not None and window <= 64:
@@ -531,5 +541,5 @@ def orbit_window_counts(sys: SystemSpec, x: Configuration, t0: int, t1: int,
 def orbit(sys: SystemSpec, x: Configuration, steps: int, window: int):
     """The sequence T(x), T^2(x), ..., T^steps(x) restricted to [0, window)."""
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ArgumentRefused("window must be >= 1")
     return list(orbit_windows(sys, x, 1, steps + 1, window))

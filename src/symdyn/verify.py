@@ -17,8 +17,9 @@ from typing import Callable, Dict, List, Optional
 from . import analysis, cantor, systems
 from .oracle import INF, Entry, OracleTable, QueryKind
 from .pi2 import ProductConfiguration, ZoneEngine
-from .space import (ALPHA_01S, ALPHA_AB, Configuration, Constant, Cylinder,
-                    Periodic, Sampler, binary_config, rich_configuration)
+from .space import (ALPHA_01S, ALPHA_AB, ArgumentRefused, Configuration,
+                    Constant, Cylinder, Periodic, Sampler, binary_config,
+                    rich_configuration)
 from .systems import SystemId, step_prefix
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def verify_suite(selection: str = "all") -> VerificationReport:
         return report
     fn = SUITES.get(selection)
     if fn is None:
-        raise ValueError(f"unknown suite {selection!r}; "
-                         f"choose from {', '.join(['all', *SUITES])}")
+        raise ArgumentRefused(f"unknown suite {selection!r}; "
+                              f"choose from {', '.join(['all', *SUITES])}")
     fn(report)
     return report

@@ -12,9 +12,9 @@ from symdyn.analysis import (NO, UNKNOWN, YES, attractor_meets,
                              tilde_mu_table, u_st_member, verdict_to_json)
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import ProductConfiguration
-from symdyn.space import (ALPHA_01S, ALPHA_AB, Configuration, Constant,
-                          Cylinder, Periodic, Sampler, binary_config,
-                          rich_configuration)
+from symdyn.space import (ALPHA_01S, ALPHA_AB, ArgumentRefused,
+                          Configuration, Constant, Cylinder, Periodic,
+                          Sampler, binary_config, rich_configuration)
 from symdyn.systems import (EraseKind, SystemId, pi1_system, shift_system,
                             sigma2_system, wild_t_second_system)
 from symdyn.verify import totality_oracle
@@ -163,6 +163,18 @@ def test_empirical_projection_exact():
     assert m3.project(2).counts == m2.counts
     assert sum(m3.counts.values()) == m3.total
     assert sum((m3.frequency(w) for w in m3.counts), Fraction(0)) == 1
+
+
+def test_projection_refuses_a_negative_depth():
+    # a negative depth would cut each word from the right: '011'[:-1]
+    x = binary_config("", Periodic("0110"))
+    m = empirical_measure(shift_system(), x, n=8, depth=3)
+    assert m.counts == {"011": 2, "110": 2, "100": 2, "001": 2}
+    prof = omega_profile(shift_system(), x, 0, 8, 3)
+    for value in (m, prof):
+        assert value.project(0).depth == 0
+        with pytest.raises(ArgumentRefused):
+            value.project(-1)
 
 
 def test_empirical_csv(tmp_path):

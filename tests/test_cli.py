@@ -232,6 +232,15 @@ def test_tilde_mu_needs_word_or_depth(capsys, oracle_file):
     assert code == 2
 
 
+def test_tilde_mu_takes_word_or_depth_not_both(capsys, oracle_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["tilde-mu", "--oracle", oracle_file, "--word", "01",
+              "--depth", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument --word" in captured.err
+
+
 # the worked-example table at depth 3 and a SOME_IN table (M_2 halts on some
 # input of size 1..3) under phi', pinned byte for byte
 WORKED_DEPTH3 = {
@@ -608,6 +617,20 @@ def test_readme_quick_start_runs(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+# the library refuses these only once the output file is open, so the CLI
+# checks them first
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--system", "shift", "--init", "tail:0", "--steps", "2",
+     "--window", "4", "--start", "-1"),
+    ("interval", "export", "--depth", "-1"),
+])
+def test_refused_before_the_output_file_opens(capsys, tmp_path, argv):
+    out = tmp_path / "out.txt"
+    code = main([*argv, "--out", str(out)])
+    assert code == 2 and capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", _BAD_ARGUMENTS)
