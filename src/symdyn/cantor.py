@@ -69,10 +69,12 @@ class CantorScheme:
 
     Endpoints and gaps are read from the integer level table, a pure
     cache that only ``_integer_layout`` grows, lazily, by one integer
-    recurrence per level, with one read of c_n per level: a fresh scheme
-    returns the same values, so concurrent readers at worst rebuild
-    levels another has built.  The descent blocks are derived from the
-    table and rebuilt once after it grows.  A level measure that stops
+    recurrence per level, with one read of c_n per level.  The descent
+    blocks are derived from the table and rebuilt once after it grows.
+    Beside them the scheme holds the frontier of its last escape run,
+    which only ``escape_fraction`` replaces.  Each is replaced whole, and
+    a fresh scheme returns the same values, so concurrent readers at
+    worst redo work another has done.  A level measure that stops
     strictly decreasing is refused when the table reaches that level.
     """
 
@@ -95,6 +97,8 @@ class CantorScheme:
             self._m += 1
         self._grid: tuple = (1, ())
         self._blocks: tuple = (self._grid, ())
+        # (key, iterations, points, hits, forms), as escape_fraction keeps it
+        self._escape: tuple = (None, 0, [], [], {})
 
     def level_measure(self, n: int) -> Fraction:
         """Total length of the level-n intervals: sum_{|w|=n} |I_w|."""
@@ -594,7 +598,15 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
 
     The samples are the first ``samples`` draws of
     ``default_rng(master_seed).integers(0, 2**53)`` over 2^53, drawn at
-    once; each step descends every sample still in a gap.
+    once; each step descends every sample still in a gap, and builds the
+    gap map of each gap a sample meets once per run.
+
+    The scheme keeps the run's frontier: the unreduced images after n
+    steps, their descent and the gap maps built so far.  A call with the
+    same system (an equal ``SystemSpec``), samples, seed and depth and at
+    least the held step count resumes from it, so asking for n = 1..N in
+    turn costs one N-step run; any other call starts again from the draws
+    and replaces the frontier.
     """
     if samples < 1:
         raise ArgumentRefused("need at least one sample")
@@ -605,15 +617,18 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     if master_seed < 0:
         raise ArgumentRefused("master seed must be >= 0")
     _require_embeddable(scheme, sys)
-    q = 2 ** 53
-    draws = np.random.default_rng(master_seed).integers(0, q, size=samples)
-    points = [(p, q) for p in draws.tolist()]
+    key = (sys, samples, master_seed, depth)
+    held, done, points, hits, forms = scheme._escape
     scheme._integer_layout(depth - 1)   # the blocks then reach ``depth``
-    forms: dict = {}   # gap -> integer form, keyed as _descend names it
-    for _ in range(iterations):
+    if held != key or done > iterations:
+        q, rng = 2 ** 53, np.random.default_rng(master_seed)
+        points = [(p, q) for p in rng.integers(0, q, size=samples).tolist()]
+        done, hits, forms = 0, _descend(scheme, points, depth), {}
+    else:
+        forms = dict(forms)   # the held frontier is never changed in place
+    for _ in range(done, iterations):
         images = []
-        for (p, q), (n, index, a, b, den) in zip(
-                points, _descend(scheme, points, depth)):
+        for (p, q), (n, index, a, b, den) in zip(points, hits):
             if a is None:
                 continue                    # absorbed
             form = forms.get((n, index))
@@ -622,8 +637,9 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
                                                    b, den)
             images.append(_image(form, p, q))
         points = images
-    escaped = sum(hit[2] is not None
-                  for hit in _descend(scheme, points, depth))
+        hits = _descend(scheme, points, depth)
+    scheme._escape = (key, iterations, points, hits, forms)
+    escaped = sum(hit[2] is not None for hit in hits)
     frac = Fraction(escaped, samples)
     p = float(frac)
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)

@@ -71,6 +71,19 @@ def test_criterion_04_escape_bound():
             rep=rep)
 
 
+def test_escape_band_is_decided_exactly():
+    # f <= b or (f - b)^2 <= 9 b (1 - b) / N, on Fractions
+    band, half = verify.within_escape_band, Fraction(1, 2)
+    assert band(Fraction(27, 36), half, 36)     # on the boundary: passes
+    assert not band(Fraction(28, 36), half, 36)
+    assert not band(Fraction(27, 36) + Fraction(1, 10 ** 30), half, 36)
+    assert band(Fraction(0), half, 36) and band(half, half, 36)
+    assert band(Fraction(1), Fraction(1), 1)    # b = 1 leaves no band
+    assert not band(Fraction(1, 10 ** 6), Fraction(0), 10 ** 6)
+    assert band(Fraction(1, 8), Fraction(3, 4) ** 8, 100)
+    assert not band(Fraction(1, 8), Fraction(3, 4) ** 8, 10 ** 5)
+
+
 def test_criterion_05_hierarchy_equivalences():
     t0 = time.perf_counter()
     rep = VerificationReport()

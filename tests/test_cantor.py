@@ -1,5 +1,6 @@
 """Fat-Cantor interval scheme, the embedding, and the extended map."""
 
+import dataclasses
 import functools
 import io
 import math
@@ -16,8 +17,8 @@ from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.space import (ALPHA_01S, Constant, Periodic, Sampler,
                           binary_config)
-from symdyn.systems import (pi1_system, pi2_system, shift_system,
-                            sigma2_system, step_prefix)
+from symdyn.systems import (SystemSpec, pi1_system, pi2_system,
+                            shift_system, sigma2_system, step_prefix)
 
 F = Fraction
 NEVER = OracleTable.programmed_table([])
@@ -843,6 +844,90 @@ def test_escape_matches_reference_loop(scheme, worked, seed):
     for n in (0, 1, 3):
         got = escape_fraction(CantorScheme(), sys, n, 300, seed, depth=12)
         assert got.escaped == reference_escaped(scheme, sys, n, 300, seed, 12)
+
+
+def _twin(sys):
+    """An equal SystemSpec built separately, on a separately built table."""
+    return SystemSpec(sys.id, sys.oracle and dataclasses.replace(sys.oracle))
+
+
+# (samples, seed, n, how) calls on one scheme, in order.  "twin" calls
+# with an equal SystemSpec built separately, "other" with another system,
+# "deeper" one level deeper, and "grow" after locate has grown the level
+# table to depth 42.
+_RESUME_CALLS = [
+    *((40, 3, n, "") for n in range(1, 9)),     # n = 1..8
+    (40, 3, 8, ""),                             # a repeated n
+    (40, 3, 3, ""),                             # 8 then 3
+    (400, 5, 5, ""), (400, 5, 0, ""),           # 0 after 5
+    (400, 5, 2, "twin"), (400, 5, 4, ""), (400, 5, 4, "twin"),
+    (400, 5, 6, "grow"), (400, 5, 7, ""),
+    (1, 9, 2, ""), (1, 9, 3, ""), (1, 9, 4, "other"), (1, 9, 5, ""),
+    (40, 3, 4, ""), (40, 3, 5, "deeper"), (40, 3, 6, ""), (40, 3, 8, "grow"),
+]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 16, 35])
+@pytest.mark.parametrize("name", _BINARY_SYSTEMS)
+def test_resumed_escape_matches_fresh_runs(worked, monkeypatch, name, depth):
+    # each call on the shared scheme against a fresh scheme and the
+    # per-sample loop; it resumes exactly when its key is the held one and
+    # the held run is no longer than asked, and leaves the held frontier
+    # as it found it
+    sys = _BINARY_SYSTEMS[name](worked)
+    other = shift_system() if name != "shift" else pi1_system(worked)
+    assert _twin(sys) == sys and _twin(sys) is not sys
+    draws, default_rng = [], np.random.default_rng
+
+    def counted(seed):
+        draws.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    s, last = CantorScheme(), (None, 0)
+    for samples, seed, n, how in _RESUME_CALLS:
+        on = _twin(sys) if how == "twin" else other if how == "other" else sys
+        at = depth + 1 if how == "deeper" else depth
+        if how == "grow":
+            assert isinstance(locate(s, F(0), 42), InLevelInterval)
+        key = (on, samples, seed, at)
+        held = s._escape
+        kept = list(held[2]), list(held[3]), dict(held[4])
+        drawn = len(draws)
+        got = escape_fraction(s, on, n, samples, seed, at)
+        assert (len(draws) == drawn) == (key == last[0] and last[1] <= n), \
+            (samples, seed, n, how)
+        assert (list(held[2]), list(held[3]), dict(held[4])) == kept
+        assert s._escape[:2] == (key, n)
+        last = key, n
+        assert got == escape_fraction(CantorScheme(), on, n, samples, seed, at)
+        assert got.escaped == reference_escape_loop(CantorScheme(), on, n,
+                                                    samples, seed, at)
+
+
+def test_rising_escape_calls_cost_one_run(worked, monkeypatch):
+    # n = 1..8 on one scheme descend the points and build the gap forms of
+    # one fresh 8-step call; calls that each started from step 0 descended
+    # 28,317 points and built 653 forms
+    count = {"points": 0, "forms": 0}
+    descend, gap_form = cantor._descend, cantor._gap_form
+
+    def spy_descend(scheme, points, depth):
+        count["points"] += len(points)
+        return descend(scheme, points, depth)
+
+    def spy_gap_form(*args):
+        count["forms"] += 1
+        return gap_form(*args)
+
+    monkeypatch.setattr(cantor, "_descend", spy_descend)
+    monkeypatch.setattr(cantor, "_gap_form", spy_gap_form)
+    sys, s = pi1_system(worked), CantorScheme()
+    rising = [escape_fraction(s, sys, n, 2000, 42, 16) for n in range(1, 9)]
+    assert count == {"points": 3673, "forms": 86}
+    count.update(points=0, forms=0)
+    assert rising[-1] == escape_fraction(CantorScheme(), sys, 8, 2000, 42, 16)
+    assert count == {"points": 3673, "forms": 86}
 
 
 # -- the embedding phi ------------------------------------------------------
