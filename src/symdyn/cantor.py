@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +58,7 @@ from .systems import SystemSpec, step_prefix
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_GAP_CAP = 4096     # gap maps one scheme's memo holds, over all systems
 
 
 def default_level_measure(n: int) -> Fraction:
@@ -72,9 +74,11 @@ class CantorScheme:
     recurrence per level, with one read of c_n per level.  The descent
     blocks are derived from the table and rebuilt once after it grows.
     Beside them the scheme holds the frontier of its last escape run,
-    which only ``escape_fraction`` replaces.  Each is replaced whole, and
-    a fresh scheme returns the same values, so concurrent readers at
-    worst redo work another has done.  A level measure that stops
+    which only ``escape_fraction`` replaces whole, and a memo of gap maps
+    by system (an equal ``SystemSpec``) and gap, emptied before it passes
+    ``_GAP_CAP``.  Table growth and memo inserts take the scheme's lock;
+    entries are never changed and all builders agree, so concurrent
+    callers at worst build one entry twice.  A level measure that stops
     strictly decreasing is refused when the table reaches that level.
     """
 
@@ -97,8 +101,10 @@ class CantorScheme:
             self._m += 1
         self._grid: tuple = (1, ())
         self._blocks: tuple = (self._grid, ())
-        # (key, iterations, points, hits, forms), as escape_fraction keeps it
-        self._escape: tuple = (None, 0, [], [], {})
+        # (key, iterations, points, hits), as escape_fraction keeps it
+        self._escape: tuple = (None, 0, [], [])
+        self._gaps: dict = {}   # SystemSpec -> {gap key: GapMap}
+        self._lock = threading.Lock()   # table growth and memo inserts
 
     def level_measure(self, n: int) -> Fraction:
         """Total length of the level-n intervals: sum_{|w|=n} |I_w|."""
@@ -111,11 +117,12 @@ class CantorScheme:
             raise ValueError(f"level measures not strictly decreasing at {n}")
         return b
 
-    def _span(self, w: str):
+    def _span(self, w: str, grid=None):
         """(lo, hi, D) with I_w = [lo/D, hi/D]: lo is the digit sum of
-        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}*D."""
+        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}*D, read off
+        ``grid`` (a table reaching level |w| - 1) or the scheme's table."""
         n = len(w)
-        den, levels = self._integer_layout(n - 1)
+        den, levels = grid or self._integer_layout(n - 1)
         digit = self._digit
         try:
             lo = sum([digit[s] * row[0] for s, row in zip(w, levels)])
@@ -157,34 +164,37 @@ class CantorScheme:
         reduced denominators, so D = lcm(D, E/g) is as small as the
         layout allows.  Every row is rescaled to the last D once, and the
         pair is replaced whole, so a reader holding an older pair still
-        has a consistent one.
+        has a consistent one, whose D divides every later one.
         """
-        base, levels = self._grid
-        if n < len(levels):
+        if n < len(self._grid[1]):
             return self._grid
-        k, den = self.k, base
-        km = k ** len(levels)
-        a, b = (levels[-1][1] * km, base) if levels else (1, 1)
-        new = []
-        for m in range(len(levels), n + 1):
-            p, q = self._c(m + 1).as_integer_ratio()
-            if not 0 < p * b < a * q:
-                raise ValueError(
-                    f"level measures not strictly decreasing at {m}")
-            km *= k
-            child, stride = p * b * (k - 1), k * a * q - p * b
-            e = b * q * (k - 1) * km
-            g = math.gcd(child, stride, e)
-            e //= g
-            den = math.lcm(den, e)
-            r = den // e
-            new.append((den, stride // g * r, child // g * r))
-            a, b = p, q
-        r = den // base
-        rows = [(s * r, c * r) for s, c in levels]
-        rows += [(s * (den // d), c * (den // d)) for d, s, c in new]
-        self._grid = (den, tuple(rows))
-        return self._grid
+        with self._lock:    # one grower at a time, so the table never shrinks
+            base, levels = self._grid
+            if n < len(levels):
+                return self._grid
+            k, den = self.k, base
+            km = k ** len(levels)
+            a, b = (levels[-1][1] * km, base) if levels else (1, 1)
+            new = []
+            for m in range(len(levels), n + 1):
+                p, q = self._c(m + 1).as_integer_ratio()
+                if not 0 < p * b < a * q:
+                    raise ValueError(
+                        f"level measures not strictly decreasing at {m}")
+                km *= k
+                child, stride = p * b * (k - 1), k * a * q - p * b
+                e = b * q * (k - 1) * km
+                g = math.gcd(child, stride, e)
+                e //= g
+                den = math.lcm(den, e)
+                r = den // e
+                new.append((den, stride // g * r, child // g * r))
+                a, b = p, q
+            r = den // base
+            rows = [(s * r, c * r) for s, c in levels]
+            rows += [(s * (den // d), c * (den // d)) for d, s, c in new]
+            self._grid = (den, tuple(rows))
+            return self._grid
 
     def _descent_table(self):
         """((D, levels), blocks): for each complete block of m levels in
@@ -335,17 +345,20 @@ def _descend(scheme: CantorScheme, points, depth: int):
     return out
 
 
-def _gap_owner(scheme: CantorScheme, n: int, index: int):
-    """(w, j): the gap right after the level-n interval numbered ``index``
-    is the j-th gap of I_w, for w the ancestor that the trailing
-    (k-1)-digits of ``index`` climb to."""
-    k = scheme.k
-    n -= 1
+def _gap_key(k: int, n: int, index: int):
+    """The canonical (n, index) of the gap right after the level-n interval
+    ``index``: its trailing (k-1)-digits climb to where the gap lies."""
     while index % k == k - 1:
         index //= k
         n -= 1
-    index, j = divmod(index, k)
-    return scheme._word_at(n, index), j
+    return n, index
+
+
+def _gap_owner(scheme: CantorScheme, n: int, index: int):
+    """(w, j): the gap after level-n interval ``index`` is gap j of I_w."""
+    n, index = _gap_key(scheme.k, n, index)
+    index, j = divmod(index, scheme.k)
+    return scheme._word_at(n - 1, index), j
 
 
 def locate(scheme: CantorScheme, y: Fraction, depth: int) -> Location:
@@ -502,8 +515,8 @@ def _image(form, p: int, q: int):
 
 
 def _image_ends(scheme: CantorScheme, sys: SystemSpec, w: str, j: int):
-    """(D, fa, fb, target_lo, target_hi), the last four times D, of the
-    gap map across the j-th gap of I_w.
+    """(D, a, b, fa, fb, target_lo, target_hi), the last six times D, of
+    the gap map across the j-th gap (a, b) of I_w.
 
     The binary maps preserve extremal tails: an unbounded trailing
     1-run is never a closed block (so never erased) and a trailing 0^inf
@@ -521,27 +534,39 @@ def _image_ends(scheme: CantorScheme, sys: SystemSpec, w: str, j: int):
         d = len(child) + 8
         images.append(step_prefix(
             sys, child + tail * (sys.lookahead(d) - len(child)), d))
-    words = (images[0].rstrip(top), images[1].rstrip(bot),
-             images[0][:sys.modulus(len(w))])
-    scheme._integer_layout(max(map(len, words)) - 1)   # one D for all three
-    (_, fa, den), (fb, _, _), (t_lo, t_hi, _) = map(scheme._span, words)
-    return den, fa, fb, t_lo, t_hi
+    words = (w + syms[j], w + syms[j + 1], images[0].rstrip(top),
+             images[1].rstrip(bot), images[0][:sys.modulus(len(w))])
+    grid = scheme._integer_layout(max(map(len, words)) - 1)   # one D for all
+    (_, a, den), (b, _, _), (_, fa, _), (fb, _, _), (t_lo, t_hi, _) = (
+        scheme._span(x, grid) for x in words)
+    return den, a, b, fa, fb, t_lo, t_hi
 
 
-def _gap_form(scheme: CantorScheme, sys: SystemSpec, n: int, index: int,
-              a: int, b: int, den: int):
-    """The integer form of the gap map across the gap (a/den, b/den) that
-    ``_descend`` found right after level-n interval ``index``."""
-    big, *ends = _image_ends(scheme, sys, *_gap_owner(scheme, n, index))
-    r = big // den      # the table's D only grows by multiples
-    return _integer_form_of(big, a * r, b * r, *ends)
+def _gap_entry(scheme: CantorScheme, sys: SystemSpec, n: int,
+               index: int) -> GapMap:
+    """The memo's map of the gap right after level-n interval ``index``, as
+    ``_descend`` names it; built, with its integer form, on a miss."""
+    n, index = _gap_key(scheme.k, n, index)
+    gm = scheme._gaps.get(sys, {}).get((n, index))
+    if gm is None:
+        den, *vals = _image_ends(scheme, sys, *_gap_owner(scheme, n, index))
+        gm = GapMap(*(Fraction(x, den) for x in vals))
+        gm.__dict__["_integer_form"] = _integer_form_of(den, *vals)
+        with scheme._lock:
+            if sum(map(len, scheme._gaps.values())) >= _GAP_CAP:
+                scheme._gaps = {}
+            gm = scheme._gaps.setdefault(sys, {}).setdefault((n, index), gm)
+    return gm
 
 
 def gap_map(scheme: CantorScheme, sys: SystemSpec, gap: GapLocation) -> GapMap:
-    """Build the three-piece extension of f across ``gap``."""
+    """The three-piece extension of f across ``gap``, which must equal
+    ``scheme.gap(gap.parent, gap.index)``; built once per system."""
     _require_embeddable(scheme, sys)
-    den, *ends = _image_ends(scheme, sys, gap.parent, gap.index)
-    return GapMap(gap.a, gap.b, *(Fraction(x, den) for x in ends))
+    if gap != scheme.gap(gap.parent, gap.index):
+        raise ArgumentRefused(f"{gap} is not a gap of this scheme")
+    w = gap.parent + "0"    # the left child: binary, so the index is 0
+    return _gap_entry(scheme, sys, len(w), int(w, 2))
 
 
 def f_eval(scheme: CantorScheme, sys: SystemSpec, y: Fraction,
@@ -598,15 +623,16 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
 
     The samples are the first ``samples`` draws of
     ``default_rng(master_seed).integers(0, 2**53)`` over 2^53, drawn at
-    once; each step descends every sample still in a gap, and builds the
-    gap map of each gap a sample meets once per run.
+    once; each step descends every sample still in a gap and maps it by
+    the gap map in the scheme's memo, which ``gap_map`` and ``f_eval``
+    share, so each gap's map is built once per scheme and system.
 
     The scheme keeps the run's frontier: the unreduced images after n
-    steps, their descent and the gap maps built so far.  A call with the
-    same system (an equal ``SystemSpec``), samples, seed and depth and at
-    least the held step count resumes from it, so asking for n = 1..N in
-    turn costs one N-step run; any other call starts again from the draws
-    and replaces the frontier.
+    steps and their descent.  A call with the same system (an equal
+    ``SystemSpec``), samples, seed and depth and at least the held step
+    count resumes from it, so asking for n = 1..N in turn costs one
+    N-step run; any other call starts again from the draws and replaces
+    the frontier.
     """
     if samples < 1:
         raise ArgumentRefused("need at least one sample")
@@ -618,27 +644,25 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
         raise ArgumentRefused("master seed must be >= 0")
     _require_embeddable(scheme, sys)
     key = (sys, samples, master_seed, depth)
-    held, done, points, hits, forms = scheme._escape
+    held, done, points, hits = scheme._escape
     scheme._integer_layout(depth - 1)   # the blocks then reach ``depth``
     if held != key or done > iterations:
         q, rng = 2 ** 53, np.random.default_rng(master_seed)
         points = [(p, q) for p in rng.integers(0, q, size=samples).tolist()]
-        done, hits, forms = 0, _descend(scheme, points, depth), {}
-    else:
-        forms = dict(forms)   # the held frontier is never changed in place
+        done, hits = 0, _descend(scheme, points, depth)
+    with scheme._lock:
+        k, maps = scheme.k, scheme._gaps.setdefault(sys, {})
     for _ in range(done, iterations):
         images = []
-        for (p, q), (n, index, a, b, den) in zip(points, hits):
+        for (p, q), (n, index, a, _, _) in zip(points, hits):
             if a is None:
                 continue                    # absorbed
-            form = forms.get((n, index))
-            if form is None:
-                form = forms[n, index] = _gap_form(scheme, sys, n, index, a,
-                                                   b, den)
-            images.append(_image(form, p, q))
+            gm = (maps.get(_gap_key(k, n, index))
+                  or _gap_entry(scheme, sys, n, index))
+            images.append(_image(gm._integer_form, p, q))
         points = images
         hits = _descend(scheme, points, depth)
-    scheme._escape = (key, iterations, points, hits, forms)
+    scheme._escape = (key, iterations, points, hits)
     escaped = sum(hit[2] is not None for hit in hits)
     frac = Fraction(escaped, samples)
     p = float(frac)

@@ -120,6 +120,19 @@ _REFUSALS = {
     "gap_map-system": lambda: gap_map(
         _scheme(), pi2_system(WORKED),
         GapLocation("", 0, Fraction(1, 3), Fraction(2, 3))),
+    # a hand-made GapLocation must be the scheme's own gap(parent, index):
+    # index -1 once picked the wrong children, index 1 raised IndexError,
+    # and other endpoints were served as the gap (5/32, 7/32) of "0"
+    "gap_map-index-negative": lambda: gap_map(
+        _scheme(), SHIFT, GapLocation("0", -1, Fraction(1, 3), Fraction(2, 3))),
+    "gap_map-index-past-last": lambda: gap_map(
+        _scheme(), SHIFT, GapLocation("0", 1, Fraction(1, 3), Fraction(2, 3))),
+    "gap_map-endpoints": lambda: gap_map(
+        _scheme(), SHIFT, GapLocation("0", 0, Fraction(1, 3), Fraction(2, 3))),
+    "gap_map-one-endpoint": lambda: gap_map(
+        _scheme(), SHIFT, GapLocation("0", 0, Fraction(5, 32), Fraction(1, 4))),
+    "gap_map-parent-symbol": lambda: gap_map(
+        _scheme(), SHIFT, GapLocation("02", 0, Fraction(1, 3), Fraction(2, 3))),
     "escape_fraction-samples": lambda: escape_fraction(
         _scheme(), SHIFT, 1, 0, 0, 8),
     "escape_fraction-iterations": lambda: escape_fraction(

@@ -5,7 +5,9 @@ import functools
 import io
 import math
 import random
+import threading
 from fractions import Fraction
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -736,12 +738,14 @@ def test_integer_gap_maps_match_fraction_construction(make, table, request):
             s, [(mid.numerator, mid.denominator)], 11)
         assert (*cantor._gap_owner(s, n, index), F(a, den), F(b, den)) \
             == (w, 0, want.a, want.b)
-        built = cantor._gap_form(s, sys, n, index, a, b, den)
+        built = cantor._gap_entry(s, sys, n, index)._integer_form
         assert built[0] % den == 0 and _normal_form(built) == form, w
 
 
 def test_gap_map_steps_two_image_words(scheme, worked, monkeypatch):
-    # f(a) and the target interval come from one left image word
+    # f(a) and the target interval come from one left image word; on a
+    # fresh scheme each build steps two words, and a second gap_map on the
+    # same gap reads the scheme's memo and steps none
     calls, step_prefix = [], cantor.step_prefix
 
     def counted(sys, w, n):
@@ -752,9 +756,13 @@ def test_gap_map_steps_two_image_words(scheme, worked, monkeypatch):
     for make in _BINARY_SYSTEMS.values():
         sys = make(worked)
         for w in scheme.words(5):
+            s = CantorScheme()
             calls.clear()
-            gap_map(scheme, sys, scheme.gap(w, 0))
+            first = gap_map(s, sys, s.gap(w, 0))
             assert len(calls) == 2, (sys.id, w)
+            calls.clear()
+            assert gap_map(s, sys, s.gap(w, 0)) is first
+            assert calls == [], (sys.id, w)
 
 
 # (seed, [escaped after n = 1, 2, 4 steps]) of 400 samples at depth 14
@@ -851,6 +859,12 @@ def _twin(sys):
     return SystemSpec(sys.id, sys.oracle and dataclasses.replace(sys.oracle))
 
 
+def _memo_entries(scheme):
+    """{(system, gap key): gap map} for every entry of the scheme's memo."""
+    return {(sys, key): gm for sys, maps in scheme._gaps.items()
+            for key, gm in maps.items()}
+
+
 # (samples, seed, n, how) calls on one scheme, in order.  "twin" calls
 # with an equal SystemSpec built separately, "other" with another system,
 # "deeper" one level deeper, and "grow" after locate has grown the level
@@ -872,8 +886,8 @@ _RESUME_CALLS = [
 def test_resumed_escape_matches_fresh_runs(worked, monkeypatch, name, depth):
     # each call on the shared scheme against a fresh scheme and the
     # per-sample loop; it resumes exactly when its key is the held one and
-    # the held run is no longer than asked, and leaves the held frontier
-    # as it found it
+    # the held run is no longer than asked, leaves the held frontier as it
+    # found it, and replaces no entry of the scheme's gap-map memo
     sys = _BINARY_SYSTEMS[name](worked)
     other = shift_system() if name != "shift" else pi1_system(worked)
     assert _twin(sys) == sys and _twin(sys) is not sys
@@ -891,13 +905,15 @@ def test_resumed_escape_matches_fresh_runs(worked, monkeypatch, name, depth):
         if how == "grow":
             assert isinstance(locate(s, F(0), 42), InLevelInterval)
         key = (on, samples, seed, at)
-        held = s._escape
-        kept = list(held[2]), list(held[3]), dict(held[4])
+        held, memo = s._escape, _memo_entries(s)
+        kept = list(held[2]), list(held[3])
         drawn = len(draws)
         got = escape_fraction(s, on, n, samples, seed, at)
         assert (len(draws) == drawn) == (key == last[0] and last[1] <= n), \
             (samples, seed, n, how)
-        assert (list(held[2]), list(held[3]), dict(held[4])) == kept
+        assert len(held) == 4 and (list(held[2]), list(held[3])) == kept
+        now = _memo_entries(s)
+        assert all(now[k] is gm for k, gm in memo.items() if k in now)
         assert s._escape[:2] == (key, n)
         last = key, n
         assert got == escape_fraction(CantorScheme(), on, n, samples, seed, at)
@@ -910,24 +926,183 @@ def test_rising_escape_calls_cost_one_run(worked, monkeypatch):
     # one fresh 8-step call; calls that each started from step 0 descended
     # 28,317 points and built 653 forms
     count = {"points": 0, "forms": 0}
-    descend, gap_form = cantor._descend, cantor._gap_form
+    descend, gap_entry = cantor._descend, cantor._gap_entry
 
     def spy_descend(scheme, points, depth):
         count["points"] += len(points)
         return descend(scheme, points, depth)
 
-    def spy_gap_form(*args):
+    def spy_gap_entry(*args):
         count["forms"] += 1
-        return gap_form(*args)
+        return gap_entry(*args)
 
     monkeypatch.setattr(cantor, "_descend", spy_descend)
-    monkeypatch.setattr(cantor, "_gap_form", spy_gap_form)
+    monkeypatch.setattr(cantor, "_gap_entry", spy_gap_entry)
     sys, s = pi1_system(worked), CantorScheme()
     rising = [escape_fraction(s, sys, n, 2000, 42, 16) for n in range(1, 9)]
     assert count == {"points": 3673, "forms": 86}
     count.update(points=0, forms=0)
     assert rising[-1] == escape_fraction(CantorScheme(), sys, 8, 2000, 42, 16)
     assert count == {"points": 3673, "forms": 86}
+
+
+# -- the per-scheme gap-map memo --------------------------------------------
+
+def _memo_size(scheme):
+    return sum(map(len, scheme._gaps.values()))
+
+
+def _same_gap_map(got, want, points):
+    """The two maps agree as values, as integer forms and, image for image,
+    on ``points``."""
+    assert got == want
+    assert _normal_form(got._integer_form) == _normal_form(want._integer_form)
+    for y in points:
+        assert got._image(y.numerator, y.denominator) \
+            == want._image(y.numerator, y.denominator), y
+
+
+@pytest.mark.parametrize("depth", [0, 1, 16, 35])
+def test_gap_map_memo_matches_fresh_schemes(worked, parity, depth):
+    # f_eval, gap_map and escape_fraction interleaved on one scheme that
+    # shift, pi1 and sigma2 on the worked and the parity table share, every
+    # other round through a twin SystemSpec, the level table grown to depth
+    # 42 halfway; each call against the same call on a fresh scheme
+    systems = [shift_system(), *(make(t) for make in (pi1_system, sigma2_system)
+                                 for t in (worked, parity))]
+    s, rng = CantorScheme(), random.Random(depth)
+    for rnd in range(6):
+        if rnd == 3:
+            assert isinstance(locate(s, F(0), 42), InLevelInterval)
+        for sys in systems:
+            on = _twin(sys) if rnd % 2 else sys
+            w = "".join(rng.choice("01") for _ in range(rng.randrange(9)))
+            gap = s.gap(w, 0)
+            mid = (gap.a + gap.b) / 2
+            near = gap.a + (gap.b - gap.a) * F(rng.randrange(1, 2 ** 20), 2 ** 20)
+            for y in (mid, near):
+                assert f_eval(s, on, y, depth) \
+                    == f_eval(CantorScheme(), on, y, depth), (rnd, w, y)
+            fresh = CantorScheme()
+            _same_gap_map(gap_map(s, on, gap), gap_map(fresh, on, fresh.gap(w, 0)),
+                          (gap.a, mid, near, gap.b))
+            n, seed = rng.randrange(5), rng.randrange(2 ** 20)
+            assert escape_fraction(s, on, n, 40, seed, depth) \
+                == escape_fraction(CantorScheme(), on, n, 40, seed, depth)
+    # one sub-memo per system, twins included; pi1 on the two tables keeps
+    # its own maps, which differ on the gaps of "000", "010", "100", "110"
+    assert len(s._gaps) == len(systems)
+    differ = []
+    for w in s.words(3):
+        got = [gap_map(s, pi1_system(t), s.gap(w, 0)) for t in (worked, parity)]
+        fresh = CantorScheme()
+        assert got == [gap_map(fresh, pi1_system(t), fresh.gap(w, 0))
+                       for t in (worked, parity)], w
+        differ += [w] * (got[0] != got[1])
+    assert differ == ["000", "010", "100", "110"]
+
+
+def test_new_escape_seed_builds_only_unbuilt_gaps(worked, monkeypatch):
+    # n = 1..4 on a second seed builds only gaps the first run did not; on
+    # a fresh scheme the same run also builds some the first run had built
+    built, image_ends = [], cantor._image_ends
+
+    def spy(scheme, sys, w, j):
+        built.append((w, j))
+        return image_ends(scheme, sys, w, j)
+
+    monkeypatch.setattr(cantor, "_image_ends", spy)
+    sys, s = pi1_system(worked), CantorScheme()
+    runs = {}
+    for seed, scheme in ((3, s), (4, s), (4, CantorScheme())):
+        built.clear()
+        results = [escape_fraction(scheme, sys, n, 400, seed, 16)
+                   for n in range(1, 5)]
+        assert len(built) == len(set(built)), seed
+        runs[seed, scheme is s] = set(built), results
+    (first, _), (second, shared), (fresh, alone) = runs.values()
+    assert second and not second & first
+    assert fresh & first and fresh == second | (fresh & first)
+    assert shared == alone
+
+
+def test_gap_map_memo_stays_under_its_cap(worked, monkeypatch):
+    # more distinct gaps than the cap: the memo never holds more, and every
+    # result matches a fresh scheme's, first under a small cap
+    sys = pi1_system(worked)
+    monkeypatch.setattr(cantor, "_GAP_CAP", 24)
+    s, sizes = CantorScheme(), []
+    for w in s.words(6):
+        gap = s.gap(w, 0)
+        y = (gap.a + gap.b) / 2
+        assert f_eval(s, sys, y, 16) == f_eval(CantorScheme(), sys, y, 16), w
+        assert gap_map(s, sys, gap) == gap_map(CantorScheme(), sys, gap), w
+        sizes.append(_memo_size(s))
+        if len(w) == 4:
+            assert escape_fraction(s, sys, 3, 200, len(sizes), 16) \
+                == escape_fraction(CantorScheme(), sys, 3, 200, len(sizes), 16)
+            sizes.append(_memo_size(s))
+    assert max(sizes) == 24 and min(sizes[24:]) < 24
+    monkeypatch.undo()
+    # then under the module's own cap, over the 8,191 gaps of level <= 13
+    s, cap = CantorScheme(), cantor._GAP_CAP
+    rng = random.Random(13)
+    for i, w in enumerate(s.words(12)):
+        gm = gap_map(s, sys, s.gap(w, 0))
+        assert _memo_size(s) <= cap
+        if rng.random() < 0.02 or i > 2 ** 13 - 4:
+            fresh = CantorScheme()
+            assert gm == gap_map(fresh, sys, fresh.gap(w, 0)), w
+    assert i + 1 == 2 ** 13 - 1 > cap
+
+
+def test_threads_sharing_a_scheme_match_fresh_schemes(worked, monkeypatch):
+    # four threads, more than the cores CI gives, on one scheme, with a
+    # 16-map cap and a short switch interval, so table growth, memo inserts
+    # and emptyings interleave; 30 rounds, each on a scheme that starts
+    # empty, and every call against a fresh scheme
+    monkeypatch.setattr(cantor, "_GAP_CAP", 16)
+    systems = [shift_system(), pi1_system(worked), sigma2_system(worked)]
+    pts, rng = CantorScheme(), random.Random(11)
+    calls = []
+    for i in range(60):
+        sys = systems[i % 3]
+        w = "".join(rng.choice("01") for _ in range(rng.randrange(12)))
+        gap = pts.gap(w, 0)
+        calls += [functools.partial(f_eval, sys=sys, y=(gap.a + gap.b) / 2,
+                                    precision=i * 2 // 3),
+                  functools.partial(gap_map, sys=sys, gap=gap)]
+        if i % 10 == 0:
+            calls.append(functools.partial(
+                escape_fraction, sys=sys, iterations=2, samples=20,
+                master_seed=i, depth=i // 2))
+    want = [call(CantorScheme()) for call in calls]
+    wrong = []
+
+    def work(s, start):
+        for i in range(start, start + len(calls)):
+            i %= len(calls)
+            try:
+                if calls[i](s) != want[i]:
+                    wrong.append(i)
+            except Exception as e:  # noqa: BLE001 - reported below
+                wrong.append(e)
+
+    old = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            s = CantorScheme()
+            threads = [threading.Thread(target=work, args=(s, t))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        setswitchinterval(old)
+    assert wrong == []
 
 
 # -- the embedding phi ------------------------------------------------------
