@@ -73,13 +73,15 @@ class CantorScheme:
     cache that only ``_integer_layout`` grows, lazily, by one integer
     recurrence per level, with one read of c_n per level.  The descent
     blocks are derived from the table and rebuilt once after it grows.
-    Beside them the scheme holds the frontier of its last escape run,
-    which only ``escape_fraction`` replaces whole, and a memo of gap maps
-    by system (an equal ``SystemSpec``) and gap, emptied before it passes
-    ``_GAP_CAP``.  Table growth and memo inserts take the scheme's lock;
-    entries are never changed and all builders agree, so concurrent
-    callers at worst build one entry twice.  A level measure that stops
-    strictly decreasing is refused when the table reaches that level.
+    Beside them the scheme holds the live samples of its last escape
+    run, which only ``escape_fraction`` replaces whole, and a memo of gap
+    maps by system (an equal ``SystemSpec``) and gap, emptied before it
+    passes ``_GAP_CAP``; each map is built once, from ``gap`` and
+    ``interval_of_word``.  Table growth and memo inserts take the
+    scheme's lock; entries are never changed and all builds agree, so
+    concurrent callers at worst build one entry twice.  A level measure
+    that stops strictly decreasing is refused when the table reaches
+    that level.
     """
 
     def __init__(self,
@@ -101,8 +103,8 @@ class CantorScheme:
             self._m += 1
         self._grid: tuple = (1, ())
         self._blocks: tuple = (self._grid, ())
-        # (key, iterations, points, hits), as escape_fraction keeps it
-        self._escape: tuple = (None, 0, [], [])
+        # (key, iterations, live), as escape_fraction keeps it
+        self._escape: tuple = (None, 0, [])
         self._gaps: dict = {}   # SystemSpec -> {gap key: GapMap}
         self._lock = threading.Lock()   # table growth and memo inserts
 
@@ -117,12 +119,11 @@ class CantorScheme:
             raise ValueError(f"level measures not strictly decreasing at {n}")
         return b
 
-    def _span(self, w: str, grid=None):
+    def _span(self, w: str):
         """(lo, hi, D) with I_w = [lo/D, hi/D]: lo is the digit sum of
-        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}*D, read off
-        ``grid`` (a table reaching level |w| - 1) or the scheme's table."""
+        index(w_i) * stride_i*D, and hi = lo + child_{|w|-1}*D."""
         n = len(w)
-        den, levels = grid or self._integer_layout(n - 1)
+        den, levels = self._integer_layout(n - 1)
         digit = self._digit
         try:
             lo = sum([digit[s] * row[0] for s, row in zip(w, levels)])
@@ -289,8 +290,8 @@ Location = Union[InGap, InLevelInterval]
 
 
 def _descend(scheme: CantorScheme, points, depth: int):
-    """Integer core of ``locate``: one (n, index, a, b, D) for each
-    y = p/q in [0, 1] (q > 0) of ``points``.  When a is None, y lies in
+    """Integer core of ``locate``: yields one (n, index, a, b, D) for each
+    y = p/q in [0, 1] (q > 0) of ``points``, in order.  When a is None, y lies in
     the level-``depth`` interval numbered ``index`` (n = depth);
     otherwise y lies strictly inside the gap (a/D, b/D) right after the
     level-n interval numbered ``index``, which ``_gap_owner`` names.
@@ -303,8 +304,7 @@ def _descend(scheme: CantorScheme, points, depth: int):
     """
     k, m = scheme.k, scheme._m
     width = k ** m                  # descendants per block
-    grid, out = None, []
-    append = out.append
+    grid = None
     for p, q in points:
         if grid is None:    # first point, or the last one grew the table
             grid, blocks = scheme._descent_table()
@@ -318,8 +318,8 @@ def _descend(scheme: CantorScheme, points, depth: int):
             index = index * width + (i >> 1)
             if not i & 1:   # strictly inside the gap after descendant index-1
                 lo = (whole - z) >> 1
-                append((n, index - 1, lo + (ends[i - 1] >> 1),
-                        lo + (ends[i] >> 1), den))
+                yield (n, index - 1, lo + (ends[i - 1] >> 1),
+                       lo + (ends[i] >> 1), den)
                 break
             z -= ends[i - 1]
         else:
@@ -338,11 +338,10 @@ def _descend(scheme: CantorScheme, points, depth: int):
                 n += 1
                 if z > 2 * child:   # strictly inside the gap after child j
                     lo = (whole - z) >> 1
-                    append((n, index, lo + child, lo + stride, den))
+                    yield n, index, lo + child, lo + stride, den
                     break
             else:
-                append((depth, index, None, None, den))
-    return out
+                yield depth, index, None, None, den
 
 
 def _gap_key(k: int, n: int, index: int):
@@ -445,7 +444,8 @@ class GapMap:
     Breakpoints at the quarter points q1, q3; the middle piece carries
     [q1, q3] (half of the gap) linearly onto the whole of the target
     interval I' = [target_lo, target_hi], and the outer pieces connect
-    it continuously to the exact values f(a) and f(b).
+    it continuously to the exact values f(a) and f(b).  The map is
+    evaluated through its integer form, built on first use.
     """
     a: Fraction
     b: Fraction
@@ -464,42 +464,32 @@ class GapMap:
 
     @cached_property
     def _integer_form(self):
-        """(g, breakpoints, pieces), as ``_integer_form_of`` builds it
-        from the six values over the lcm of their denominators."""
+        """(g, breakpoints, pieces): the breakpoints a, q1, q3, b times
+        g = 4D, for D the lcm of the six values' denominators, and for
+        each piece (u, v, w) in lowest terms with f(y) = (u*y + v)/w.
+        With X, V the breakpoints and values times g, the piece from
+        (x0, v0) to (x1, v1) is
+        f(y) = (g(V1-V0) y + V0(X1-X0) - (V1-V0)X0) / (g(X1-X0)).
+        """
         vals = (self.a, self.b, self.fa, self.fb, self.target_lo,
                 self.target_hi)
-        den = math.lcm(*(x.denominator for x in vals))
-        return _integer_form_of(den, *(x.numerator * (den // x.denominator)
-                                    for x in vals))
-
-    def _image(self, p: int, q: int):
-        """f(p/q) as an unnormalized (numerator, denominator) pair."""
-        return _image(self._integer_form, p, q)
+        g = 4 * math.lcm(*(x.denominator for x in vals))
+        a, b, fa, fb, lo, hi = (x.numerator * (g // x.denominator)
+                                for x in vals)
+        q1, q3 = a + (b - a) // 4, a + 3 * (b - a) // 4
+        pieces = []
+        for x0, x1, v0, v1 in ((a, q1, fa, lo), (q1, q3, lo, hi),
+                               (q3, b, hi, fb)):
+            dv, dx = v1 - v0, x1 - x0
+            u, v, w = g * dv, v0 * dx - dv * x0, g * dx
+            r = math.gcd(u, v, w)
+            pieces.append((u // r, v // r, w // r))
+        return g, (a, q1, q3, b), pieces
 
     def __call__(self, y: Fraction) -> Fraction:
         y = Fraction(y)
-        return Fraction(*self._image(y.numerator, y.denominator))
-
-
-def _integer_form_of(den: int, a: int, b: int, fa: int, fb: int, lo: int,
-                     hi: int):
-    """(g, breakpoints, pieces) of the gap map whose six values are these
-    integers over ``den``: the breakpoints a, q1, q3, b times g = 4*den,
-    and for each piece (u, v, w) in lowest terms with f(y) = (u*y + v)/w.
-    With X, V the breakpoints and values times g, the piece from (x0, v0)
-    to (x1, v1) is f(y) = (g(V1-V0) y + V0(X1-X0) - (V1-V0)X0) / (g(X1-X0)).
-    """
-    g = 4 * den
-    a, b, fa, fb, lo, hi = (4 * x for x in (a, b, fa, fb, lo, hi))
-    q1, q3 = a + (b - a) // 4, a + 3 * (b - a) // 4
-    pieces = []
-    for x0, x1, v0, v1 in ((a, q1, fa, lo), (q1, q3, lo, hi),
-                           (q3, b, hi, fb)):
-        dv, dx = v1 - v0, x1 - x0
-        u, v, w = g * dv, v0 * dx - dv * x0, g * dx
-        r = math.gcd(u, v, w)
-        pieces.append((u // r, v // r, w // r))
-    return g, (a, q1, q3, b), pieces
+        return Fraction(*_image(self._integer_form, y.numerator,
+                                y.denominator))
 
 
 def _image(form, p: int, q: int):
@@ -514,9 +504,10 @@ def _image(form, p: int, q: int):
     return u * p + v * q, w * q
 
 
-def _image_ends(scheme: CantorScheme, sys: SystemSpec, w: str, j: int):
-    """(D, a, b, fa, fb, target_lo, target_hi), the last six times D, of
-    the gap map across the j-th gap (a, b) of I_w.
+def _gap_entry(scheme: CantorScheme, sys: SystemSpec, n: int,
+               index: int) -> GapMap:
+    """The memo's map of the gap right after level-n interval ``index``, as
+    ``_descend`` names it; built on a miss.
 
     The binary maps preserve extremal tails: an unbounded trailing
     1-run is never a closed block (so never erased) and a trailing 0^inf
@@ -527,31 +518,21 @@ def _image_ends(scheme: CantorScheme, sys: SystemSpec, w: str, j: int):
     their images agree to depth m = modulus(|w|) <= |w|, and the first m
     of the |w| + 9 letters of a's image word give the target interval I'.
     """
-    syms = scheme.alphabet.symbols
-    bot, top = syms[0], syms[-1]
-    images = []
-    for child, tail in ((w + syms[j], top), (w + syms[j + 1], bot)):
-        d = len(child) + 8
-        images.append(step_prefix(
-            sys, child + tail * (sys.lookahead(d) - len(child)), d))
-    words = (w + syms[j], w + syms[j + 1], images[0].rstrip(top),
-             images[1].rstrip(bot), images[0][:sys.modulus(len(w))])
-    grid = scheme._integer_layout(max(map(len, words)) - 1)   # one D for all
-    (_, a, den), (b, _, _), (_, fa, _), (fb, _, _), (t_lo, t_hi, _) = (
-        scheme._span(x, grid) for x in words)
-    return den, a, b, fa, fb, t_lo, t_hi
-
-
-def _gap_entry(scheme: CantorScheme, sys: SystemSpec, n: int,
-               index: int) -> GapMap:
-    """The memo's map of the gap right after level-n interval ``index``, as
-    ``_descend`` names it; built, with its integer form, on a miss."""
     n, index = _gap_key(scheme.k, n, index)
     gm = scheme._gaps.get(sys, {}).get((n, index))
     if gm is None:
-        den, *vals = _image_ends(scheme, sys, *_gap_owner(scheme, n, index))
-        gm = GapMap(*(Fraction(x, den) for x in vals))
-        gm.__dict__["_integer_form"] = _integer_form_of(den, *vals)
+        w, j = _gap_owner(scheme, n, index)
+        syms = scheme.alphabet.symbols
+        bot, top = syms[0], syms[-1]
+        images = []
+        for child, tail in ((w + syms[j], top), (w + syms[j + 1], bot)):
+            d = len(child) + 8
+            images.append(step_prefix(
+                sys, child + tail * (sys.lookahead(d) - len(child)), d))
+        gap, word = scheme.gap(w, j), scheme.interval_of_word
+        gm = GapMap(gap.a, gap.b, word(images[0].rstrip(top))[1],
+                    word(images[1].rstrip(bot))[0],
+                    *word(images[0][:sys.modulus(len(w))]))
         with scheme._lock:
             if sum(map(len, scheme._gaps.values())) >= _GAP_CAP:
                 scheme._gaps = {}
@@ -609,6 +590,14 @@ class EscapeResult:
                 "sigma": self.sigma}
 
 
+def _in_gaps(scheme: CantorScheme, points, depth: int):
+    """(p, q, gap key) for each p/q of ``points`` strictly inside a gap of
+    level <= ``depth``; the points in level-``depth`` intervals drop out."""
+    k = scheme.k
+    return [(p, q, _gap_key(k, n, index)) for (p, q), (n, index, a, _, _)
+            in zip(points, _descend(scheme, points, depth)) if a is not None]
+
+
 def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
                     samples: int, master_seed: int, depth: int,
                     ) -> EscapeResult:
@@ -627,12 +616,13 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
     the gap map in the scheme's memo, which ``gap_map`` and ``f_eval``
     share, so each gap's map is built once per scheme and system.
 
-    The scheme keeps the run's frontier: the unreduced images after n
-    steps and their descent.  A call with the same system (an equal
-    ``SystemSpec``), samples, seed and depth and at least the held step
-    count resumes from it, so asking for n = 1..N in turn costs one
-    N-step run; any other call starts again from the draws and replaces
-    the frontier.
+    The scheme keeps the run's frontier: its live samples, the unreduced
+    images after n steps that lie strictly inside a gap, each with its
+    gap's key; absorbed samples are dropped.  A call with the same
+    system (an equal ``SystemSpec``), samples, seed and depth and at
+    least the held step count resumes from it, so asking for n = 1..N in
+    turn costs one N-step run; any other call starts again from the
+    draws and replaces the frontier.
     """
     if samples < 1:
         raise ArgumentRefused("need at least one sample")
@@ -644,26 +634,20 @@ def escape_fraction(scheme: CantorScheme, sys: SystemSpec, iterations: int,
         raise ArgumentRefused("master seed must be >= 0")
     _require_embeddable(scheme, sys)
     key = (sys, samples, master_seed, depth)
-    held, done, points, hits = scheme._escape
+    held, done, live = scheme._escape
     scheme._integer_layout(depth - 1)   # the blocks then reach ``depth``
     if held != key or done > iterations:
         q, rng = 2 ** 53, np.random.default_rng(master_seed)
-        points = [(p, q) for p in rng.integers(0, q, size=samples).tolist()]
-        done, hits = 0, _descend(scheme, points, depth)
+        done, live = 0, _in_gaps(scheme, [
+            (p, q) for p in rng.integers(0, q, size=samples).tolist()], depth)
     with scheme._lock:
-        k, maps = scheme.k, scheme._gaps.setdefault(sys, {})
+        maps = scheme._gaps.setdefault(sys, {})
     for _ in range(done, iterations):
-        images = []
-        for (p, q), (n, index, a, _, _) in zip(points, hits):
-            if a is None:
-                continue                    # absorbed
-            gm = (maps.get(_gap_key(k, n, index))
-                  or _gap_entry(scheme, sys, n, index))
-            images.append(_image(gm._integer_form, p, q))
-        points = images
-        hits = _descend(scheme, points, depth)
-    scheme._escape = (key, iterations, points, hits)
-    escaped = sum(hit[2] is not None for hit in hits)
+        live = _in_gaps(scheme, [
+            _image((maps.get(g) or _gap_entry(scheme, sys, *g))._integer_form,
+                   p, q) for p, q, g in live], depth)
+    scheme._escape = (key, iterations, live)
+    escaped = len(live)
     frac = Fraction(escaped, samples)
     p = float(frac)
     sigma = math.sqrt(max(p * (1 - p), 1e-12) / samples)

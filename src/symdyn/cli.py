@@ -4,12 +4,12 @@ Every run is fully determined by its arguments (system, oracle file,
 initial-configuration descriptor, seeds).  The only state kept between
 calls in one process is the default ``CantorScheme`` of the ``interval``
 commands, whose level table gives the same values however far it has
-grown, which holds the frontier of its last escape run (each ``interval
-escape`` call resumes it only on the same system, samples, seed and
-depth, and otherwise replaces it) and a memo of at most 4,096 gap maps
-that ``interval eval`` and ``interval escape`` share; and the oracle
-tables parsed from the last 16 file texts read, keyed by the text, so a
-rewritten file is parsed afresh.  Neither changes a result.
+grown, which holds the live samples of its last escape run (each
+``interval escape`` call resumes them only on the same system, samples,
+seed and depth, and otherwise replaces them) and a memo of at most 4,096
+gap maps that ``interval eval`` and ``interval escape`` share; and the
+oracle tables parsed from the last 16 file texts read, keyed by the
+text, so a rewritten file is parsed afresh.  Neither changes a result.
 Exit codes: 0 success, 1 verification failure, 2 usage error, a refused
 argument or table, or an orbit the input leaves undetermined.  The
 library refuses arguments and tables (``ArgumentRefused``,

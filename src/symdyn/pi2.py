@@ -560,13 +560,8 @@ class ZoneEngine:
 
         u1 = self.zones[1]
         if not u1 and self.last == 1:
-            self._extend_frontier(1)
-        if u1:
-            c = u1[0]
-        elif self.last >= 2:
-            c = _S
-        else:
-            c = _ZERO
+            self._extend_frontier(1)    # adds a chunk of cells or finds S_2
+        c = u1[0] if u1 else _S
         eat = self.ones == self.trailing
         if eat and c == _ONE and (not self.gate_first
                                   or gate_allows(self._g2, len(u0), self.t)):
@@ -648,13 +643,12 @@ class ZoneEngine:
             if hi > len(self._shift_word):
                 self._shift_word = self.layer1.materialize(hi + _CHUNK)
             return self._shift_word[self.t:hi]
+        # no step removes a cell, and the horizon + L + 64 cells first
+        # materialized outnumber L, so the last zone reaches the window's end
         out = self.u0[:L]
         k = 1
         while len(out) < L and k <= self.last:
-            take = L - len(out) - 1
-            if k == self.last and len(self.zones[k]) < take:
-                self._extend_frontier(take)
-            out += b"S" + self.zones[k][:take]
+            out += b"S" + self.zones[k][:L - len(out) - 1]
             k += 1
         return out.decode("ascii")
 

@@ -294,10 +294,8 @@ def config_to_json(x: Configuration) -> str:
     elif isinstance(t, Sampler):
         tail = {"kind": "sampler", "alphabet": list(t.alphabet),
                 "weights": list(t.weights), "seed": t.seed}
-    elif isinstance(t, Scheduled):
+    else:   # Scheduled: ``Configuration`` admits no other kind
         tail = {"kind": "scheduled", "language": t.enumerator, "filler": t.filler}
-    else:
-        raise TypeError(f"unserializable tail {t!r}")
     return json.dumps({"alphabet": list(x.alphabet.symbols),
                        "prefix": x.prefix, "tail": tail}, indent=2)
 

@@ -27,8 +27,8 @@ from symdyn.space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration,
                           binary_config, config_from_json, distance_exponent)
 from symdyn.systems import (EraseKind, SystemId, SystemSpec, block_fate,
                             erase_map_prefix, orbit, orbit_window_counts,
-                            orbit_windows, pi2_system, shift_system,
-                            step_prefix)
+                            orbit_windows, pi1_system, pi2_system,
+                            shift_system, step_prefix)
 from symdyn.verify import verify_suite, worked_example_oracle
 
 WORKED = worked_example_oracle()
@@ -117,6 +117,8 @@ _REFUSALS = {
     "locate-depth": lambda: locate(_scheme(), Fraction(1, 3), -1),
     "f_eval-system": lambda: f_eval(_scheme(), pi2_system(WORKED),
                                     Fraction(1, 3), 4),
+    "f_eval-scheme-alphabet": lambda: f_eval(
+        CantorScheme(ALPHA_01S), pi1_system(WORKED), Fraction(1, 3), 4),
     "gap_map-system": lambda: gap_map(
         _scheme(), pi2_system(WORKED),
         GapLocation("", 0, Fraction(1, 3), Fraction(2, 3))),

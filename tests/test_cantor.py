@@ -17,8 +17,8 @@ from symdyn.cantor import (CantorScheme, GapLocation, InGap, InLevelInterval,
                            escape_fraction, export_intervals, f_eval, gap_map,
                            locate, phi_point)
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
-from symdyn.space import (ALPHA_01S, Constant, Periodic, Sampler,
-                          binary_config)
+from symdyn.space import (ALPHA_01S, Configuration, Constant, Periodic,
+                          Sampler, binary_config)
 from symdyn.systems import (SystemSpec, pi1_system, pi2_system,
                             shift_system, sigma2_system, step_prefix)
 
@@ -287,7 +287,7 @@ def reference_escape_loop(scheme, sys, iterations, samples, master_seed,
             if gm is None:
                 gm = cache[key] = reference_gap_map(
                     scheme, sys, reference_gap_at(scheme, *found))
-            p, q = gm._image(p, q)
+            p, q = cantor._image(gm._integer_form, p, q)
     return escaped
 
 
@@ -708,7 +708,8 @@ def test_integer_form_matches_per_piece_fractions(scheme, worked, name):
             i = _chosen_piece(ref, p, q)
             assert _chosen_piece(gm._integer_form, p, q) == i, (w, y)
             u, v, w_ = ref[2][i]
-            assert F(*gm._image(p, q)) == F(u * p + v * q, w_ * q), (w, y)
+            assert F(*cantor._image(gm._integer_form, p, q)) \
+                == F(u * p + v * q, w_ * q), (w, y)
 
 
 def _normal_form(form):
@@ -723,8 +724,8 @@ def _normal_form(form):
                          ids=["shift", "pi1", "sigma2"])
 def test_integer_gap_maps_match_fraction_construction(make, table, request):
     # every gap to depth 10: gap_map against the Fraction construction,
-    # all six values and the integer form; and the escape loop's form,
-    # built from the gap its descent names, against the same
+    # all six values and the integer form; and the escape loop's entry
+    # for the gap its descent names is the map gap_map returned
     sys = make(request.getfixturevalue(table))
     s, ref = CantorScheme(), CantorScheme()
     for w in s.words(10):
@@ -738,8 +739,8 @@ def test_integer_gap_maps_match_fraction_construction(make, table, request):
             s, [(mid.numerator, mid.denominator)], 11)
         assert (*cantor._gap_owner(s, n, index), F(a, den), F(b, den)) \
             == (w, 0, want.a, want.b)
-        built = cantor._gap_entry(s, sys, n, index)._integer_form
-        assert built[0] % den == 0 and _normal_form(built) == form, w
+        built = cantor._gap_entry(s, sys, n, index)
+        assert built is gm and _normal_form(built._integer_form) == form, w
 
 
 def test_gap_map_steps_two_image_words(scheme, worked, monkeypatch):
@@ -906,12 +907,13 @@ def test_resumed_escape_matches_fresh_runs(worked, monkeypatch, name, depth):
             assert isinstance(locate(s, F(0), 42), InLevelInterval)
         key = (on, samples, seed, at)
         held, memo = s._escape, _memo_entries(s)
-        kept = list(held[2]), list(held[3])
+        kept = list(held[2])
         drawn = len(draws)
         got = escape_fraction(s, on, n, samples, seed, at)
         assert (len(draws) == drawn) == (key == last[0] and last[1] <= n), \
             (samples, seed, n, how)
-        assert len(held) == 4 and (list(held[2]), list(held[3])) == kept
+        assert len(held) == 3 and list(held[2]) == kept
+        assert len(s._escape[2]) == got.escaped
         now = _memo_entries(s)
         assert all(now[k] is gm for k, gm in memo.items() if k in now)
         assert s._escape[:2] == (key, n)
@@ -958,8 +960,8 @@ def _same_gap_map(got, want, points):
     assert got == want
     assert _normal_form(got._integer_form) == _normal_form(want._integer_form)
     for y in points:
-        assert got._image(y.numerator, y.denominator) \
-            == want._image(y.numerator, y.denominator), y
+        assert cantor._image(got._integer_form, y.numerator, y.denominator) \
+            == cantor._image(want._integer_form, y.numerator, y.denominator), y
 
 
 @pytest.mark.parametrize("depth", [0, 1, 16, 35])
@@ -1005,13 +1007,13 @@ def test_gap_map_memo_matches_fresh_schemes(worked, parity, depth):
 def test_new_escape_seed_builds_only_unbuilt_gaps(worked, monkeypatch):
     # n = 1..4 on a second seed builds only gaps the first run did not; on
     # a fresh scheme the same run also builds some the first run had built
-    built, image_ends = [], cantor._image_ends
+    built, make = [], cantor.GapMap
 
-    def spy(scheme, sys, w, j):
-        built.append((w, j))
-        return image_ends(scheme, sys, w, j)
+    def spy(a, b, *values):
+        built.append((a, b))
+        return make(a, b, *values)
 
-    monkeypatch.setattr(cantor, "_image_ends", spy)
+    monkeypatch.setattr(cantor, "GapMap", spy)
     sys, s = pi1_system(worked), CantorScheme()
     runs = {}
     for seed, scheme in ((3, s), (4, s), (4, CantorScheme())):
@@ -1105,6 +1107,18 @@ def test_threads_sharing_a_scheme_match_fresh_schemes(worked, monkeypatch):
     assert wrong == []
 
 
+def test_contraction_refuses_a_level_measure_that_stops_decreasing():
+    # c_4 = c_3 = 9/16: b_n = c_{n+1}/c_n below level 3, and b_3 = 1 refused
+    def c(n):
+        return F(1, 2) + F(1, 2 ** min(n + 1, 4))
+
+    s = CantorScheme(level_measure=c, limit=F(9, 16))
+    assert [s.contraction(n) for n in range(3)] \
+        == [c(n + 1) / c(n) for n in range(3)]
+    with pytest.raises(ValueError, match="not strictly decreasing at 3"):
+        s.contraction(3)
+
+
 # -- the embedding phi ------------------------------------------------------
 
 def test_phi_exact_points(scheme):
@@ -1113,6 +1127,34 @@ def test_phi_exact_points(scheme):
     assert phi_point(scheme, binary_config("", Constant("1")), 10).upper == 1
     e = phi_point(scheme, binary_config("1", Constant("0")), 10)
     assert e.exact and e.lower == F(5, 8)
+
+
+def test_phi_one_symbol_periodic_tail_is_exact(scheme):
+    # a period of one repeated symbol is the constant tail: the outer
+    # endpoint of I_v, exactly
+    for v in ("", "0", "0110"):
+        for sym, end in (("0", 0), ("1", 1)):
+            e = phi_point(scheme, binary_config(v, Periodic(sym * 3)), 12)
+            assert e.exact and e.lower == scheme.interval_of_word(v)[end]
+            assert e == phi_point(scheme, binary_config(v, Constant(sym)), 12)
+
+
+@pytest.mark.parametrize("tail", [Constant("1"), Periodic("11")])
+def test_phi_middle_constant_tail_is_enclosed(tail):
+    # on a ternary scheme 1 is neither the bottom nor the top symbol: the
+    # enclosure is I_w for the first d letters, d the least with
+    # 3^-d <= 2^-precision, and nests as the precision grows
+    s = CantorScheme(ALPHA_01S)
+    for v in ("", "S0"):
+        x = Configuration(ALPHA_01S, v, tail)
+        prev = None
+        for n in (0, 1, 5, 13, 30):
+            d = next(d for d in range(n + 1) if 3 ** d >= 2 ** n)
+            e = phi_point(s, x, n)
+            assert (e.lower, e.upper) == s.interval_of_word((v + "1" * d)[:d])
+            assert 0 < e.width <= F(1, 2 ** n)
+            assert prev is None or prev.contains(e)
+            prev = e
 
 
 def test_phi_enclosures_nest(scheme):

@@ -1,14 +1,17 @@
 """End-to-end command-line behaviour: formats, descriptors, exit codes."""
 
 import csv
+import functools
+import gc
 import io
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from symdyn import cli
+from symdyn import cantor, cli
 from symdyn.analysis import empirical_measure, omega_profile
 from symdyn.cantor import CantorScheme
 from symdyn.cli import main, parse_descriptor
@@ -334,6 +337,28 @@ def test_interval_escape(capsys, oracle_file):
     assert doc["bound"] == 0.5625
 
 
+@pytest.mark.parametrize("iterations, cap_mib", [(0, 12), (1, 8)])
+def test_interval_escape_keeps_only_live_samples(capsys, monkeypatch,
+                                                 iterations, cap_mib):
+    # what one 10^5-sample call leaves allocated, its fresh scheme
+    # included: the frontier holds only the samples still in a gap (about
+    # half of them at n = 0), not the absorbed ones or their descent
+    monkeypatch.setattr(cli, "_scheme", functools.cache(cantor.CantorScheme))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["interval", "escape", "--system", "shift",
+                     "--iterations", str(iterations), "--samples", "100000",
+                     "--depth", "16"])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["n"] == iterations
+    assert held <= cap_mib * 2 ** 20, held / 2 ** 20
+
+
 # -- verify and error paths -------------------------------------------------
 
 def test_verify_worked_example_suite(capsys):
@@ -651,6 +676,17 @@ def test_argument_errors_are_usage_errors(capsys, tmp_path, oracle_file,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("tilde-mu", "--oracle", "{prog}", "--word", "01", "--p", "abc"), "abc"),
+    (("interval", "eval", "--system", "shift", "--point", "1/0"), "1/0"),
+])
+def test_malformed_rationals_exit_2(capsys, oracle_file, argv, text):
+    code = main([a.format(prog=oracle_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"not a rational number: {text!r}" in captured.err
 
 
 def test_internal_value_error_exits_with_a_traceback(oracle_file):

@@ -206,6 +206,48 @@ def test_work_cap():
         orc.answer(5, HaltQuery(QueryKind.ALL_BELOW, budget=100, k=20))
 
 
+def test_enumerated_all_below_unbounded_is_refused():
+    from symdyn.oracle import WorkCapExceeded
+    orc = OracleTable.enumerated()
+    with pytest.raises(WorkCapExceeded, match="unboundedly many inputs"):
+        orc.answer(0, HaltQuery(QueryKind.ALL_BELOW, budget=1, k=INF))
+
+
+def _inputs(lo, hi):
+    return [format(b, "b").zfill(n) if n else ""
+            for n in range(lo, hi + 1) for b in range(2 ** n)]
+
+
+def test_enumerated_answers_match_direct_simulation():
+    # ALL_BELOW is YES exactly when every input of size < k halts within
+    # the budget, SOME_IN exactly when some input of size in [k, k_hi]
+    # does (k_hi at most the budget); both kinds answer each way here
+    orc = OracleTable.enumerated()
+    rng = random.Random(11)
+    seen = set()
+    for e in [0, 1, 2, *(rng.randrange(10 ** 4) for _ in range(40))]:
+        spec = decode_machine(e)
+        for budget in (1, 4, 9):
+            for k in range(4):
+                halts = [simulate_tm(spec, w, budget) is not None
+                         for w in _inputs(0, k - 1)]
+                got = orc.answer(e, HaltQuery(QueryKind.ALL_BELOW, budget, k=k))
+                assert got is (Answer.YES if all(halts)
+                               else Answer.NO_WITHIN_BUDGET), (e, budget, k)
+                seen.add((QueryKind.ALL_BELOW, got))
+                for k_hi in [h for h in (k, k + 2) if h <= budget]:
+                    halts = [simulate_tm(spec, w, budget) is not None
+                             for w in _inputs(k, k_hi)]
+                    got = orc.answer(e, HaltQuery(QueryKind.SOME_IN, budget,
+                                                  k=k, k_hi=k_hi))
+                    assert got is (Answer.YES if any(halts)
+                                   else Answer.NO_WITHIN_BUDGET), (e, budget, k)
+                    seen.add((QueryKind.SOME_IN, got))
+    assert seen == {(kind, a) for kind in (QueryKind.ALL_BELOW,
+                                           QueryKind.SOME_IN)
+                    for a in (Answer.YES, Answer.NO_WITHIN_BUDGET)}
+
+
 def test_replace_builds_a_fresh_index():
     from dataclasses import replace
     orc = OracleTable.programmed_table([

@@ -243,6 +243,47 @@ def test_s_free_horizon_matches_word_reference(prefix, period):
     assert list(systems.orbit_windows(sys, x, 0, 4, 8)) == want
 
 
+def test_s_free_engine_stepped_past_its_horizon():
+    # built for 10 steps and stepped 300: its windows read past the cells
+    # first materialized, which it extends from the input
+    sys = pi2_system(MIXED)
+    x = cfg("0110", "0111010")
+    eng = ZoneEngine(sys.id, sys.oracle, x, None, 10, 8)
+    assert eng.u0 is None and len(eng._shift_word) < 300
+    got = []
+    for _ in range(301):
+        got.append(eng.window_word())
+        eng.step()
+    assert got == word_reference(sys, x.materialize(400), 300, 8)
+
+
+def _cells(eng):
+    return len(eng.u0) + sum(1 + len(z) for z in eng.zones[1:])
+
+
+@pytest.mark.parametrize("prefix, period", [
+    ("0110S0111S01S", "0"),
+    ("S1S", "0"),
+    ("0111S0S011", "0"),
+])
+def test_window_reaching_the_last_zone_stays_inside_its_cells(prefix, period):
+    # a window as long as the cells first materialized allow (horizon 0):
+    # no step removes a cell, so the last zone always reaches the window's
+    # end, and the windows match orbits of step_prefix past the horizon
+    sys = pi2_system(MIXED)
+    x = cfg(prefix, period)
+    window = 100
+    eng = ZoneEngine(sys.id, sys.oracle, x, None, 0, window)
+    first = _cells(eng)
+    assert first < window + 80
+    got = []
+    for _ in range(151):
+        assert _cells(eng) >= first
+        got.append(eng.window_word())
+        eng.step()
+    assert got == word_reference(sys, x.materialize(2000), 150, window)
+
+
 def test_s_free_glued_run_with_no_s_in_the_input_shifts():
     # the tail writes no S, so no S can glue the run: the map is the shift
     x = cfg("00000", "1")
