@@ -137,10 +137,6 @@ class CantorScheme:
         lo, hi, den = self._span(w)
         return Fraction(lo, den), Fraction(hi, den)
 
-    def interval_length(self, w: str) -> Fraction:
-        lo, hi = self.interval_of_word(w)
-        return hi - lo
-
     def cantor_measure(self, w: str) -> Fraction:
         """Lebesgue measure of I_w ∩ C: k^{-|w|} times the measure of C."""
         return self.limit / Fraction(self.k) ** len(w)

@@ -42,14 +42,21 @@ read reaches it.  Its cells are ASCII bytes: u0 and every zone is one
 with ``del``.  An S-free horizon runs as the shift, once it is read on
 past any open 1-run an S beyond it could glue (``_past_glued_run``).  S
 positions are kept lazily in two flat lists over the zone index, each
-zone's insertion displacement and its next excision wake-up.  All the
-excisions of one step (a wave) cost O(zones) C-level list work plus
-Python work per fired zone, however many S's sit to their right.  Between
-waves a run of plain pushes only shifts u0, and ``orbit_windows`` applies
-such a run in one jump (``ZoneEngine.jump``): at most ``_JUMP`` steps,
-stopping before the next wave and before the step whose frontier check
-would act; the jump is four buffer operations, and the run's windows
-are slices of one decoded string.
+zone's insertion displacement and its next excision wake-up, beside the
+set of zones with runs pending.  All the excisions of one step (a wave)
+cost one scan of that set for the zones due, one C-level prefix sum over
+the zone index that applies the wave's displacements, and Python work per
+fired zone: heap pops, a sort only when several runs fire, zeroing and one
+deposit, however many S's sit to their right.  A push compares the push
+count with a cached bound before any frontier check runs.  Past the
+materialization cap the check extends nothing and only counts
+``cap_hits``; a wave that meets the cap counts the checks of its later
+zones in one addition.  Between waves a run of plain pushes only shifts
+u0, and ``orbit_windows`` applies such a run in one jump
+(``ZoneEngine.jump``): at most ``_JUMP`` steps, stopping before the next
+wave and before the step whose frontier check would act; the jump is four
+buffer operations, and the run's windows are slices of one decoded
+string.
 
 The engine counts the frontier checks that hit the materialization cap in
 ``cap_hits``, but a zero count does not make it exact: on criterion 08's
@@ -66,7 +73,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, itemgetter
 from typing import Iterator, List, Optional, Tuple
 
 from .oracle import OracleTable, QueryKind, TableRefused
@@ -253,6 +260,7 @@ _NO_KEY = 1 << 62          # wake key of a zone with nothing pending
 _JUMP = 1024               # most steps in one push-run jump
 _MIN_JUMP = 4              # fewer pushes are left to step()
 _ZERO, _ONE, _S = b"01S"   # engine cells are ASCII bytes
+_START = itemgetter(1)     # a pending run's start cell
 
 
 def _glued_run_open(w: str, reach: int) -> bool:
@@ -296,11 +304,15 @@ class ZoneEngine:
     S_k, and ``key[k]``, zone k's least pending excision threshold minus
     ``base[k]`` (``_NO_KEY`` when nothing is pending).  Zone k is due
     once ``key[k] - dep[k] <= pushes``; the least such value is cached,
-    so a step with nothing due costs O(1).  A step with zones due (a
-    wave) costs O(zones) C-level list work, one scan for the due zones
-    and one prefix sum that applies all the wave's displacements, plus
-    Python work per fired zone.  ``dep`` of the last S is also kept as a
-    running total, and idle zones cost nothing per step.
+    so a step with nothing due costs O(1).  ``_active`` is the set of
+    zones with runs pending.  A step with zones due (a wave) scans only
+    that set for the due zones and fires them in ascending order; it
+    applies all the wave's displacements with one C-level prefix sum over
+    ``dep`` and takes the new least over the set.  Per fired zone it pops
+    the runs due (sorting them by start only when more than one fires),
+    zeroes them and deposits 0 1^l for each into zone k-1, whose heap
+    takes the blocks.  ``dep`` of the last S is also kept as a running
+    total, and idle zones cost nothing per step.
     ``s_positions()`` reads every position from the second S on.
 
     ``step()`` is the one single-step path.  ``jump(limit)`` applies the
@@ -309,16 +321,23 @@ class ZoneEngine:
     ``pushes`` and ``t`` grow by j.  The run ends where the rightmost 1
     of ``u0`` pops out (every step pushes while zone 1 is empty and a
     second S exists), before the next wave (j <= ``_least - pushes``),
-    before the step whose frontier check would act (``_frontier_room``,
-    which ``_check_frontier`` reads too) and after ``_JUMP`` steps.  The
-    inserting variant, the S-free engine and windows longer than ``u0``
-    never jump.  A product engine materializes layer 2 once, as ``_g2``,
-    reads the gate as ``gate_allows(_g2, len(u0), t)`` and hands
-    ``orbit_windows`` its layer-2 windows.
+    before the step whose frontier check would act (j <= ``_frontier_at
+    - pushes``) and after ``_JUMP`` steps.  The inserting variant, the
+    S-free engine and windows longer than ``u0`` never jump.  A product
+    engine materializes layer 2 once, as ``_g2``, reads the gate as
+    ``gate_allows(_g2, len(u0), t)`` and hands ``orbit_windows`` its
+    layer-2 windows.
 
     ``cap_hits`` counts the frontier checks that stopped at the
     materialization cap while the last S's scan prefix reached past the
-    materialized cells; past that point results can be inexact.
+    materialized cells; past that point results can be inexact.  A check
+    follows every push and every fired zone, but it acts only once the
+    room that ``_frontier_room`` gives is negative.  ``_frontier_at``
+    caches ``pushes`` plus that room and is refreshed on every other
+    change to it, so a push costs one compare.  Past the cap a check
+    extends nothing and only counts.  Within a wave the room only shrinks,
+    so once the cap stops one check, the wave adds the hits of its later
+    zones in one addition.
     ``waves`` counts the steps on which some zone was due,
     ``displacements`` the zones that fired on them, and ``jumped`` the
     steps applied by ``jump``.
@@ -370,10 +389,12 @@ class ZoneEngine:
         self.parsed: List[int] = [0] * (self.last + 1)
         self.key: List[int] = [_NO_KEY] * (self.last + 1)
         self.dep: List[int] = [0] * (self.last + 1)
+        self._active = set()                 # the zones with runs pending
         self._least = _NO_KEY                # min(key[k] - dep[k])
         self._dep_last = 0                   # dep[last], a running total
         for k in range(2, self.last + 1):
             self._absorb_runs(k, complete=(k < self.last))
+        self._frontier_at = self._frontier_room()   # pushes + room
 
     # -- bookkeeping helpers ------------------------------------------------
 
@@ -413,6 +434,7 @@ class ZoneEngine:
         self.parsed[k] = limit
         if heap:
             # pushes only lower the least threshold, and so the wake key
+            self._active.add(k)
             key = self.key[k] = heap[0][0] - self.base[k]
             if key - self.dep[k] < self._least:
                 self._least = key - self.dep[k]
@@ -451,6 +473,7 @@ class ZoneEngine:
                 break
         if self.last >= 2:
             self._absorb_runs(self.last, complete=False)
+        self._frontier_at = self.pushes + self._frontier_room()
 
     # -- stepping -----------------------------------------------------------
 
@@ -458,24 +481,31 @@ class ZoneEngine:
         """Apply the wave of the zones due now (``_least <= pushes``)."""
         pushes = self.pushes
         key, dep, base = self.key, self.dep, self.base
-        pending, zones = self.pending, self.zones
+        pending, zones, active = self.pending, self.zones, self._active
+        tau, heappop, heappush = self.rule.tau, heapq.heappop, heapq.heappush
         # the due zones in ascending order, judged against the pre-step
         # displacements: all excisions of one step are judged against the
         # pre-step S positions, a block deposited into zone k-1 is not
         # rescanned before the next application of the map, and same-step
         # displacements must not widen a later scan.  dep changes only
         # once the wave is done.
-        due = list(itertools.compress(
-            itertools.count(), map(pushes.__ge__, map(sub, key, dep))))
-        moved = []
-        for k in due:
+        due = sorted([k for k in active if key[k] - dep[k] <= pushes])
+        amounts = []
+        dep_last = self._dep_last
+        room = self._frontier_at - pushes    # displacement before a check
+        for i, k in enumerate(due):
             heap = pending[k]
             pos = base[k] + pushes + dep[k]
-            fired = []
+            fired = [heappop(heap)]          # a due zone fires at least once
             while heap and heap[0][0] <= pos:
-                fired.append(heapq.heappop(heap))
-            key[k] = heap[0][0] - base[k] if heap else _NO_KEY
-            fired.sort(key=lambda e: e[1])
+                fired.append(heappop(heap))
+            if len(fired) > 1:
+                fired.sort(key=_START)
+            if heap:
+                key[k] = heap[0][0] - base[k]
+            else:
+                key[k] = _NO_KEY
+                active.discard(k)
             # zero the fired runs and deposit 0 1^l for each, in order,
             # at the end of zone k-1
             zone, tgt = zones[k], zones[k - 1]
@@ -485,25 +515,39 @@ class ZoneEngine:
                 zone[start:start + l] = b"0" * l
                 tgt += b"0" + b"1" * l
                 if heap is not None:
-                    tau = self.rule.tau(l, k - 1)
-                    if tau is not None:
-                        heapq.heappush(heap,
-                                       (max(tau, off + l + 1), off + 1, l))
+                    t = tau(l, k - 1)
+                    if t is not None:
+                        heappush(heap, (max(t, off + l + 1), off + 1, l))
                 off += l + 1
-            if heap is not None:
-                key[k - 1] = heap[0][0] - base[k - 1] if heap else _NO_KEY
+            if heap:
+                key[k - 1] = heap[0][0] - base[k - 1]
+                active.add(k - 1)
             # S_k .. S_last move right by what was deposited
-            moved.append((k, off - start_off))
-            self._dep_last += off - start_off
-            if self._frontier_room() < 0:
-                self._check_frontier()
+            amount = off - start_off
+            amounts.append(amount)
+            dep_last += amount
+            room -= amount
+            if room < 0:
+                self._dep_last = dep_last
+                if self._check_frontier():
+                    # stopped at the cap, where nothing extends the
+                    # frontier and the room only shrinks within a wave:
+                    # the check after each later zone of the wave hits too
+                    self.cap_hits += len(due) - 1 - i
+                    room = _NO_KEY
+                else:
+                    room = self._frontier_at - pushes
+        self._dep_last = dep_last
         diff = [0] * len(dep)
-        for k, amount in moved:
+        for k, amount in zip(due, amounts):
             diff[k] = amount
         self.dep = dep = list(map(add, dep, itertools.accumulate(diff)))
-        self._least = min(map(sub, key, dep))
+        # idle zones wake at _NO_KEY - dep[k], least for the last zone
+        self._least = min([key[k] - dep[k] for k in active],
+                          default=_NO_KEY - dep[-1])
+        self._frontier_at = pushes + self._frontier_room()
         self.waves += 1
-        self.displacements += len(moved)
+        self.displacements += len(due)
 
     def _displace_all(self, amount: int):
         """Record that S_2 .. S_last moved right by ``amount``."""
@@ -514,7 +558,8 @@ class ZoneEngine:
 
     def _frontier_room(self) -> int:
         """Pushes left before ``_check_frontier`` must act; negative once
-        it must.
+        it must.  ``_frontier_at`` caches ``pushes`` plus this room; every
+        change to the room other than a push refreshes it.
 
         Below the materialization cap it extends the frontier when the
         last zone holds fewer than ``_CHUNK // 2`` cells past the last S;
@@ -527,22 +572,25 @@ class ZoneEngine:
         return (len(self.zones[last]) - slack
                 - (self.base[last] + self.pushes + self._dep_last))
 
-    def _check_frontier(self):
+    def _check_frontier(self) -> bool:
         """Keep the last S's scan prefix parsed for future excisions.
 
         Stops at the materialization cap: excision cascades originating
         beyond the initial horizon are outside the engine's contract.  A
         stop while the scan prefix still reaches past the materialized
-        cells counts in ``cap_hits``.
+        cells counts in ``cap_hits``, and the call returns True.
         """
-        while self._frontier_room() < 0:
-            if self.src > self.cap:
-                self.cap_hits += 1
-                break
+        room = self._frontier_room()
+        while room < 0 and self.src <= self.cap:
             prev = (self.last, self.src)
             self._extend_frontier(self._pos(self.last) + _CHUNK)
+            room = self._frontier_at - self.pushes
             if (self.last, self.src) == prev:
                 break
+        self._frontier_at = self.pushes + room
+        hit = room < 0 and self.src > self.cap
+        self.cap_hits += hit
+        return hit
 
     def step(self):
         u0 = self.u0
@@ -587,7 +635,7 @@ class ZoneEngine:
             else:
                 self.pushes += 1
                 self.crossing = False
-                if self._frontier_room() < 0:
+                if self.pushes > self._frontier_at:
                     self._check_frontier()
         self.t += 1
 
@@ -616,7 +664,7 @@ class ZoneEngine:
                 or (not sticky and self.ones == self.trailing)):
             return 0, ""
         bound = min(limit, _JUMP, self._least - self.pushes,
-                    self._frontier_room())
+                    self._frontier_at - self.pushes)
         if bound < _MIN_JUMP:
             return 0, ""
         j = bound

@@ -234,11 +234,6 @@ def _rule(oracle, kind, budget=None) -> _Rule:
     return (_TableRule if oracle.programmed else _Rule)(oracle, kind, budget)
 
 
-def erases_now(oracle: OracleTable, kind: EraseKind):
-    """The per-step rule: ``now(l, j1, gap) -> bool`` of a new rule."""
-    return _rule(oracle, kind).now
-
-
 def check_budget(budget: Optional[int]) -> None:
     """Raise ArgumentRefused unless ``budget`` is None or >= 0."""
     if budget is not None and budget < 0:

@@ -241,7 +241,9 @@ def check_omega(report: VerificationReport, burn_in: int = 2000,
 
 def check_statistical(report: VerificationReport, n: int = 100_000,
                       depth: int = 3, seed: int = 2024,
-                      tol: float = 0.05) -> None:
+                      tol: Fraction = Fraction(1, 20)) -> None:
+    """Total variation between the empirical and the limit measure at
+    ``depth``, decided exactly: tv <= tol in Fractions."""
     orc = parity_oracle()
     sys = systems.pi1_system(orc)
     x = binary_config("", Sampler(("0", "1"), (1, 1), analysis.derived_seed(seed, 0)))
@@ -249,7 +251,7 @@ def check_statistical(report: VerificationReport, n: int = 100_000,
     limit = analysis.tilde_mu_table(orc, Fraction(1, 2), depth, 24)
     tv = sum(abs(emp.frequency(w) - est.midpoint())
              for w, est in limit.items()) / 2
-    report.add("statistical.tv-depth3", float(tv) <= tol, float(tv), tol)
+    report.add("statistical.tv-depth3", tv <= tol, float(tv), float(tol))
 
 
 def two_zone_configuration() -> Configuration:
@@ -301,7 +303,9 @@ def check_wild(report: VerificationReport, t0: int = 10_000,
     for w in systems.orbit_windows(sys, x, t0, t1, 4):
         total += 1
         zeros += (w[0] == "0000")
-    report.add("wild.blocked-crossings", zeros >= 0.99 * total,
+    # at least 99 % of the windows blocked, decided exactly
+    report.add("wild.blocked-crossings",
+               Fraction(zeros, total) >= Fraction(99, 100),
                zeros / total, ">= 0.99")
     member = crossing_member()
     eng = ZoneEngine(SystemId.WILD_T_PRIME, orc, member.layer1,

@@ -7,11 +7,13 @@ as they complete.
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 from symdyn import analysis, cantor, systems, verify
 from symdyn.oracle import OracleTable
 from symdyn.pi2 import ZoneEngine
-from symdyn.space import ALPHA_01S, Configuration, Periodic
+from symdyn.space import (ALPHA_01S, Configuration, Periodic, Sampler,
+                          binary_config)
 from symdyn.systems import SystemId, step_prefix
 from symdyn.verify import WORKED_INPUT, WORKED_OUTPUT, VerificationReport
 
@@ -107,6 +109,44 @@ def test_criterion_07_statistical_attractor():
     verify.check_statistical(rep, n=1_000_000)
     _finish(7, "TV(empirical, tilde-mu) at depth 3 <= 0.05", 300, t0,
             rep=rep)
+
+
+def test_statistical_verdict_is_decided_exactly():
+    # tv <= tol on Fractions: a tolerance 10^-30 below tv rounds to the
+    # same float as tv, yet fails
+    n, depth, seed = 2_000, 3, 2024
+    orc = verify.parity_oracle()
+    x = binary_config("", Sampler(("0", "1"), (1, 1),
+                                  analysis.derived_seed(seed, 0)))
+    emp = analysis.empirical_measure(systems.pi1_system(orc), x, n, depth)
+    limit = analysis.tilde_mu_table(orc, Fraction(1, 2), depth, 24)
+    tv = sum(abs(emp.frequency(w) - est.midpoint())
+             for w, est in limit.items()) / 2
+    below = tv - Fraction(1, 10 ** 30)
+    assert float(below) == float(tv)
+    for tol, status in ((tv, "pass"), (below, "fail")):
+        rep = VerificationReport()
+        verify.check_statistical(rep, n=n, depth=depth, seed=seed, tol=tol)
+        c = rep.checks[0]
+        assert (c.status, c.measured, c.expected) == (status, float(tv),
+                                                      float(tv))
+
+
+def test_wild_verdict_is_decided_exactly():
+    # zeros / total >= 99/100 on Fractions: exactly 99 % blocked passes
+    def windows(zeros, total):
+        return lambda *args: iter([("0000", "aaaa")] * zeros
+                                  + [("0100", "aaaa")] * (total - zeros))
+
+    for zeros, total, status in ((99, 100, "pass"), (9_900, 10_000, "pass"),
+                                 (98, 99, "fail"), (9_899, 10_000, "fail")):
+        rep = VerificationReport()
+        with mock.patch.object(verify.systems, "orbit_windows",
+                               windows(zeros, total)):
+            verify.check_wild(rep, cross_steps=0)
+        c = rep.checks[0]
+        assert (c.name, c.status, c.measured) == (
+            "wild.blocked-crossings", status, zeros / total)
 
 
 def test_criterion_08_recurrence_dichotomy():

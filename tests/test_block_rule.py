@@ -24,8 +24,8 @@ from symdyn.analysis import (NO, UNKNOWN, YES, MeetsVerdict, attractor_meets,
 from symdyn.oracle import INF, Answer, Entry, HaltQuery, OracleTable, QueryKind
 from symdyn.space import Constant, Cylinder, Periodic, Sampler, binary_config
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind, SystemId,
-                            _rule, block_fate, erase_map_prefix, erases_now,
-                            orbit, pi1_system, sigma2_system, step_prefix)
+                            _rule, block_fate, erase_map_prefix, orbit,
+                            pi1_system, sigma2_system, step_prefix)
 from symdyn.verify import parity_oracle, worked_example_oracle
 
 from test_run_scanner import ref_parse_blocks, tables
@@ -283,7 +283,7 @@ def test_phi_limit_is_the_step_rule_at_a_far_block(orc):
     # under phi a block erased in the limit is erased by one step once its
     # leading 0 lies past every asserted time
     fate = block_fate(orc, EraseKind.PHI)
-    erased = erases_now(orc, EraseKind.PHI)
+    erased = _rule(orc, EraseKind.PHI).now
     for l in range(9):
         for gap in (None, *range(1, 9)):
             assert fate(l, gap) == erased(l, 10 ** 6, gap)

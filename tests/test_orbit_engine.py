@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from symdyn.analysis import derived_seed, empirical_measure, omega_profile
 from symdyn.oracle import Entry, OracleTable, QueryKind
 from symdyn.space import Constant, Periodic, Sampler, binary_config
-from symdyn.systems import (_erasure_layout, _materialize_closed, erases_now,
+from symdyn.systems import (_erasure_layout, _materialize_closed, _rule,
                             orbit_window_counts, orbit_windows, pi1_system,
                             shift_system, sigma2_system)
 from symdyn.verify import parity_oracle
@@ -102,8 +102,7 @@ def ref_windows(vis, t0, t1, L):
 
 
 def ref_orbit_windows(sys, x, t0, t1, L):
-    vis = ref_visibles(x, erases_now(sys.oracle, sys.id.erase),
-                       t1 + L + 1)
+    vis = ref_visibles(x, _rule(sys.oracle, sys.id.erase).now, t1 + L + 1)
     return ref_windows(vis, t0, t1, L)
 
 
@@ -112,7 +111,7 @@ def ref_layout(sys, x, t0, t1, L):
     the reference visibles."""
     N = t1 + L + 1
     static, patches = np.zeros(N, dtype=np.uint8), set()
-    for v in ref_visibles(x, erases_now(sys.oracle, sys.id.erase), N):
+    for v in ref_visibles(x, _rule(sys.oracle, sys.id.erase).now, N):
         if v.t_until is None:
             static[v.start:v.start + v.length] = 1
             continue

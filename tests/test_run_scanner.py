@@ -23,8 +23,8 @@ from symdyn.oracle import INF, Answer, Entry, HaltQuery, OracleTable, QueryKind
 from symdyn.pi2 import _insertion_word, gate_allows
 from symdyn.space import Cylinder, parse_blocks
 from symdyn.systems import (ERASED, KEPT, UNRESOLVED, EraseKind,
-                            FrontierUnresolved, SystemId, block_fate,
-                            erase_map_prefix, erases_now, pi1_system,
+                            FrontierUnresolved, SystemId, _rule, block_fate,
+                            erase_map_prefix, pi1_system,
                             pi2_system, sigma2_system, step_prefix,
                             wild_t_prime_system, wild_t_second_system)
 from symdyn.verify import parity_oracle, totality_oracle, worked_example_oracle
@@ -333,7 +333,7 @@ def _check_erasure_steps(orc, max_len):
     for kind, make in ((EraseKind.PHI, pi1_system),
                        (EraseKind.PHI_PRIME, sigma2_system)):
         sys = make(orc)
-        rule = erases_now(orc, kind)
+        rule = _rule(orc, kind).now
         for w in _binary_words(max_len):
             for n in range(len(w) + 1):
                 assert _outcome(step_prefix, sys, w, n) == \
@@ -359,7 +359,7 @@ def test_erasure_step_matches_reference_enumerated():
         w = "".join(rng.choice("01") for _ in range(rng.randint(1, 14)))
         n = rng.randint(0, len(w))
         assert _outcome(step_prefix, pi1_system(orc), w, n) == _outcome(
-            ref_erasure_step_prefix, erases_now(orc, EraseKind.PHI), w, n)
+            ref_erasure_step_prefix, _rule(orc, EraseKind.PHI).now, w, n)
 
 
 # ---------------------------------------------------------------------------

@@ -610,18 +610,30 @@ def test_cubic_zone_one_growth_under_insertions():
     assert new.completed_crossings == ref.completed_crossings
 
 
-@pytest.mark.parametrize("steps,waves,displacements", [
-    (2_500, 497, 35_006),
-    (5_000, 1_012, 119_308),
+@pytest.mark.parametrize("sysid,steps,window,counts,positions", [
+    pytest.param(SystemId.PI2, 2_500, 8, (497, 35_006, 37_480),
+                 "151d7de68364733d", id="2500-497-35006"),
+    pytest.param(SystemId.PI2, 5_000, 8, (1_012, 119_308, 124_279),
+                 "8a0775b54896b3ae", id="5000-1012-119308"),
+    pytest.param(SystemId.WILD_T_PRIME, 1_500, 4, (305, 14_339, 15_837),
+                 "9f0e157e92bc420e", id="wild_t_prime-1500-305-14339"),
+    pytest.param(SystemId.WILD_T_SECOND, 2_000, 4, (401, 23_919, 25_896),
+                 "4b1b9069b9d5966c", id="wild_t_second-2000-401-23919"),
 ])
-def test_dense_pi2_wave_counts(steps, waves, displacements):
-    # criterion 09's dense product under pi2: the counts of the engine
-    # that applied each displacement on its own
+def test_dense_pi2_wave_counts(sysid, steps, window, counts, positions):
+    # criterion 09's dense product, run as the zone benchmark's dense
+    # tasks run it (horizon = steps): (waves, displacements, cap_hits) and
+    # a digest of the final S positions, as the engine that applied each
+    # displacement and each frontier check on its own left them.  Past the
+    # cap a wave counts its hits in bulk, so cap_hits pins that count.
     x = verify.bernoulli_product(5)
-    eng = ZoneEngine(SystemId.PI2, TOTALITY, x.layer1, None, steps, 8)
+    layer2 = None if sysid is SystemId.PI2 else x.layer2
+    eng = ZoneEngine(sysid, TOTALITY, x.layer1, layer2, steps, window)
     for _ in range(steps - 1):
         eng.step()
-    assert (eng.waves, eng.displacements) == (waves, displacements)
+    assert (eng.waves, eng.displacements, eng.cap_hits) == counts
+    assert hashlib.sha256(",".join(map(str, eng.s_positions())).encode()
+                          ).hexdigest()[:16] == positions
 
 
 # ---------------------------------------------------------------------------
