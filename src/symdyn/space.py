@@ -11,7 +11,9 @@ alphabet.
 Each alphabet carries ``absent``, a ``str.translate`` table that deletes
 its symbols: ``w.translate(a.absent)`` keeps the symbols of ``w`` outside
 ``a``, and every check of a word's symbols reads it.  Scheduled tails run
-through one fixed table, ``LANGUAGES``.  ``parse_blocks`` lists the
+through one fixed table, ``LANGUAGES``; a scheduled tail calls its
+language once per round and writes all its rounds with one C-level
+join.  ``parse_blocks`` lists the
 maximal 1-runs of a finite word as ``(start, length)`` tuples; the
 per-position maps, the attractor predicates and the limit measure read
 blocks through it.  The π2 zone engine, whose zones are ASCII byte
@@ -28,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -167,30 +169,22 @@ class Scheduled(Tail):
     """Triangular schedule w1 f w1 f w2 f w1 f w2 f w3 ... over a language.
 
     Every enumerated word occurs infinitely often, at positions that can be
-    computed in advance from the schedule alone.
+    computed in advance from the schedule alone.  Round r writes
+    w1 f ... wr f, a prefix of round r + 1, so ``generate(n)`` calls the
+    language once per round (520 calls for 10^6 symbols) and writes
+    every round with one C-level join of prefixes of the last one.
     """
 
     enumerator: str
     filler: str = "0"
 
-    def _words(self) -> Iterator[str]:
-        fn = LANGUAGES[self.enumerator]
-        round_no = 0
-        while True:
-            round_no += 1
-            for i in range(round_no):
-                yield fn(i)
-
     def generate(self, n):
-        parts = []
-        size = 0
-        for w in self._words():
-            parts.append(w)
-            parts.append(self.filler)
-            size += len(w) + 1
-            if size >= n:
-                break
-        return "".join(parts)[:n]
+        fn, words, ends, size = LANGUAGES[self.enumerator], "", [], 0
+        while size < n:
+            words += fn(len(ends)) + self.filler   # round len(ends) + 1
+            ends.append(len(words))
+            size += len(words)
+        return "".join([words[:e] for e in ends])[:n]
 
     def writes(self, symbol):
         return symbol == self.filler or symbol in BINARY
@@ -233,6 +227,8 @@ class Configuration:
 
     def materialize(self, n: int) -> str:
         """First ``n`` symbols; deterministic and prefix-consistent."""
+        if n < 0:
+            raise ArgumentRefused(f"cannot materialize {n} symbols")
         if n <= len(self.prefix):
             return self.prefix[:n]
         return self.prefix + self.tail.generate(n - len(self.prefix))
@@ -246,20 +242,6 @@ def rich_configuration(enumerator: str, filler: str = "0",
                        alphabet: Alphabet = ALPHA_01) -> Configuration:
     """A configuration in which every enumerated word appears infinitely often."""
     return Configuration(alphabet, "", Scheduled(enumerator, filler))
-
-
-def distance_exponent(x: Configuration, y: Configuration, depth: int):
-    """First index of disagreement, or None when agreeing up to ``depth``.
-
-    ``d(x, y) <= 2^-n`` exactly when this returns None for ``depth = n``.
-    """
-    if x.alphabet != y.alphabet:
-        raise ArgumentRefused("configurations over different alphabets")
-    a, b = x.materialize(depth), y.materialize(depth)
-    for i in range(depth):
-        if a[i] != b[i]:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,8 @@ def orbit_windows(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     with layer 1 over the system's alphabet and layer 2 over {a, b}.
     """
     _check_orbit_args(sys, x, t0, window)
+    if t1 < t0:     # no windows; t1 + window cells may be a negative count
+        return
     if sys.id.erase is not None:
         yield from _patched_windows(*_erasure_layout(sys, x, t0, t1, window),
                                     t0, t1, window)
@@ -526,6 +528,8 @@ def orbit_window_counts(sys: SystemSpec, x: Configuration, t0: int, t1: int,
     windows.  It refuses at once what :func:`orbit_windows` refuses.
     """
     _check_orbit_args(sys, x, t0, window)
+    if t1 < t0:
+        return {}
     if sys.id.erase is not None and window <= 64:
         return _count_codes(*_erasure_layout(sys, x, t0, t1, window),
                             t0, t1, window)

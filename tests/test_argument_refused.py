@@ -24,7 +24,7 @@ from symdyn.cantor import (CantorScheme, GapLocation, escape_fraction,
 from symdyn.oracle import OracleTable
 from symdyn.space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration,
                           Constant, Cylinder, Periodic, Sampler, Scheduled,
-                          binary_config, config_from_json, distance_exponent)
+                          binary_config, config_from_json)
 from symdyn.systems import (EraseKind, SystemId, SystemSpec, block_fate,
                             erase_map_prefix, orbit, orbit_window_counts,
                             orbit_windows, pi1_system, pi2_system,
@@ -62,8 +62,9 @@ _REFUSALS = {
         ALPHA_01, "", Sampler(("0", "1", "S"), (1, 1, 1), 0)),
     "Configuration-language": lambda: binary_config("", Scheduled("nosuch")),
     "Configuration-filler": lambda: binary_config("", Scheduled("all01", "S")),
-    "distance_exponent": lambda: distance_exponent(
-        ZEROS, Configuration(ALPHA_01S, "", Constant("0")), 3),
+    # unchecked, materialize(-1) returned the prefix less its last symbol
+    "materialize-n": lambda: binary_config(
+        "0110", Constant("0")).materialize(-1),
     "config_from_json-not-an-object": lambda: config_from_json("[]"),
     "config_from_json-tail-kind": lambda: config_from_json(
         '{"alphabet": ["0", "1"], "prefix": "", "tail": {"kind": "x"}}'),
@@ -165,3 +166,15 @@ def test_export_refuses_a_negative_depth_before_writing():
     with pytest.raises(ArgumentRefused):
         export_intervals(_scheme(), -1, out)
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("sys", [SHIFT, pi1_system(WORKED),
+                                 pi2_system(WORKED)],
+                         ids=["shift", "pi1", "pi2"])
+def test_an_empty_orbit_range_reads_no_cells(sys):
+    # t1 + window < 0, but the range [t0, t1) is empty: there is nothing
+    # to refuse and no cell to materialize
+    x = Configuration(sys.id.alphabet, "01", Constant("0"))
+    assert list(orbit_windows(sys, x, 0, -10, 3)) == []
+    assert orbit_window_counts(sys, x, 0, -10, 3) == {}
+    assert orbit(sys, x, -10, 3) == []

@@ -2,15 +2,18 @@
 
 import json
 import random
+from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from symdyn import space
 from symdyn.space import (ALPHA_01, ALPHA_01S, ALPHA_AB, LANGUAGES, Alphabet,
-                          Configuration, Constant, Cylinder, Periodic, Sampler,
-                          Scheduled, Tail, binary_config, config_from_json,
-                          config_to_json, distance_exponent, parse_blocks,
+                          ArgumentRefused, Configuration, Constant, Cylinder,
+                          Periodic, Sampler, Scheduled, Tail, binary_config,
+                          config_from_json, config_to_json, parse_blocks,
                           rich_configuration)
 
 WORKED = "1001011100101100"
@@ -123,6 +126,20 @@ def test_parse_render_round_trip(w):
     assert "".join(cells) == w
 
 
+def distance_exponent(x, y, depth):
+    """First index of disagreement, or None when agreeing up to ``depth``.
+
+    ``d(x, y) <= 2^-n`` exactly when this returns None for ``depth = n``.
+    """
+    if x.alphabet != y.alphabet:
+        raise ArgumentRefused("configurations over different alphabets")
+    a, b = x.materialize(depth), y.materialize(depth)
+    for i in range(depth):
+        if a[i] != b[i]:
+            return i
+    return None
+
+
 def test_distance_exponent():
     a = binary_config("10", Constant("0"))
     b = binary_config("11", Constant("0"))
@@ -140,6 +157,53 @@ def test_distance_matches_brute_force():
         brute = next((i for i in range(64)
                       if a.materialize(64)[i] != b.materialize(64)[i]), None)
         assert distance_exponent(a, b, 64) == brute
+
+
+def test_distance_exponent_refuses_different_alphabets():
+    with pytest.raises(ArgumentRefused):
+        distance_exponent(binary_config("", Constant("0")),
+                          Configuration(ALPHA_01S, "", Constant("0")), 3)
+
+
+def ref_scheduled_generate(t, n):
+    """The word-by-word join ``Scheduled.generate`` replaced: round r
+    enumerates w1 .. wr again."""
+    fn = LANGUAGES[t.enumerator]
+    parts, size, round_no = [], 0, 0
+    while True:
+        round_no += 1
+        for i in range(round_no):
+            w = fn(i)
+            parts.append(w)
+            parts.append(t.filler)
+            size += len(w) + 1
+            if size >= n:
+                return "".join(parts)[:n]
+
+
+@pytest.mark.parametrize("alphabet, filler", [
+    (ALPHA_01, "0"), (ALPHA_01, "1"), (ALPHA_01S, "S")], ids=["0", "1", "S"])
+def test_scheduled_matches_word_by_word_join(alphabet, filler):
+    t = rich_configuration("all01", filler, alphabet).tail
+    for n in range(3001):
+        assert t.generate(n) == ref_scheduled_generate(t, n), n
+    for n in (10**5, 10**6):
+        assert t.generate(n) == ref_scheduled_generate(t, n), n
+
+
+def test_scheduled_calls_the_language_once_per_round():
+    calls = []
+    fn = LANGUAGES["all01"]
+
+    def counting(i):
+        calls.append(i)
+        return fn(i)
+
+    with mock.patch.object(space, "LANGUAGES",
+                           MappingProxyType({"all01": counting})):
+        w = Scheduled("all01").generate(10**6)
+    # round r adds the word w_r; rounds 1 .. 520 write 10^6 symbols
+    assert calls == list(range(520)) and len(w) == 10**6
 
 
 def test_rich_configuration_schedule():
