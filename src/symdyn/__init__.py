@@ -19,8 +19,8 @@ The package provides, in order of dependency:
 """
 
 from .oracle import (INF, Answer, Entry, HaltQuery, OracleTable, QueryKind,
-                     TMSpec, decode_machine, encode_machine, simulate_tm,
-                     table_from_json, table_to_json)
+                     TMSpec, decode_machine, simulate_tm, table_from_json,
+                     table_to_json)
 from .space import (ALPHA_01, ALPHA_01S, ALPHA_AB, Alphabet, ArgumentRefused,
                     Configuration, Constant, Cylinder, FrontierUnresolved,
                     Periodic, Sampler, Scheduled, Tail, binary_config,
@@ -33,9 +33,8 @@ from .systems import (EraseKind, SystemId, SystemSpec, erase_map_prefix, orbit,
                       wild_t_prime_system, wild_t_second_system)
 from .analysis import (EmpiricalMeasure, MeetsVerdict, OmegaProfile,
                        TildeMuEstimate, attractor_meets, derived_seed,
-                       empirical_measure, omega_profile, pushforward_average,
-                       realm_visit_check, tilde_mu, tilde_mu_table,
-                       u_st_member)
+                       empirical_measure, omega_profile, realm_visit_check,
+                       tilde_mu, tilde_mu_table)
 from .cantor import (CantorScheme, EscapeResult, GapLocation, GapMap, InGap,
                      InLevelInterval, PointEnclosure, escape_fraction,
                      export_intervals, f_eval, gap_map, locate, phi_point)

@@ -3,14 +3,14 @@
 The membership predicates decide, by pattern analysis plus oracle queries,
 whether a cylinder meets each of the four constructed attractors.  The
 statistical side provides visited-window profiles (the desk-scale
-surrogate for the omega-limit set), empirical measures along orbits and
-their Monte-Carlo averages, and the exact limit measure: a Bernoulli
-measure pushed through a block-erasure map, as exact rationals.  The limit
-verdict is read once per table, at the cuts where the table's rule object
-says it can change, into maximal classes of constant verdict; each
-window's environments are summed over those classes in closed form, with
-integer masses, so the cost follows the number of verdict changes, not
-the size of the machine numbers.
+surrogate for the omega-limit set), empirical measures along orbits, and
+the exact limit measure: a Bernoulli measure pushed through a
+block-erasure map, as exact rationals.  The limit verdict is read once
+per table, at the cuts where the table's rule object says it can change,
+into maximal classes of constant verdict; each window's environments are
+summed over those classes in closed form, with integer masses, so the
+cost follows the number of verdict changes, not the size of the machine
+numbers.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .oracle import OracleTable, TableRefused
 from .pi2 import ZoneRule
-from .space import ArgumentRefused, Configuration, Cylinder, parse_blocks
+from .space import ArgumentRefused, Cylinder, parse_blocks
 from .systems import (EraseKind, SystemId, SystemSpec, block_fate,
                       check_budget, orbit_window_counts, orbit_windows)
 
@@ -187,10 +187,6 @@ class EmpiricalMeasure:
         for w in sorted(self.counts):
             fh.write(f"{w},{self.counts[w]},{float(self.frequency(w))}\n")
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-
 
 def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
                       start: int = 0) -> EmpiricalMeasure:
@@ -204,26 +200,6 @@ def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
 def derived_seed(master_seed: int, index: int) -> int:
     """Per-sample seed: numpy SeedSequence spawn-key [master, index]."""
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
-
-
-def pushforward_average(sys: SystemSpec,
-                        make_config: Callable[[int], Configuration],
-                        n: int, depth: int, samples: int,
-                        master_seed: int) -> EmpiricalMeasure:
-    """Monte-Carlo average of the first n pushforwards of a sampled measure.
-
-    ``make_config(seed)`` must build a configuration from a derived seed;
-    results are bit-identical for a fixed master seed regardless of
-    evaluation order.
-    """
-    if samples < 1:
-        raise ArgumentRefused("need samples >= 1")
-    agg: Counter = Counter()
-    for i in range(samples):
-        x = make_config(derived_seed(master_seed, i))
-        m = empirical_measure(sys, x, n, depth)
-        agg.update(m.counts)
-    return EmpiricalMeasure(depth, dict(agg), n * samples)
 
 
 @dataclass(frozen=True)
@@ -245,29 +221,6 @@ def realm_visit_check(sys: SystemSpec, seeds: Sequence, target: Cylinder,
             key = w[0] if isinstance(w, tuple) else w
             if key[lo:hi] == word:
                 return FoundWitness(t=t, seed_index=idx)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Membership in the product-system cylinders U_{s,t}
-# ---------------------------------------------------------------------------
-
-def u_st_member(x, s: int, t: int, depth: int) -> Optional[bool]:
-    """Membership in U_{s,t}: layer 1 in [{0,1}^{s-1} S]_0, layer 2 with
-    an a-run a^{m+s} starting at some position m >= t.
-
-    Returns True, or None when no witnessing run exists up to ``depth``
-    (the predicate is open; absence cannot be certified).
-    """
-    if s < 1:
-        raise ArgumentRefused("need s >= 1")
-    w1, w2 = x.materialize(max(s, 2 * depth + s))
-    if len(w1) < s or "S" in w1[:s - 1] or w1[s - 1] != "S":
-        return False
-    for m in range(t, depth):
-        hi = m + m + s
-        if hi <= len(w2) and all(c == "a" for c in w2[m:hi]):
-            return True
     return None
 
 

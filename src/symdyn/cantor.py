@@ -450,14 +450,6 @@ class GapMap:
     target_lo: Fraction
     target_hi: Fraction
 
-    @property
-    def q1(self) -> Fraction:
-        return self.a + (self.b - self.a) / 4
-
-    @property
-    def q3(self) -> Fraction:
-        return self.a + 3 * (self.b - self.a) / 4
-
     @cached_property
     def _integer_form(self):
         """(g, breakpoints, pieces): the breakpoints a, q1, q3, b times

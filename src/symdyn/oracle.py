@@ -74,13 +74,6 @@ def _decode_cell(digit: int, states: int):
     return (write, move, nxt)
 
 
-def _encode_cell(cell, states: int) -> int:
-    write, move, nxt = cell
-    d = 0 if nxt == HALT else nxt + 1
-    d = d * 2 + (0 if move == 1 else 1)
-    return d * 3 + write
-
-
 def _block_size(states: int) -> int:
     return _cell_count(states) ** (3 * states)
 
@@ -99,15 +92,6 @@ def decode_machine(e: int) -> TMSpec:
         cells.append(_decode_cell(e % base, states))
         e //= base
     return TMSpec(states=states, transitions=tuple(cells))
-
-
-def encode_machine(spec: TMSpec) -> int:
-    """Inverse of :func:`decode_machine` on well-formed specs."""
-    base = _cell_count(spec.states)
-    e = 0
-    for cell in reversed(spec.transitions):
-        e = e * base + _encode_cell(cell, spec.states)
-    return e + sum(_block_size(s) for s in range(1, spec.states))
 
 
 def simulate_tm(spec: TMSpec, input_word: str, max_steps: int):
@@ -184,6 +168,13 @@ class Entry:
     k: Optional[int] = None
     k_hi: Optional[int] = None
 
+    def __post_init__(self):
+        # an empty size range would be read as halting on no input at all
+        if (self.kind is QueryKind.SOME_IN and self.k is not INF
+                and self.k_hi is not INF and self.k > self.k_hi):
+            raise ValueError(f"a SOME_IN entry needs k <= k_hi, got k = "
+                             f"{self.k}, k_hi = {self.k_hi}")
+
 
 # The facts that answer a query: ALL_BELOW ones whose bound is at least k, and
 # SOME_IN ones whose size range lies inside [lo, hi] (lo None: no low end).
@@ -229,6 +220,8 @@ class OracleTable:
 
     @staticmethod
     def programmed_table(entries, default="never"):
+        if default not in ("never", "halt1"):
+            raise ValueError(f"unknown default {default!r}")
         return OracleTable(programmed=True, entries=tuple(entries),
                            default_halts=(default == "halt1"))
 
@@ -381,9 +374,6 @@ def table_from_json(text: str) -> OracleTable:
         return OracleTable.enumerated(_count(doc["work_cap"], "work_cap"))
     if backend != "programmed":
         raise ValueError(f"unknown oracle backend {backend!r}")
-    default = doc.get("default", "never")
-    if default not in ("never", "halt1"):
-        raise ValueError(f"unknown default {default!r}")
     entries = []
     for item in doc.get("entries", []):
         kind = _KINDS.get(item["kind"])
@@ -395,4 +385,5 @@ def table_from_json(text: str) -> OracleTable:
             time=_count(item["time"], "time", "never"),
             k=_count(item.get("k", "inf"), "k", "inf"),
             k_hi=_count(item.get("k_hi", "inf"), "k_hi", "inf")))
-    return OracleTable.programmed_table(entries, default=default)
+    return OracleTable.programmed_table(entries,
+                                        default=doc.get("default", "never"))

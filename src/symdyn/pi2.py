@@ -77,8 +77,8 @@ from operator import add, itemgetter
 from typing import Iterator, List, Optional, Tuple
 
 from .oracle import OracleTable, QueryKind, TableRefused
-from .space import (_ONE_RUN, _ONE_RUN_BYTES, Configuration,
-                    FrontierUnresolved)
+from .space import (_ONE_RUN, _ONE_RUN_BYTES, ArgumentRefused,
+                    Configuration, FrontierUnresolved)
 
 
 @dataclass(frozen=True)
@@ -340,11 +340,16 @@ class ZoneEngine:
     zones in one addition.
     ``waves`` counts the steps on which some zone was due,
     ``displacements`` the zones that fired on them, and ``jumped`` the
-    steps applied by ``jump``.
+    steps applied by ``jump``.  A negative ``horizon`` or ``window`` is
+    refused with ``ArgumentRefused`` before any cell is materialized.
     """
 
     def __init__(self, sysid, oracle: OracleTable, layer1: Configuration,
                  layer2: Optional[Configuration], horizon: int, window: int):
+        if horizon < 0:
+            raise ArgumentRefused(f"need horizon >= 0, got {horizon}")
+        if window < 0:
+            raise ArgumentRefused(f"need window >= 0, got {window}")
         self.rule = ZoneRule(oracle)
         self.layer1 = layer1
         self.window = window

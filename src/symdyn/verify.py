@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import analysis, cantor, systems
 from .oracle import INF, Entry, OracleTable, QueryKind

@@ -2,14 +2,15 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symdyn.analysis import (NO, UNKNOWN, YES, attractor_meets,
-                             empirical_measure, omega_profile,
-                             pushforward_average, realm_visit_check, tilde_mu,
-                             tilde_mu_table, u_st_member, verdict_to_json)
+from symdyn.analysis import (NO, UNKNOWN, YES, EmpiricalMeasure,
+                             attractor_meets, derived_seed, empirical_measure,
+                             omega_profile, realm_visit_check, tilde_mu,
+                             tilde_mu_table, verdict_to_json)
 from symdyn.oracle import INF, Entry, OracleTable, QueryKind
 from symdyn.pi2 import ProductConfiguration
 from symdyn.space import (ALPHA_01S, ALPHA_AB, ArgumentRefused,
@@ -181,7 +182,8 @@ def test_empirical_csv(tmp_path):
     m = empirical_measure(shift_system(), binary_config("", Periodic("01")),
                           n=10, depth=1)
     path = tmp_path / "m.csv"
-    m.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        m.write_csv(fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "word,count,frequency"
     assert lines[1] == "0,5,0.5"
@@ -301,6 +303,17 @@ def test_realm_depth_weakening():
     assert found is not None
 
 
+def pushforward_average(sys, make_config, n, depth, samples, master_seed):
+    """The window counts of the first ``n`` iterates, summed over
+    ``samples`` configurations ``make_config(derived_seed(master_seed, i))``:
+    a Monte-Carlo average of the pushforwards of a sampled measure."""
+    agg = Counter()
+    for i in range(samples):
+        x = make_config(derived_seed(master_seed, i))
+        agg.update(empirical_measure(sys, x, n, depth).counts)
+    return EmpiricalMeasure(depth, dict(agg), n * samples)
+
+
 def test_pushforward_uniform_and_deterministic():
     def make(seed):
         return binary_config("", Sampler(("0", "1"), (1, 1), seed))
@@ -320,31 +333,3 @@ def test_pushforward_all_halt_concentrates():
                             samples=5, master_seed=3)
     assert m.frequency("00") > Fraction(9, 10)
 
-
-# -- product-system cylinder membership -------------------------------------
-
-def _product(w1, tail1, w2, tail2):
-    from symdyn.space import ALPHA_01S
-    return ProductConfiguration(Configuration(ALPHA_01S, w1, tail1),
-                                Configuration(ALPHA_AB, w2, tail2))
-
-
-def test_u_st_member_examples():
-    x = _product("00S", Periodic("0"), "", Constant("a"))
-    assert u_st_member(x, s=3, t=0, depth=50) is True
-    y = _product("00S", Periodic("0"), "", Constant("b"))
-    assert u_st_member(y, s=3, t=0, depth=50) is None
-    z = _product("0S0", Periodic("0"), "", Constant("a"))
-    assert u_st_member(z, s=3, t=0, depth=50) is False
-
-
-def test_u_st_member_matches_brute_force():
-    rng = random.Random(77)
-    s, t, depth = 2, 5, 200
-    for _ in range(40):
-        w2 = "".join(rng.choice("ab") for _ in range(3 * depth))
-        x = _product("0S", Periodic("0"), w2, Constant("b"))
-        got = u_st_member(x, s, t, depth)
-        brute = any(all(c == "a" for c in w2[m:m + m + s])
-                    for m in range(t, depth))
-        assert (got is True) == brute

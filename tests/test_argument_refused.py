@@ -1,11 +1,11 @@
 """Every public entry point refuses an argument value it does not accept
 with ``ArgumentRefused``, a ``ValueError``; the CLI maps it to exit 2.
 
-One or more rows per refusing entry point of ``space``, ``systems``,
-``analysis``, ``cantor`` and ``verify``.  The rows under ``# library
-only`` pin checks that only the command-line front end used to make;
-without them the library answers: a witness at t = 0 for k = -1, a bare
-CSV header for depth -1, [0, 1] for precision -1.
+One or more rows per refusing entry point of ``space``, ``pi2``,
+``systems``, ``analysis``, ``cantor`` and ``verify``.  The rows under
+``# library only`` pin checks that only the command-line front end used
+to make; without them the library answers: a witness at t = 0 for
+k = -1, a bare CSV header for depth -1, [0, 1] for precision -1.
 """
 
 import io
@@ -16,12 +16,12 @@ import pytest
 from symdyn import ArgumentRefused
 from symdyn.analysis import (EmpiricalMeasure, OmegaProfile, attractor_meets,
                              empirical_measure, omega_profile,
-                             pushforward_average, realm_visit_check, tilde_mu,
-                             tilde_mu_table, u_st_member)
+                             realm_visit_check, tilde_mu, tilde_mu_table)
 from symdyn.cantor import (CantorScheme, GapLocation, escape_fraction,
                            export_intervals, f_eval, gap_map, locate,
                            phi_point)
 from symdyn.oracle import OracleTable
+from symdyn.pi2 import ZoneEngine
 from symdyn.space import (ALPHA_01, ALPHA_01S, Alphabet, Configuration,
                           Constant, Cylinder, Periodic, Sampler, Scheduled,
                           binary_config, config_from_json)
@@ -29,7 +29,7 @@ from symdyn.systems import (EraseKind, SystemId, SystemSpec, block_fate,
                             erase_map_prefix, orbit, orbit_window_counts,
                             orbit_windows, pi1_system, pi2_system,
                             shift_system, step_prefix)
-from symdyn.verify import verify_suite, worked_example_oracle
+from symdyn.verify import totality_oracle, verify_suite, worked_example_oracle
 
 WORKED = worked_example_oracle()
 ENUMERATED = OracleTable.enumerated()
@@ -39,6 +39,7 @@ ONES = binary_config("", Constant("1"))
 HALF = binary_config("0110", Sampler(("0", "1"), (1, 1), 3))
 MEASURE = EmpiricalMeasure(2, {"01": 1, "10": 1}, 2)
 PROFILE = OmegaProfile(2, frozenset({"01", "10"}), 0, 2)
+ONE_ZONE = Configuration(ALPHA_01S, "01S", Constant("0"))
 
 
 def _scheme():
@@ -69,6 +70,12 @@ _REFUSALS = {
     "config_from_json-tail-kind": lambda: config_from_json(
         '{"alphabet": ["0", "1"], "prefix": "", "tail": {"kind": "x"}}'),
     "config_from_json-key": lambda: config_from_json('{"tail": {}}'),
+    # pi2: a negative window once built an engine whose window_word() was
+    # '', and a negative horizon failed materializing a negative count
+    "ZoneEngine-horizon": lambda: ZoneEngine(
+        SystemId.PI2, totality_oracle(), ONE_ZONE, None, -100, 3),
+    "ZoneEngine-window": lambda: ZoneEngine(
+        SystemId.PI2, totality_oracle(), ONE_ZONE, None, 10, -30),
     # systems
     "SystemSpec-oracle": lambda: SystemSpec(SystemId.PI1),
     "step_prefix-n": lambda: step_prefix(SHIFT, "0101", -1),
@@ -94,11 +101,8 @@ _REFUSALS = {
     "EmpiricalMeasure.project-negative": lambda: MEASURE.project(-1),
     "omega_profile": lambda: omega_profile(SHIFT, ZEROS, 5, 5, 1),
     "empirical_measure": lambda: empirical_measure(SHIFT, ZEROS, 0, 1),
-    "pushforward_average": lambda: pushforward_average(
-        SHIFT, lambda seed: ZEROS, 2, 1, 0, 0),
     "realm_visit_check-order": lambda: realm_visit_check(
         SHIFT, [ONES], Cylinder("0"), 1, 5, 2),
-    "u_st_member": lambda: u_st_member(None, 0, 0, 4),
     "tilde_mu-p": lambda: tilde_mu(WORKED, Fraction(0), "01", 24),
     # library only
     "attractor_meets-budget": lambda: attractor_meets(

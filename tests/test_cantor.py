@@ -100,12 +100,18 @@ def reference_locate(scheme, y, depth):
     return InLevelInterval(w)
 
 
+def quarter_points(gm):
+    """The gap map's breakpoints q1, q3: a quarter of the gap in from
+    each end."""
+    return gm.a + (gm.b - gm.a) / 4, gm.a + 3 * (gm.b - gm.a) / 4
+
+
 def reference_gap_eval(gm, y):
     """The three-piece gap map evaluated in Fraction arithmetic."""
     y = F(y)
     if not gm.a <= y <= gm.b:
         raise ValueError("point outside this gap")
-    q1, q3 = gm.q1, gm.q3
+    q1, q3 = quarter_points(gm)
     if y <= q1:
         return gm.fa + (y - gm.a) / (q1 - gm.a) * (gm.target_lo - gm.fa)
     if y <= q3:
@@ -117,7 +123,7 @@ def reference_integer_form(gm):
     """The gap map's integer form built piece by piece from ``Fraction``
     slopes and intercepts, as before the six values shared one
     denominator: (g, breakpoints times g, pieces (u, v, w))."""
-    q1, q3 = gm.q1, gm.q3
+    q1, q3 = quarter_points(gm)
     pieces = []
     for x0, x1, v0, v1 in ((gm.a, q1, gm.fa, gm.target_lo),
                            (q1, q3, gm.target_lo, gm.target_hi),
@@ -1198,8 +1204,9 @@ def test_gap_map_shape(scheme, worked):
         for w in scheme.words(5):
             gm = gap_map(scheme, sys, scheme.gap(w, 0))
             assert gm(gm.a) == gm.fa and gm(gm.b) == gm.fb
-            assert gm(gm.q1) == gm.target_lo and gm(gm.q3) == gm.target_hi
-            assert gm.q3 - gm.q1 == (gm.b - gm.a) / 2
+            q1, q3 = quarter_points(gm)
+            assert gm(q1) == gm.target_lo and gm(q3) == gm.target_hi
+            assert q3 - q1 == (gm.b - gm.a) / 2
             mid = gm(gm.a + (gm.b - gm.a) / 2)
             assert gm.target_lo <= mid <= gm.target_hi
 

@@ -183,7 +183,8 @@ def test_measure_csv_is_the_to_csv_table(capsys, oracle_file, tmp_path):
     x = parse_descriptor(init, ALPHA_01)
     m = empirical_measure(pi1_system(worked_example_oracle()), x, 300, 3,
                           start=4)
-    m.to_csv(tmp_path / "m.csv")
+    with open(tmp_path / "m.csv", "w", newline="") as fh:
+        m.write_csv(fh)
     assert (tmp_path / "m.csv").read_bytes() == out.encode("ascii")
 
 
@@ -459,9 +460,11 @@ def test_malformed_oracle_exits_2_on_every_call(capsys, tmp_path):
 
 @pytest.mark.parametrize("text", [
     "[]", '"x"', '{"entries": [{"e": 1.9, "kind": "empty", "time": 3}]}',
-    '{"default": "Halt1"}'])
+    '{"default": "Halt1"}',
+    '{"entries": [{"e": 1, "kind": "some_in", "k": 5, "k_hi": 2, "time": 1}]}'])
 def test_oracle_file_of_the_wrong_shape_is_usage_error(capsys, tmp_path, text):
-    # each once ended in a traceback or was read as another table
+    # each once ended in a traceback or was read as another table (the
+    # last as M_1 halting on an input of some size in the empty [5, 2])
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     code, out = run(capsys, "meets", "--system", "pi1", "--oracle", str(bad),
@@ -623,14 +626,25 @@ def test_removed_options_exit_2(capsys, oracle_file, argv):
     assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
+def _readme_block(heading, lang):
+    """The first ``lang`` code block under the README's ``heading``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split(f"## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def _quick_start_commands():
     """The ``symdyn`` command lines of the README's CLI quick start."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split("## Quick start (CLI)", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Quick start (CLI)", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines
             if line.startswith("symdyn ")]
+
+
+def test_readme_library_quick_start_runs(capsys):
+    block = _readme_block("Quick start (library)", "python")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "0010000000011000\nyes\n"
 
 
 def test_readme_quick_start_runs(capsys, tmp_path, monkeypatch):

@@ -6,9 +6,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdyn.oracle import (INF, Answer, Entry, HaltQuery, OracleTable,
-                           QueryKind, TMSpec, decode_machine, encode_machine,
-                           simulate_tm, table_from_json, table_to_json)
+from symdyn.oracle import (HALT, INF, Answer, Entry, HaltQuery, OracleTable,
+                           QueryKind, TMSpec, decode_machine, simulate_tm,
+                           table_from_json, table_to_json)
+
+
+def encode_machine(spec):
+    """The index of ``spec`` under the canonical numbering, the inverse
+    that ``decode_machine`` is checked against: the machines with fewer
+    states come first, then the cells in base 6(n + 1), cell 0 least
+    significant, each coded as (next, move, write) with HALT as next 0 and
+    a right move as 0."""
+    base = 6 * (spec.states + 1)
+    e = 0
+    for write, move, nxt in reversed(spec.transitions):
+        d = 0 if nxt == HALT else nxt + 1
+        e = e * base + (d * 2 + (move != 1)) * 3 + write
+    return e + sum((6 * (s + 1)) ** (3 * s) for s in range(1, spec.states))
 
 
 def test_decode_zero_is_halt_immediately():
@@ -158,6 +172,27 @@ def test_json_rejects_a_malformed_machine_index(value):
 def test_json_rejects_an_unknown_default(value):
     with pytest.raises(ValueError, match="default"):
         table_from_json(json.dumps({"default": value, "entries": []}))
+
+
+def test_programmed_table_refuses_an_unknown_default():
+    # "halt" once read as "never"
+    with pytest.raises(ValueError, match="default"):
+        OracleTable.programmed_table([], default="halt")
+
+
+def test_some_in_entry_refuses_an_empty_size_range():
+    # k = 5 > k_hi = 2 once answered YES to SOME_IN [2, 5] at budget 10
+    with pytest.raises(ValueError, match="k <= k_hi"):
+        Entry(1, QueryKind.SOME_IN, 1, k=5, k_hi=2)
+    item = {"e": 1, "kind": "some_in", "k": 5, "k_hi": 2, "time": 1}
+    with pytest.raises(ValueError, match="k <= k_hi"):
+        table_from_json(json.dumps({"entries": [item]}))
+    # a one-size range, unbounded ends, and an EMPTY entry's stray k stay
+    for ent in (Entry(1, QueryKind.SOME_IN, 1, k=2, k_hi=2),
+                Entry(1, QueryKind.SOME_IN, 1, k=5, k_hi=INF),
+                Entry(1, QueryKind.SOME_IN, 1, k=INF, k_hi=2),
+                Entry(1, QueryKind.EMPTY, 1, k=5, k_hi=2)):
+        assert OracleTable.programmed_table([ent]).entries == (ent,)
 
 
 @pytest.mark.parametrize("value", [-5, 2.5, True, "100"])

@@ -25,20 +25,28 @@ RULE_OWNERS = {("systems", "_Rule"), ("systems", "_TableRule"),
                ("pi2", "ZoneRule"), ("verify", "check_hierarchy")}
 
 
-def attribute_reads(names):
-    """{attribute: {(module, top-level class or function)}} for the reads
-    of ``names`` in every module of the package."""
-    found = defaultdict(set)
-    for fname in sorted(os.listdir(PACKAGE_DIR)):
+def walk(directory):
+    """(module, owner, node) for every AST node of each ``.py`` file in
+    ``directory``, with owner the top-level class or function that holds
+    the node (None at module level)."""
+    for fname in sorted(os.listdir(directory)):
         if not fname.endswith(".py"):
             continue
-        with open(os.path.join(PACKAGE_DIR, fname)) as fh:
+        with open(os.path.join(directory, fname)) as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr in names:
-                    found[node.attr].add((fname[:-3], owner))
+                yield fname[:-3], owner, node
+
+
+def attribute_reads(names):
+    """{attribute: {(module, top-level class or function)}} for the reads
+    of ``names`` in every module of the package."""
+    found = defaultdict(set)
+    for module, owner, node in walk(PACKAGE_DIR):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found[node.attr].add((module, owner))
     return found
 
 
