@@ -187,18 +187,21 @@ def cmd_orbit(args) -> int:
           "--start and --steps must be >= 0")
     sys_spec = build_system(args)
     x = build_config(sys_spec, args.init, args.init2, args.seed)
-    rows = systems.orbit_windows(sys_spec, x, args.start,
-                                 args.start + args.steps + 1, args.window)
+    rows = enumerate(systems.orbit_windows(sys_spec, x, args.start,
+                                           args.start + args.steps + 1,
+                                           args.window), start=args.start)
+    # a product's rows are (t, (w, w2)); windows are over {0, 1, S} and
+    # {a, b}, which JSON writes unescaped
+    product = sys_spec.id.product
+    if args.format == "json":
+        lines = ((f'{{"t": {t}, "w": "{w}", "w2": "{w2}"}}\n'
+                  for t, (w, w2) in rows) if product
+                 else (f'{{"t": {t}, "w": "{w}"}}\n' for t, w in rows))
+    else:
+        lines = ((f"{t},{w},{w2}\n" for t, (w, w2) in rows) if product
+                 else (f"{t},{w}\n" for t, w in rows))
     with out_stream(args.out) as fh:
-        for t, w in enumerate(rows, start=args.start):
-            pair = w if isinstance(w, tuple) else (w,)
-            if args.format == "json":
-                doc = {"t": t, "w": pair[0]}
-                if len(pair) > 1:
-                    doc["w2"] = pair[1]
-                fh.write(json.dumps(doc) + "\n")
-            else:
-                fh.write(",".join([str(t), *pair]) + "\n")
+        fh.writelines(lines)
     return 0
 
 

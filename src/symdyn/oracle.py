@@ -169,11 +169,13 @@ class Entry:
     k_hi: Optional[int] = None
 
     def __post_init__(self):
-        # an empty size range would be read as halting on no input at all
-        if (self.kind is QueryKind.SOME_IN and self.k is not INF
-                and self.k_hi is not INF and self.k > self.k_hi):
+        # an empty size range would be read as halting on no input at all;
+        # an infinite k below a finite k_hi is one too
+        if (self.kind is QueryKind.SOME_IN and self.k_hi is not INF
+                and (self.k is INF or self.k > self.k_hi)):
+            k = "inf" if self.k is INF else self.k
             raise ValueError(f"a SOME_IN entry needs k <= k_hi, got k = "
-                             f"{self.k}, k_hi = {self.k_hi}")
+                             f"{k}, k_hi = {self.k_hi}")
 
 
 # The facts that answer a query: ALL_BELOW ones whose bound is at least k, and

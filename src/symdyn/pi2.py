@@ -47,16 +47,21 @@ set of zones with runs pending.  All the excisions of one step (a wave)
 cost one scan of that set for the zones due, one C-level prefix sum over
 the zone index that applies the wave's displacements, and Python work per
 fired zone: heap pops, a sort only when several runs fire, zeroing and one
-deposit, however many S's sit to their right.  A push compares the push
+deposit, however many S's sit to their right.  A wave with one zone due
+applies its displacement with one C-level slice add over the zones from
+it on, in place of the prefix sum, and skips the scan when that zone is
+the only one with runs pending.  A push compares the push
 count with a cached bound before any frontier check runs.  Past the
 materialization cap the check extends nothing and only counts
 ``cap_hits``; a wave that meets the cap counts the checks of its later
-zones in one addition.  Between waves a run of plain pushes only shifts
-u0, and ``orbit_windows`` applies such a run in one jump
-(``ZoneEngine.jump``): at most ``_JUMP`` steps, stopping before the next
-wave and before the step whose frontier check would act; the jump is four
-buffer operations, and the run's windows are slices of one decoded
-string.
+zones in one addition.  A run of steps that all push only shifts u0, and
+``orbit_windows`` applies such a run in one jump (``ZoneEngine.jump``), of
+at most ``_JUMP`` steps: the u0 part is four buffer operations, and the
+run's windows are slices of one decoded string.  While zone 1 holds cells
+and u0 a 1 not glued to the first S, no wave can end the run, so the jump
+fires each wave due and each frontier check at its own push count; with
+zone 1 empty it stops before the next wave, whose deposit would end the
+run, and before the next frontier check.
 
 The engine counts the frontier checks that hit the materialization cap in
 ``cap_hits``, but a zero count does not make it exact: on criterion 08's
@@ -308,22 +313,28 @@ class ZoneEngine:
     zones with runs pending.  A step with zones due (a wave) scans only
     that set for the due zones and fires them in ascending order; it
     applies all the wave's displacements with one C-level prefix sum over
-    ``dep`` and takes the new least over the set.  Per fired zone it pops
-    the runs due (sorting them by start only when more than one fires),
-    zeroes them and deposits 0 1^l for each into zone k-1, whose heap
-    takes the blocks.  ``dep`` of the last S is also kept as a running
-    total, and idle zones cost nothing per step.
+    ``dep`` and takes the new least over the set.  A wave with one zone k
+    due adds its displacement to ``dep[k:]`` in one slice instead; when
+    the set holds that zone alone, the wave skips the scan, and a set left
+    with one zone gives the new least without a pass.  Per fired zone it
+    pops the runs due (sorting them by start only when more than one
+    fires), zeroes them and deposits 0 1^l for each into zone k-1, whose
+    heap takes the blocks.  ``dep`` of the last S is also kept as a
+    running total, and idle zones cost nothing per step.
     ``s_positions()`` reads every position from the second S on.
 
     ``step()`` is the one single-step path.  ``jump(limit)`` applies the
-    next run of plain pushes at once, when one of at least ``_MIN_JUMP``
-    steps is known in O(1), as four operations on the ``u0`` buffer;
-    ``pushes`` and ``t`` grow by j.  The run ends where the rightmost 1
-    of ``u0`` pops out (every step pushes while zone 1 is empty and a
-    second S exists), before the next wave (j <= ``_least - pushes``),
-    before the step whose frontier check would act (j <= ``_frontier_at
-    - pushes``) and after ``_JUMP`` steps.  The inserting variant, the
-    S-free engine and windows longer than ``u0`` never jump.  A product
+    next run of pushes at once, when one of at least ``_MIN_JUMP`` steps
+    is known in O(1), as four operations on the ``u0`` buffer; ``pushes``
+    and ``t`` grow by j.  With zone 1 holding cells, the run ends where
+    the rightmost 1 of ``u0`` pops out, and the waves and frontier checks
+    inside it fire at their own push counts, as ``step()`` meets them.
+    With zone 1 empty and a second S (a sticky run) every step pushes
+    until a wave deposits into zone 1, so the run stops before the next
+    wave (j <= ``_least - pushes``) and before the step whose frontier
+    check would act (j <= ``_frontier_at - pushes``).  No run covers more
+    than ``_JUMP`` steps.  The inserting variant, the S-free engine and
+    windows longer than ``u0`` never jump.  A product
     engine materializes layer 2 once, as ``_g2``, reads the gate as
     ``gate_allows(_g2, len(u0), t)`` and hands ``orbit_windows`` its
     layer-2 windows.
@@ -493,11 +504,14 @@ class ZoneEngine:
         # pre-step S positions, a block deposited into zone k-1 is not
         # rescanned before the next application of the map, and same-step
         # displacements must not widen a later scan.  dep changes only
-        # once the wave is done.
-        due = sorted([k for k in active if key[k] - dep[k] <= pushes])
+        # once the wave is done.  A lone active zone holds the least wake
+        # key, so it is the one zone due.
+        due = ([*active] if len(active) == 1 else
+               sorted([k for k in active if key[k] - dep[k] <= pushes]))
         amounts = []
         dep_last = self._dep_last
         room = self._frontier_at - pushes    # displacement before a check
+        capped = False                       # a check of this wave hit
         for i, k in enumerate(due):
             heap = pending[k]
             pos = base[k] + pushes + dep[k]
@@ -532,25 +546,31 @@ class ZoneEngine:
             amounts.append(amount)
             dep_last += amount
             room -= amount
-            if room < 0:
+            if room < 0 and not capped:
                 self._dep_last = dep_last
                 if self._check_frontier():
                     # stopped at the cap, where nothing extends the
                     # frontier and the room only shrinks within a wave:
                     # the check after each later zone of the wave hits too
                     self.cap_hits += len(due) - 1 - i
-                    room = _NO_KEY
-                else:
-                    room = self._frontier_at - pushes
+                    capped = True
+                room = self._frontier_at - pushes
         self._dep_last = dep_last
-        diff = [0] * len(dep)
-        for k, amount in zip(due, amounts):
-            diff[k] = amount
-        self.dep = dep = list(map(add, dep, itertools.accumulate(diff)))
+        if len(due) == 1:
+            dep[k:] = map(amount.__add__, dep[k:])
+        else:
+            diff = [0] * len(dep)
+            for k, amount in zip(due, amounts):
+                diff[k] = amount
+            self.dep = dep = list(map(add, dep, itertools.accumulate(diff)))
         # idle zones wake at _NO_KEY - dep[k], least for the last zone
-        self._least = min([key[k] - dep[k] for k in active],
-                          default=_NO_KEY - dep[-1])
-        self._frontier_at = pushes + self._frontier_room()
+        if len(active) == 1:
+            (k,) = active
+            self._least = key[k] - dep[k]
+        else:
+            self._least = min([key[k] - dep[k] for k in active],
+                              default=_NO_KEY - dep[-1])
+        self._frontier_at = pushes + room    # kept exact above
         self.waves += 1
         self.displacements += len(due)
 
@@ -646,43 +666,68 @@ class ZoneEngine:
 
     def jump(self, limit: int) -> Tuple[int, str]:
         """Apply at once the next j <= ``limit`` steps, when all of them
-        are certain to be plain pushes; returns ``(j, text)`` with
+        are certain to push; returns ``(j, text)`` with
         ``text[s:s + window]`` the window before the s-th of them.
 
         Returns ``(0, "")`` unless O(1) checks leave room for a run of
-        ``_MIN_JUMP`` or more pushes.  A step pushes when ``ones !=
-        trailing``; after a push ``trailing`` is 0, so a run lasts until
-        the rightmost 1 of ``u0`` pops out.  With zone 1 empty and a
-        second S, every step pushes.  A run stops before the next wave
-        and before the step whose frontier check would act, and never
-        covers more than ``_JUMP`` steps, so the cells decoded per jump
-        stay bounded.  The inserting variant may insert on any step and
-        never jumps.  With zone 1 empty and one S, ``step()`` materializes
-        more of zone 1, so no jump starts there.
+        ``_MIN_JUMP`` or more pushes.  With zone 1 holding cells a step
+        pushes when ``ones != trailing``; after a push ``trailing`` is 0,
+        so a run lasts until the rightmost 1 of ``u0`` pops out.  A wave
+        zeroes cells of zones 2 on and appends to zone k-1: it never reads
+        or changes ``u0`` and never empties zone 1.  So the run goes on
+        through waves, and the jump fires each wave at the push count of
+        the step it is due on, before that step's push, and runs each
+        frontier check after the push that passes ``_frontier_at``; past
+        the cap that is every push.  With zone 1 empty and a second S (a
+        sticky run), every step pushes until a wave deposits into zone 1,
+        so the run stops before the next wave and before the step whose
+        frontier check would act.  No run covers more than ``_JUMP``
+        steps, so the cells decoded per jump stay bounded.  The inserting
+        variant may insert on any step and never jumps.  With zone 1 empty
+        and one S, ``step()`` materializes more of zone 1, so no jump
+        starts there.
         """
         u0 = self.u0
-        if (u0 is None or self._least - self.pushes < _MIN_JUMP
-                or self.second_inserts or len(u0) < self.window):
+        if u0 is None or self.second_inserts or len(u0) < self.window:
             return 0, ""
+        p = self.pushes
+        bound = min(limit, _JUMP)
         sticky = not self.zones[1]          # the first S reads S_2
-        if ((sticky and self.last == 1)
-                or (not sticky and self.ones == self.trailing)):
+        if sticky:
+            if self.last == 1:
+                return 0, ""
+            bound = min(bound, self._least - p, self._frontier_at - p)
+        elif self.ones == self.trailing:
             return 0, ""
-        bound = min(limit, _JUMP, self._least - self.pushes,
-                    self._frontier_at - self.pushes)
         if bound < _MIN_JUMP:
             return 0, ""
         j = bound
         if not sticky and u0.count(b"1", 0, bound) == self.ones:
             # every 1 of u0 lies within reach: the run ends with the last
             j = u0.rfind(b"1", 0, bound) + 1
+        # the waves and frontier checks inside a non-sticky run, each at
+        # the push count at which step() meets it: a wave before the push
+        # of the step it is due on, a check after the push that passes
+        # _frontier_at.  Neither reads nor changes u0, nor empties zone 1.
+        end = p + j
+        while True:
+            p = max(p, min(self._least, self._frontier_at))
+            if p >= end:
+                break
+            self.pushes = p
+            if self._least <= p:
+                self._fire_excisions()
+            if p >= self._frontier_at:
+                self.pushes = p + 1
+                self._check_frontier()
+            p += 1
         self.ones -= u0.count(b"1", 0, j)
         u0 += b"0" * (2 * j)              # windows read the zeros pushed in
         text = u0[:j + self.window].decode("ascii")
         del u0[:j]
         self.trailing = 0
         self.crossing = False
-        self.pushes += j
+        self.pushes = end
         self.t += j
         self.jumped += j
         return j, text

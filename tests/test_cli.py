@@ -3,6 +3,7 @@
 import csv
 import functools
 import gc
+import hashlib
 import io
 import json
 import shlex
@@ -18,8 +19,8 @@ from symdyn.cli import main, parse_descriptor
 from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
 from symdyn.systems import pi1_system
-from symdyn.verify import (WORKED_INPUT, WORKED_OUTPUT, verify_suite,
-                           worked_example_oracle)
+from symdyn.verify import (WORKED_INPUT, WORKED_OUTPUT, totality_oracle,
+                           verify_suite, worked_example_oracle)
 
 from symdyn.cli import UsageError
 
@@ -101,6 +102,35 @@ def test_orbit_product_two_layers(capsys, oracle_file):
                     "--steps", "1", "--window", "4", "--format", "json")
     assert code == 0
     assert json.loads(out.splitlines()[1])["w2"] == "baba"
+
+
+@pytest.mark.parametrize("system,init2,steps,window,fmt,digest", [
+    # the zone benchmark's long query, rows (t, w)
+    ("pi2", None, 3000, 5, "csv",
+     "7df6fd36c5b15543de7439dd731f2d7920bbcd7a804a644fc5a85235eca7f4a2"),
+    ("pi2", None, 3000, 5, "json",
+     "d3ee3cbb56aa740d0e00efc4e57d73755f5f11a5ae4bc7832128e2f900264bf2"),
+    # a product, rows (t, w, w2)
+    ("wild_t_prime", "tail:period=aaab", 200, 4, "csv",
+     "00383148064b8b038166df36de324e5faeb2db33d13ab23b7285bcd4438cf089"),
+    ("wild_t_prime", "tail:period=aaab", 200, 4, "json",
+     "765c88c5f93a36cc264106e5238c02b42e3b27d6ecd04febfd9ee70e4a998fc9"),
+])
+def test_orbit_bytes_pinned(capsys, tmp_path, system, init2, steps, window,
+                            fmt, digest):
+    # sha256 of the whole output, as the row writer that formatted each
+    # row with json.dumps and a list join wrote it
+    path = tmp_path / "totality.json"
+    path.write_text(table_to_json(totality_oracle()))
+    argv = ["orbit", "--system", system, "--oracle", str(path),
+            "--init", "prefix:0110S01110S,tail:period=01100",
+            "--start", "3", "--steps", str(steps), "--window", str(window),
+            "--format", fmt]
+    if init2:
+        argv += ["--init2", init2]
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == steps + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- meets / omega / measure ------------------------------------------------

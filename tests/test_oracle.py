@@ -187,10 +187,17 @@ def test_some_in_entry_refuses_an_empty_size_range():
     item = {"e": 1, "kind": "some_in", "k": 5, "k_hi": 2, "time": 1}
     with pytest.raises(ValueError, match="k <= k_hi"):
         table_from_json(json.dumps({"entries": [item]}))
+    # an infinite k under a finite k_hi once read as NEVER to answer() and
+    # as a finite-domain fact to halts_on_size_above and has_finite_domain
+    with pytest.raises(ValueError, match="k = inf, k_hi = 2"):
+        Entry(1, QueryKind.SOME_IN, 1, k=INF, k_hi=2)
+    item = {"e": 1, "kind": "some_in", "k": "inf", "k_hi": 2, "time": 1}
+    with pytest.raises(ValueError, match="k <= k_hi"):
+        table_from_json(json.dumps({"entries": [item]}))
     # a one-size range, unbounded ends, and an EMPTY entry's stray k stay
     for ent in (Entry(1, QueryKind.SOME_IN, 1, k=2, k_hi=2),
                 Entry(1, QueryKind.SOME_IN, 1, k=5, k_hi=INF),
-                Entry(1, QueryKind.SOME_IN, 1, k=INF, k_hi=2),
+                Entry(1, QueryKind.SOME_IN, 1, k=INF, k_hi=INF),
                 Entry(1, QueryKind.EMPTY, 1, k=5, k_hi=2)):
         assert OracleTable.programmed_table([ent]).entries == (ent,)
 
@@ -377,8 +384,9 @@ def ref_answer(orc, e, q):
 
 
 # Tables over machines 0..7: "never" times, INF bounds, SOME_IN facts whose
-# low end k is None (what table_from_json builds when a file omits k) and
-# duplicated entries, under either default.
+# ends are both INF (what table_from_json builds when a file omits them; an
+# INF k under a finite k_hi is refused) and duplicated entries, under either
+# default.
 _SIZES = [*range(9), INF]
 _fact_size = st.sampled_from(_SIZES)
 
@@ -394,7 +402,7 @@ def _fact(draw):
     if kind is QueryKind.ALL_BELOW:
         return Entry(e, kind, time, k=k)
     gap = draw(_fact_size)
-    k_hi = INF if gap is INF else (k or 0) + gap
+    k_hi = INF if gap is INF or k is INF else k + gap
     return Entry(e, kind, time, k=k, k_hi=k_hi)
 
 

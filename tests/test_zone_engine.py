@@ -769,6 +769,15 @@ def test_drawn_jumps_match_steps(sysid, oracle, prefix, period, period2,
     (NEVER, "0110111" * 10 + "S", "0", 0, 30, 3),
     # a jump right after a crossing, into S_2: the crossing is over
     (MIXED, "0S111S", SPARSE, 0, 400, 3),
+    # a wave inside a push run whose deposit drives the frontier room
+    # negative below the cap: the frontier extends inside the jump
+    (MIXED, "0110S01110S", "01100", 0, 2100, 4),
+    # the same past the cap: the wave counts the first hit, and then
+    # every push of the jump counts one
+    (MIXED, "0S0110S0111S", "011100", 0, 400, 4),
+    # three zones: a due zone 3 deposits into zone 2, whose heap takes
+    # the blocks, inside a push run
+    (MIXED, "01101S0110S011S", "011100", 0, 200, 4),
 ])
 def test_jumps_match_steps_on_edges(oracle, prefix, period, t0, t1,
                                     window):
@@ -793,6 +802,16 @@ def test_jumps_match_steps_on_the_recurrence(steps, window, digest,
     # a change that silently disables the jump fails here, not only later
     # in a benchmark
     assert eng.jumped >= 0.9 * steps
+
+
+def test_jumps_through_waves_on_the_long_query():
+    # the zone benchmark's long orbit query (start 3, 3,000 steps): a wave
+    # every third step, each with one zone due, and the push runs jump
+    # through them
+    sys_, x = systems.pi2_system(TOTALITY), cfg("0110S01110S", "01100")
+    _, eng = assert_jumps_match_steps(sys_, x, 3, 3_004, 5)
+    assert (eng.waves, eng.displacements) == (1_021, 1_021)
+    assert eng.jumped >= 0.9 * 3_003
 
 
 @pytest.mark.parametrize("sysid", SYSTEMS)
