@@ -154,11 +154,18 @@ class OmegaProfile:
                             self.burn_in, self.horizon)
 
 
+def _check_first_and_depth(name: str, first: int, depth: int) -> None:
+    """Refuse a negative first iterate (called ``name``) or depth."""
+    if first < 0 or depth < 0:
+        raise ArgumentRefused(f"need {name}, depth >= 0, got {first}, {depth}")
+
+
 def omega_profile(sys: SystemSpec, x, burn_in: int, horizon: int,
                   depth: int) -> OmegaProfile:
     """The set of depth-L windows visited in [burn_in, horizon)."""
     if burn_in >= horizon:
         raise ArgumentRefused("need burn_in < horizon")
+    _check_first_and_depth("burn_in", burn_in, depth)
     seen = frozenset(orbit_window_counts(sys, x, burn_in, horizon, depth))
     return OmegaProfile(depth, seen, burn_in, horizon)
 
@@ -193,6 +200,7 @@ def empirical_measure(sys: SystemSpec, x, n: int, depth: int,
     """Counts of depth-L windows over iterates start .. start+n-1."""
     if n < 1:
         raise ArgumentRefused("need n >= 1")
+    _check_first_and_depth("start", start, depth)
     counts = orbit_window_counts(sys, x, start, start + n, depth)
     return EmpiricalMeasure(depth, counts, n)
 
@@ -290,8 +298,10 @@ def _limit_measure(oracle: OracleTable, p: Fraction, L: int,
     if not oracle.programmed:
         raise TableRefused("tilde_mu needs a programmed table")
     p = Fraction(p)
-    if not 0 < p < 1 or L < 0:
-        raise ArgumentRefused(f"need 0 < p < 1 and depth >= 0, got {p}, {L}")
+    if not 0 < p < 1:
+        raise ArgumentRefused(f"need 0 < p < 1, got {p}")
+    if L < 0:       # only a table query can ask for a negative depth
+        raise ArgumentRefused(f"need depth >= 0, got {L}")
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     l_cuts, g_cuts, verdicts = _verdict_classes(oracle, kind)

@@ -7,9 +7,16 @@ commands, whose level table gives the same values however far it has
 grown, which holds the live samples of its last escape run (each
 ``interval escape`` call resumes them only on the same system, samples,
 seed and depth, and otherwise replaces them) and a memo of at most 4,096
-gap maps that ``interval eval`` and ``interval escape`` share; and the
+gap maps that ``interval eval`` and ``interval escape`` share; the
 oracle tables parsed from the last 16 file texts read, keyed by the
-text, so a rewritten file is parsed afresh.  Neither changes a result.
+text, so a rewritten file is parsed afresh; and the parser, with a table
+of it that the first ``main`` call builds.  ``main`` reads an argv made
+of a command path and then only exact ``--option value`` pairs, no value
+starting with ``-``, from that table, with the parser's types, choices,
+defaults, required options and exclusive groups; any other argv (help,
+an abbreviation, ``--opt=value``, a missing or invalid value) goes to
+argparse, which reads and reports it as it always has.  None of these
+changes a result.
 Exit codes: 0 success, 1 verification failure, 2 usage error, a refused
 argument or table, or an orbit the input leaves undetermined.  The
 library refuses arguments and tables (``ArgumentRefused``,
@@ -476,8 +483,121 @@ def _scheme() -> cantor.CantorScheme:
     return cantor.CantorScheme()
 
 
+# ---------------------------------------------------------------------------
+# Reading plain argv without an argparse pass
+# ---------------------------------------------------------------------------
+
+def _routes(parser: argparse.ArgumentParser, base=None):
+    """The reader's table for ``parser``: {command word: table}, down to
+    one route per command.
+
+    A route is (options, base, required, groups, typed): the command's
+    actions by exact option string, the namespace argparse starts it from
+    (every default on the command path, and each parser name), its
+    required actions, its exclusive groups as (actions, required), and
+    its actions whose string default argparse passes through ``type``
+    when they are not given.  A parser with subparsers is served only when
+    its other actions are help; a command only when its other actions are
+    store or append actions of options taking one value (an append
+    default None or a list).  Other commands get an empty table, and
+    argparse reads them.
+    """
+    layer = {}      # argparse sets action defaults first, then set_defaults
+    for a in parser._actions:
+        if (a.dest is not argparse.SUPPRESS
+                and a.default is not argparse.SUPPRESS):
+            layer.setdefault(a.dest, a.default)
+    for dest, value in parser._defaults.items():
+        layer.setdefault(dest, value)
+    ns = {**(base or {}), **layer}
+    actions = [a for a in parser._actions
+               if not isinstance(a, argparse._HelpAction)]
+    if parser._subparsers is not None:
+        if len(actions) != 1 or actions[0].dest is argparse.SUPPRESS:
+            return {}
+        sub, = actions
+        return {name: _routes(child, {**ns, sub.dest: name})
+                for name, child in sub.choices.items()}
+    if not all(a.option_strings and a.nargs is None and (
+            type(a) is argparse._StoreAction
+            or type(a) is argparse._AppendAction
+            and (a.default is None or type(a.default) is list))
+            for a in actions):
+        return {}
+    return ({s: a for a in actions for s in a.option_strings}, ns,
+            tuple(a for a in actions if a.required),
+            tuple((frozenset(g._group_actions), g.required)
+                  for g in parser._mutually_exclusive_groups),
+            tuple(a for a in actions
+                  if isinstance(a.default, str) and a.type is not None))
+
+
+@functools.cache
+def _reader() -> dict:
+    """The reader's table for the parser, built on first use."""
+    return _routes(_parser())
+
+
+_NO_VALUE = object()
+
+
+def _typed(action: argparse.Action, text: str):
+    """``text`` through the action's ``type``; ``_NO_VALUE`` where argparse
+    reports an invalid value."""
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return _NO_VALUE
+
+
+def _fast_args(argv, table):
+    """The namespace ``parse_args(argv)`` gives, read from the parser's
+    ``table`` (see :func:`_routes`), or None.
+
+    It reads only a command path followed by exact ``--option value``
+    pairs, each value not starting with ``-``, and returns None for
+    anything else (help, abbreviations, ``--opt=value``, unknown words,
+    missing or invalid values, a missing required option or a group
+    conflict), which argparse then reads and reports exactly as before.
+    """
+    node, i = table, 0
+    while type(node) is dict and i < len(argv):
+        node, i = node.get(argv[i]), i + 1
+    if type(node) is not tuple or (len(argv) - i) % 2:
+        return None
+    options, base, required, groups, typed = node
+    ns, seen = dict(base), set()
+    for opt, text in zip(argv[i::2], argv[i + 1::2]):
+        action = options.get(opt)
+        if action is None or text.startswith("-"):
+            return None
+        value = _typed(action, text)
+        if value is _NO_VALUE or (action.choices is not None
+                                  and value not in action.choices):
+            return None
+        if type(action) is argparse._AppendAction:
+            value = [*(ns.get(action.dest) or ()), value]
+        ns[action.dest] = value
+        seen.add(action)
+    if not seen.issuperset(required):
+        return None
+    for group, one_needed in groups:
+        given = len(group & seen)
+        if given > 1 or one_needed and not given:
+            return None
+    for a in typed:
+        if a not in seen and ns.get(a.dest) is a.default:
+            ns[a.dest] = _typed(a, a.default)
+            if ns[a.dest] is _NO_VALUE:
+                return None
+    return argparse.Namespace(**ns)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv, _reader()) or _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, OSError, ArgumentRefused, FrontierUnresolved,

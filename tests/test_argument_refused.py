@@ -9,6 +9,7 @@ k = -1, a bare CSV header for depth -1, [0, 1] for precision -1.
 """
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,40 @@ def test_entry_point_refuses_the_argument(call):
     with pytest.raises(ArgumentRefused) as exc:
         call()
     assert isinstance(exc.value, ValueError)
+
+
+# a refusal names the caller's arguments, not those of the call it makes:
+# a negative depth once read "need t0, window >= 0", and a word's p
+# "... depth >= 0, got 0, 2"
+_MESSAGES = {
+    "empirical_measure-depth": (
+        lambda: empirical_measure(SHIFT, ZEROS, 2, -1),
+        "need start, depth >= 0, got 0, -1"),
+    "empirical_measure-start": (
+        lambda: empirical_measure(SHIFT, ZEROS, 2, 2, start=-1),
+        "need start, depth >= 0, got -1, 2"),
+    "omega_profile-burn_in": (
+        lambda: omega_profile(SHIFT, ZEROS, -1, 2, 2),
+        "need burn_in, depth >= 0, got -1, 2"),
+    "omega_profile-depth": (
+        lambda: omega_profile(SHIFT, ZEROS, 0, 2, -1),
+        "need burn_in, depth >= 0, got 0, -1"),
+    "tilde_mu-p": (lambda: tilde_mu(WORKED, Fraction(0), "01", 24),
+                   "need 0 < p < 1, got 0"),
+    "tilde_mu_table-p": (
+        lambda: tilde_mu_table(WORKED, Fraction(3, 2), 2, 24),
+        "need 0 < p < 1, got 3/2"),
+    "tilde_mu_table-depth": (
+        lambda: tilde_mu_table(WORKED, Fraction(1, 2), -1, 24),
+        "need depth >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", _MESSAGES.values(),
+                         ids=_MESSAGES.keys())
+def test_refusal_names_the_arguments(call, message):
+    with pytest.raises(ArgumentRefused, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_export_refuses_a_negative_depth_before_writing():

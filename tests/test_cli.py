@@ -15,7 +15,7 @@ import pytest
 from symdyn import cantor, cli
 from symdyn.analysis import empirical_measure, omega_profile
 from symdyn.cantor import CantorScheme
-from symdyn.cli import main, parse_descriptor
+from symdyn.cli import build_parser, main, parse_descriptor
 from symdyn.oracle import Entry, OracleTable, QueryKind, table_to_json
 from symdyn.space import ALPHA_01, ALPHA_01S, Constant, Periodic, Sampler
 from symdyn.systems import pi1_system
@@ -654,6 +654,65 @@ def test_removed_options_exit_2(capsys, oracle_file, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+
+# -- what only argparse reads: help and usage errors ------------------------
+
+def _exits(capsys, parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["orbit", "-h"], ["omega", "-h"], ["measure", "-h"],
+    ["meets", "-h"], ["tilde-mu", "-h"], ["realm", "-h"], ["interval", "-h"],
+    ["interval", "eval", "-h"], ["interval", "export", "-h"],
+    ["interval", "escape", "-h"], ["verify", "-h"],
+])
+def test_help_is_argparse_help(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exits(capsys, main, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(['symdyn', *argv[:-1]])} [-h]")
+    assert (code, out, err) == _exits(capsys, build_parser().parse_args, argv)
+
+
+_ORBIT = ["orbit", "--system", "pi1", "--init", "tail:0", "--window", "4"]
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (_ORBIT, "symdyn orbit: error: the following arguments are required: "
+             "--steps"),
+    ([*_ORBIT, "--steps", "2", "--format", "xml"],
+     "symdyn orbit: error: argument --format: invalid choice: 'xml'"),
+    ([*_ORBIT, "--steps", "x"],
+     "symdyn orbit: error: argument --steps: invalid int value: 'x'"),
+    ([*_ORBIT, "--s", "2"], "symdyn orbit: error: ambiguous option: --s "
+                            "could match --system, --steps, --start, --seed"),
+    ([*_ORBIT, "--steps"],
+     "symdyn orbit: error: argument --steps: expected one argument"),
+    ([*_ORBIT, "--steps", "2", "stray"],
+     "symdyn: error: unrecognized arguments: stray"),
+    (["tilde-mu", "--word", "01", "--depth", "2"],
+     "symdyn tilde-mu: error: argument --depth: not allowed with argument "
+     "--word"),
+    (["nosuch"], "symdyn: error: argument command: invalid choice: "
+                 "'nosuch'"),
+    (["interval"], "symdyn interval: error: the following arguments are "
+                   "required: interval_command"),
+    ([], "symdyn: error: the following arguments are required: command"),
+])
+def test_usage_errors_are_argparse_errors(capsys, monkeypatch, argv,
+                                          last_line):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _exits(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: symdyn")
+    assert err.splitlines()[-1].startswith(last_line)
+    assert (code, out, err) == _exits(capsys, build_parser().parse_args, argv)
 
 
 def _readme_block(heading, lang):
